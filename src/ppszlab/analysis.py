@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 
 @dataclass(frozen=True)
@@ -22,9 +23,12 @@ class AnalysisConfig:
     iterations: int = 30
 
 
+@lru_cache(maxsize=64)
 def lambda_k(k: int, tol: float = 1e-12) -> float:
     """The forced-fraction constant: the sum over j >= 1 of
     1/(j((k-1)j+1)).
+
+    Memoised: the solvers ask for the same (k, tol) on every restriction.
 
     Partial fractions give terms 1/j - 1/(j+c) with c = 1/(k-1), so the
     tail beyond J is estimated by the midpoint integral ln(1 + c/(J+1/2))

@@ -2,7 +2,6 @@
 
 Modify walks the variables in a given order. At each variable it first asks
 the bounded-subset implication engine for a pinned literal; a hit is
-
 appended as "forced" and consumes nothing. Otherwise the next bit of the
 supplied bit vector decides the value ("guessed"); running out of bits
 before a guess is needed aborts the run. A finished assignment is returned

@@ -9,6 +9,14 @@ bounded resolution approximation.
 The candidate order is pinned so every caller is deterministic: subset sizes
 ascending, and within one size the index combinations over the formula's
 canonical clause order, lexicographically. The first implying subset wins.
+
+The index below skips, for subsets of three clauses or more, every subset
+the union bound proves cannot decide x. A subset J decides x only if J with
+x=0 or J with x=1 is unsatisfiable; that covers both J implying a literal
+over x and the vacuous case. A CNF whose clauses' 2^-width sum to less than
+one is satisfiable, since a uniformly random assignment falsifies each
+clause with probability 2^-width. Only non-deciding subsets are skipped and
+the order is kept, so the first hit, and with it every answer, is unchanged.
 """
 
 from __future__ import annotations
@@ -135,6 +143,12 @@ class ImplicationIndex:
     By construction the answers match tau_implied on restrict(formula, a):
     the surviving clauses are swept in the same canonical order with the
     same first-hit rule. Tests hold the two implementations together.
+
+    Sizes 1 and 2 are plain loops. Sizes 3..tau share one depth-first
+    kernel that cuts a branch as soon as the union bound shows both x=0
+    and x=1 stay satisfiable under every completion of it (module
+    docstring). The cut drops only subsets that decide nothing, so the
+    first hit in canonical order is the same one the full sweep finds.
     """
 
     VARIABLE_LIMIT = 20  # the per-clause masks hold 2^n bits
@@ -170,7 +184,9 @@ class ImplicationIndex:
                 sat_mask = self._space & ~falsify
             entries.append((clause, vars_mask, sat_mask))
         self._entries = entries
-        self._state_cache: dict[tuple[int, int], tuple[list[int], list[int]]] = {}
+        self._state_cache: dict[
+            tuple[int, int], tuple[list[int], list[int], list[Clause]]
+        ] = {}
         self._result_cache: dict[tuple[int, int, int], int] = {}
 
     def _consistency_mask(self, amask: int, avals: int) -> int:
@@ -183,9 +199,12 @@ class ImplicationIndex:
             bits ^= low
         return mask
 
-    def _survivors(self, amask: int, avals: int) -> tuple[list[int], list[int]]:
-        """Clause masks for the restriction at this state, ordered and
-        deduplicated exactly as restrict() orders the residual clauses."""
+    def _survivors(
+        self, amask: int, avals: int
+    ) -> tuple[list[int], list[int], list[Clause]]:
+        """Clause masks and residual literal tuples for the restriction at
+        this state, ordered and deduplicated exactly as restrict() orders
+        the residual clauses."""
         key = (amask, avals)
         cached = self._state_cache.get(key)
         if cached is not None:
@@ -211,8 +230,9 @@ class ImplicationIndex:
         ordered = sorted(residual)
         sat_masks = [residual[c][0] for c in ordered]
         var_masks = [residual[c][1] for c in ordered]
-        self._state_cache[key] = (sat_masks, var_masks)
-        return sat_masks, var_masks
+        cached = (sat_masks, var_masks, ordered)
+        self._state_cache[key] = cached
+        return cached
 
     def implied_literal(self, amask: int, avals: int, var: int) -> int:
         """The implied literal over var under the given restriction state,
@@ -227,7 +247,7 @@ class ImplicationIndex:
         return result
 
     def _sweep(self, amask: int, avals: int, var: int, xpos: int) -> int:
-        pm, rv = self._survivors(amask, avals)
+        pm, rv, residual = self._survivors(amask, avals)
         m = len(pm)
         xbit = 1 << xpos
         xtrue = self._true_masks[xpos]
@@ -254,40 +274,87 @@ class ImplicationIndex:
                         return var
                     elif mab & xtrue == 0:
                         return -var
-        if tau >= 3:
-            for a in range(m - 2):
-                pa, ra = pm[a], rv[a]
-                for b in range(a + 1, m - 1):
-                    mab = pa & pm[b]
-                    rab = ra | rv[b]
-                    if mab == 0:
-                        # any third clause mentioning x completes a vacuous hit
-                        for c in range(b + 1, m):
-                            if (rab | rv[c]) & xbit:
-                                return var
+        if tau < 3 or m < 3:
+            return 0
+        return self._deep_sweep(pm, rv, residual, var, xbit, xtrue, xfalse)
+
+    def _deep_sweep(
+        self,
+        pm: list[int],
+        rv: list[int],
+        residual: list[Clause],
+        var: int,
+        xbit: int,
+        xtrue: int,
+        xfalse: int,
+    ) -> int:
+        """Subsets of 3..tau clauses, depth first in canonical order, with
+        every branch cut that the union bound proves holds no hit.
+
+        Clause i weighs w0[i] on the x=0 side and w1[i] on the x=1 side:
+        2^(K - width once x is fixed), or 0 where fixing x satisfies it,
+        with K the largest residual width. A side whose weights sum below
+        2^K is satisfiable, and a subset with both sides satisfiable
+        decides nothing. With `left` clauses still to pick from i on, the
+        rest of the loop is cut when the prefix sum plus `left` times the
+        suffix maximum at i stays below 2^K on both sides (suffix maxima
+        never increase, so no later i passes either); clause i alone is
+        skipped when its own weight plus `left - 1` times the suffix
+        maximum after it stays below 2^K on both sides.
+        """
+        m = len(pm)
+        tau = self.tau
+        top = 1 << max(map(len, residual))
+        w0: list[int] = []
+        w1: list[int] = []
+        for clause in residual:
+            if var in clause:
+                w0.append(top >> (len(clause) - 1))
+                w1.append(0)
+            elif -var in clause:
+                w0.append(0)
+                w1.append(top >> (len(clause) - 1))
+            else:
+                w = top >> len(clause)
+                w0.append(w)
+                w1.append(w)
+        s0 = [0] * (m + 1)
+        s1 = [0] * (m + 1)
+        for i in range(m - 1, -1, -1):
+            s0[i] = max(w0[i], s0[i + 1])
+            s1[i] = max(w1[i], s1[i + 1])
+
+        def dive(start: int, left: int, mask: int, union: int, p0: int, p1: int) -> int:
+            if left == 1:
+                for i in range(start, m):
+                    if p0 + s0[i] < top and p1 + s1[i] < top:
+                        return 0  # no later clause can lift either side
+                    if p0 + w0[i] < top and p1 + w1[i] < top:
                         continue
-                    for c in range(b + 1, m):
-                        mabc = mab & pm[c]
-                        if mabc == 0:
-                            if (rab | rv[c]) & xbit:
-                                return var
-                        elif mabc & xfalse == 0:
+                    mi = mask & pm[i]
+                    if mi == 0:
+                        if (union | rv[i]) & xbit:
                             return var
-                        elif mabc & xtrue == 0:
-                            return -var
-        for size in range(4, min(tau, m) + 1):
-            for combo in combinations(range(m), size):
-                mask = pm[combo[0]]
-                for idx in combo[1:]:
-                    mask &= pm[idx]
-                if mask == 0:
-                    union = 0
-                    for idx in combo:
-                        union |= rv[idx]
-                    if union & xbit:
+                    elif mi & xfalse == 0:
                         return var
-                elif mask & xfalse == 0:
-                    return var
-                elif mask & xtrue == 0:
-                    return -var
+                    elif mi & xtrue == 0:
+                        return -var
+                return 0
+            rest = left - 1
+            for i in range(start, m - rest):
+                if p0 + left * s0[i] < top and p1 + left * s1[i] < top:
+                    return 0
+                q0 = p0 + w0[i]
+                q1 = p1 + w1[i]
+                if q0 + rest * s0[i + 1] < top and q1 + rest * s1[i + 1] < top:
+                    continue  # no completion through clause i
+                hit = dive(i + 1, rest, mask & pm[i], union | rv[i], q0, q1)
+                if hit:
+                    return hit
+            return 0
+
+        for size in range(3, min(tau, m) + 1):
+            hit = dive(0, size, -1, 0, 0, 0)
+            if hit:
+                return hit
         return 0

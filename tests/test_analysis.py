@@ -49,6 +49,16 @@ def test_lambda_rejects_bad_inputs():
         lambda_k(3, tol=0.0)
 
 
+def test_memoised_lambda_is_bit_identical_to_a_fresh_sum():
+    for k, tol in [(3, 1e-12), (4, 1e-12), (5, 1e-9)]:
+        first = lambda_k(k, tol)
+        assert lambda_k(k, tol) == first == lambda_k.__wrapped__(k, tol)
+    # failures are not memoised: a bad call raises every time
+    for _ in range(2):
+        with pytest.raises(ValueError):
+            lambda_k(1)
+
+
 def test_binary_entropy_landmarks():
     assert binary_entropy(0.0) == 0.0
     assert binary_entropy(1.0) == 0.0

@@ -154,6 +154,20 @@ def test_config_validation():
     assert ImplicationConfig().resolve_tau(9) == 3
 
 
+def _restriction_state(formula, rng, assigned_count):
+    """A random partial state as (amask, avals) plus its literal list."""
+    amask = avals = 0
+    literals = []
+    for pos in rng.sample(range(formula.n), assigned_count):
+        positive = bool(rng.getrandbits(1))
+        amask |= 1 << pos
+        if positive:
+            avals |= 1 << pos
+        var = formula.variables[pos]
+        literals.append(var if positive else -var)
+    return amask, avals, literals
+
+
 def test_index_matches_the_reference_on_restrictions():
     rng = random.Random(41)
     for _ in range(12):
@@ -161,16 +175,7 @@ def test_index_matches_the_reference_on_restrictions():
         config = cfg(rng.choice((1, 2, 3)))
         index = ImplicationIndex(formula, config)
         for _ in range(12):
-            assigned = rng.sample(range(6), rng.randrange(0, 5))
-            amask = avals = 0
-            literals = []
-            for pos in assigned:
-                positive = bool(rng.getrandbits(1))
-                amask |= 1 << pos
-                if positive:
-                    avals |= 1 << pos
-                var = formula.variables[pos]
-                literals.append(var if positive else -var)
+            amask, avals, literals = _restriction_state(formula, rng, rng.randrange(0, 5))
             residual = restrict(formula, literals)
             for var in residual.variables:
                 want = tau_implied(residual, var, config)
@@ -182,3 +187,64 @@ def test_index_enforces_its_size_limit():
     wide = F((1, 2), variables=range(1, 25))
     with pytest.raises(ValueError):
         ImplicationIndex(wide)
+
+
+@pytest.mark.parametrize(
+    "k, n, m, assigned, seed", [(3, 6, 14, (2, 3), 43), (4, 7, 24, (3, 4, 5), 47)]
+)
+def test_index_matches_the_reference_at_tau_four(k, n, m, assigned, seed):
+    rng = random.Random(seed)
+    four = cfg(4)
+    deep_hits = vacuous_states = unit_states = 0
+    for _ in range(8):
+        formula = uniform_kcnf(rng, n, m, k)
+        index = ImplicationIndex(formula, four)
+        for _ in range(4):
+            amask, avals, literals = _restriction_state(formula, rng, rng.choice(assigned))
+            residual = restrict(formula, literals)
+            widths = {len(clause) for clause in residual.clauses}
+            vacuous_states += 0 in widths
+            unit_states += 1 in widths
+            for var in residual.variables:
+                want = tau_implied(residual, var, four)
+                got = index.implied_literal(amask, avals, var)
+                assert got == (want or 0), (literals, var)
+                if want is not None and tau_implied(residual, var, cfg(2)) is None:
+                    deep_hits += 1
+    # the cases reach the size >= 3 kernel, empty clauses and units
+    assert deep_hits > 0 and vacuous_states > 0 and unit_states > 0
+
+
+def _first_hits(formula, x, taus):
+    """(reference, index) answers at each tau, on the unrestricted state."""
+    out = []
+    for tau in taus:
+        want = tau_implied(formula, x, cfg(tau))
+        got = ImplicationIndex(formula, cfg(tau)).implied_literal(0, 0, x)
+        out.append((want or 0, got))
+    return out
+
+
+@pytest.mark.parametrize("sign", [1, -1])
+def test_full_two_cnf_beside_x_is_decided_at_size_four(sign):
+    # every clause carries the same literal over x = 1; only all four
+    # rule out every (a, b) value with x left free
+    x = sign
+    formula = F((x, 2, 3), (x, 2, -3), (x, -2, 3), (x, -2, -3))
+    assert _first_hits(formula, 1, (1, 2, 3, 4)) == [(0, 0)] * 3 + [(x, x)]
+
+
+def test_tight_union_bound_still_decides_at_size_three():
+    # once x = 0 the weights are 1/2 + 1/4 + 1/4: the bound sits exactly at
+    # one, which must not cut the branch
+    formula = F((1, 2), (1, -2, 3), (1, -2, -3))
+    assert _first_hits(formula, 1, (2, 3)) == [(0, 0), (1, 1)]
+
+
+def test_vacuous_hit_from_an_unsatisfiable_core_without_x():
+    # size 3: the pair (2), (-2) plus the only x-clause
+    formula = F((-1, 3), (2,), (-2,))
+    assert _first_hits(formula, 1, (2, 3)) == [(0, 0), (1, 1)]
+    # size 4: the triple (2, 3), (-2), (-3) plus the only x-clause
+    formula = F((-1, 4), (2, 3), (-2,), (-3,))
+    assert _first_hits(formula, 1, (3, 4)) == [(0, 0), (1, 1)]
