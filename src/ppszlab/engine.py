@@ -11,11 +11,20 @@ Guess profiles come out of the same walk: a replay against a known solution
 feeds the guesses from that solution instead of a bit vector, so the count
 of guessed variables is produced by the identical code path that the solver
 itself runs.
+
+The exact success probability does not replay every (order, bit vector)
+pair. A walk reads only the bits its guesses consume, so for one order the
+2^n bit vectors form a binary guess tree: a forced step has one child, a
+guessed step one child per bit value, and a leaf reached after `used`
+guesses stands for the 2^(n - used) vectors that share its prefix. One
+depth-first pass over that tree counts the successful vectors, and each
+distinct order is walked once, weighted by how often the family lists it.
 """
 
 from __future__ import annotations
 
 import random
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
@@ -92,7 +101,8 @@ class ModifyResult:
 class PpszEngine:
     """Shared machinery for running many Modify walks over one formula:
     one implication index (with its memo) plus precomputed clause masks
-    for the final satisfaction check. Counts every walk it performs."""
+    for the final satisfaction check. Counts every walk it performs in
+    `modify_calls`; a guess-tree count is not a walk and is not counted."""
 
     def __init__(self, formula: Formula, cfg: ImplicationConfig | None = None):
         self.formula = formula
@@ -157,6 +167,43 @@ class PpszEngine:
             return avals, profile
         return None, profile
 
+    def count_successes(self, sigma: Sequence[int]) -> int:
+        """How many of the 2^n bit vectors make the walk over sigma succeed.
+
+        The same decisions as `_walk`, taken once per node of the guess
+        tree: a forced step goes straight on, a guessed step branches on 0
+        and 1, and a leaf that passes `_walk`'s success test after `used`
+        guesses adds 2^(n - used). The pending branches live on an explicit
+        stack; a self-recursive closure would form a reference cycle that
+        keeps the index and its memo alive until the cyclic collector runs.
+        """
+        implied = self.index.implied_literal
+        bit_of = self._bit
+        full = self._full
+        n = self.formula.n
+        steps = len(sigma)
+        successes = 0
+        stack = [(0, 0, 0, 0)]  # (position in sigma, amask, avals, bits used)
+        while stack:
+            start, amask, avals, used = stack.pop()
+            for position in range(start, steps):
+                var = sigma[position]
+                bit = bit_of[var]
+                lit = implied(amask, avals, var)
+                amask |= bit
+                if lit:
+                    if lit > 0:
+                        avals |= bit
+                elif used == n:
+                    break  # out of bits: `_walk` reports exhaustion
+                else:
+                    used += 1
+                    stack.append((position + 1, amask, avals | bit, used))
+            else:
+                if amask == full and self._satisfies(avals):
+                    successes += 1 << (n - used)
+        return successes
+
     def modify(self, sigma: Sequence[int], bits: BitVector | Sequence[int]) -> ModifyResult:
         sigma = tuple(sigma)
         if len(sigma) != self.formula.n or set(sigma) != set(self.formula.variables):
@@ -210,8 +257,14 @@ def success_probability_exact(
     cfg: ImplicationConfig | None = None,
     max_evaluations: int = DEFAULT_EVALUATION_BUDGET,
 ) -> Fraction:
-    """Pr[a run over uniform (order, bits) returns a solution], computed by
-    enumerating every pair outright. Exact rational arithmetic."""
+    """Pr[a run over uniform (order, bits) returns a solution]. Exact
+    rational arithmetic.
+
+    Each distinct order's guess tree is walked once (`count_successes`),
+    which accounts for all 2^n bit vectors at once, and the count is
+    weighted by the order's multiplicity in the family. The budget still
+    counts (order, bit vector) pairs, |perms| x 2^n, not physical walks.
+    """
     sigma_list = _as_permutation_list(perms)
     n = formula.n
     total = len(sigma_list) << n
@@ -220,14 +273,10 @@ def success_probability_exact(
             f"{len(sigma_list)} orders x 2^{n} bit vectors exceed the budget of {max_evaluations}"
         )
     engine = PpszEngine(formula, cfg)
-    walk = engine._walk
-    successes = 0
-    space = 1 << n
-    for sigma in sigma_list:
-        for value in range(space):
-            avals, _ = walk(sigma, value, n, None)
-            if avals is not None:
-                successes += 1
+    successes = sum(
+        multiplicity * engine.count_successes(sigma)
+        for sigma, multiplicity in Counter(sigma_list).items()
+    )
     return Fraction(successes, total)
 
 
@@ -237,18 +286,20 @@ def success_probability_via_identity(
     cfg: ImplicationConfig | None = None,
 ) -> Fraction:
     """The same probability assembled solution by solution: each solution
-    contributes the average over orders of 2^(-guessed). Exact rationals;
-    must agree with the exhaustive route to the last bit."""
+    contributes the average over orders of 2^(-guessed), each distinct
+    order replayed once and weighted by its multiplicity. Exact rationals;
+    must agree with the guess-tree route to the last bit."""
     sigma_list = _as_permutation_list(perms)
     n = formula.n
     engine = PpszEngine(formula, cfg)
     solutions = enumerate_solutions(formula)
+    orders = Counter(sigma_list)
     numerator = 0
     for solution in solutions:
         alpha = _as_value_map(solution)
-        for sigma in sigma_list:
+        for sigma, multiplicity in orders.items():
             _, profile = engine._walk(sigma, None, 0, alpha)
-            numerator += 1 << (n - profile.guessed)
+            numerator += multiplicity << (n - profile.guessed)
     return Fraction(numerator, len(sigma_list) << n)
 
 

@@ -1,4 +1,7 @@
+import gc
+import math
 import random
+import weakref
 from fractions import Fraction
 
 import pytest
@@ -14,9 +17,10 @@ from ppszlab.engine import (
     success_probability_via_identity,
 )
 from ppszlab.implication import ImplicationConfig
-from ppszlab.instances import unique_kcnf
-from ppszlab.oracle import enumerate_solutions
+from ppszlab.instances import unique_kcnf, uniform_kcnf, with_free_variables
+from ppszlab.oracle import count_solutions, enumerate_solutions
 from ppszlab.permutations import construct_sigma
+from ppszlab.suites import identity_corpus
 
 
 def F(*clauses, variables=None, k=None):
@@ -115,6 +119,99 @@ def test_exact_equals_identity_on_random_instances():
         assert exact == identity
         assert isinstance(exact, Fraction)
         assert 0 < exact <= 1
+
+
+def _exhaustive_probability(formula, orders, cfg=None):
+    """Reference route: one full `_walk` per (order, bit vector) pair."""
+    eng = PpszEngine(formula, cfg)
+    n = formula.n
+    successes = 0
+    for sigma in orders:
+        for value in range(1 << n):
+            avals, _ = eng._walk(tuple(sigma), value, n, None)
+            if avals is not None:
+                successes += 1
+    return Fraction(successes, len(orders) << n)
+
+
+def _draw(rng, n, m, k, satisfiable):
+    while True:
+        formula = uniform_kcnf(rng, n, m, k)
+        if (count_solutions(formula) > 0) == satisfiable:
+            return formula
+
+
+def _differential_cases(rng):
+    """(formula, orders) pairs: a satisfiable and an unsatisfiable 3-CNF
+    (narrower below n = 3) per n = 1..8, the small ones also with two free
+    variables appended, over plain order lists that repeat some orders."""
+    for n in range(1, 9):
+        k = min(3, n)
+        capacity = math.comb(n, k) << k
+        formulas = [_draw(rng, n, n, k, True), _draw(rng, n, min(capacity, 6 * n), k, False)]
+        if n <= 5:
+            formulas += [with_free_variables(f, 2) for f in formulas]
+        for formula in formulas:
+            family = list(construct_sigma(formula.variables).materialized())
+            orders = rng.sample(family, min(len(family), 8))
+            orders += orders[:3] + [orders[0]] * 2
+            yield formula, orders
+
+
+@pytest.mark.parametrize("tau", [1, 2, 3, 4])
+def test_guess_tree_count_matches_the_exhaustive_loop(tau):
+    cfg = ImplicationConfig(tau=tau)
+    verdicts = set()
+    for formula, orders in _differential_cases(random.Random(700 + tau)):
+        expected = _exhaustive_probability(formula, orders, cfg)
+        assert success_probability_exact(formula, orders, cfg) == expected
+        verdicts.add(expected > 0)
+    assert verdicts == {True, False}
+
+
+def test_guess_tree_count_runs_out_of_bits_like_the_walk():
+    # an order that revisits a variable can need more than n guesses
+    for formula, orders in (
+        (F((1, 2)), [(1, 1, 2), (2, 1, 2, 1)]),
+        (F((1, 2, 3), (-1, 2)), [(1, 2, 1, 3), (3, 3, 2, 1), (1, 2, 3)]),
+    ):
+        cfg = ImplicationConfig(tau=2)
+        eng = PpszEngine(formula, cfg)
+        n = formula.n
+        assert any(eng._walk(o, v, n, None)[1].exhausted for o in orders for v in range(1 << n))
+        expected = _exhaustive_probability(formula, orders, cfg)
+        assert success_probability_exact(formula, orders, cfg) == expected
+
+
+def test_guess_tree_walk_leaves_no_reference_cycle():
+    formula = identity_corpus(random.Random(101), 1)[0]
+    eng = engine(formula)
+    assert eng.count_successes(formula.variables) > 0
+    index = weakref.ref(eng.index)
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        del eng
+        assert index() is None
+    finally:
+        if was_enabled:
+            gc.enable()
+
+
+@pytest.mark.parametrize(
+    "position, n, golden",
+    [
+        (0, 4, Fraction(19, 25)),
+        (3, 6, Fraction(621, 784)),
+        (7, 7, Fraction(1385, 1568)),
+        (18, 8, Fraction(42111, 42592)),
+    ],
+)
+def test_golden_probabilities_of_the_identity_corpus(position, n, golden):
+    # pinned from the exhaustive (order, bit vector) loop at the default tau
+    formula = identity_corpus(random.Random(101), 19)[position]
+    assert formula.n == n
+    assert success_probability_exact(formula, construct_sigma(formula.variables)) == golden
 
 
 def test_probability_counts_every_solution():
