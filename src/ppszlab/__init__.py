@@ -9,14 +9,11 @@ variables, and the numerics sizing all the budgets.
 
 from .analysis import (
     AnalysisConfig,
-    PhiReport,
     binary_entropy,
     crossover_delta,
     entropy_binomial_bound,
     fixpoint_k3,
     lambda_k,
-    phi,
-    phi_riemann_check,
     r_grid,
     r_integral_bounds,
     r_sequence_bounds,
@@ -36,13 +33,10 @@ from .cnf import (
     serialize_dimacs,
 )
 from .engine import (
-    BitVector,
     EnumerationBudgetError,
     GuessProfile,
-    ModifyResult,
     PpszEngine,
     TrialRecord,
-    modify,
     ppsz_randomized,
     success_probability_exact,
     success_probability_via_identity,
@@ -86,7 +80,6 @@ from .permutations import (
     HashFamily,
     PermutationBudgetError,
     PermutationSet,
-    build_hash_family,
     construct_sigma,
     smallest_prime_at_least,
 )
@@ -101,6 +94,6 @@ from .tree import (
     integer_log,
     verify_tree,
 )
-from .unique import DppszResult, SolveReport, dppsz, guess_rate_report, solve_unique
+from .unique import DppszResult, SolveReport, dppsz, solve_unique
 
 __version__ = "0.1.0"

@@ -126,14 +126,6 @@ def r_value(k: int, iterations: int, y: float) -> float:
     return val
 
 
-def phi(k: int, iterations: int, r: int, n: int) -> float:
-    """Discrete profile at rank r of n: the recurrence evaluated at r/n,
-    by the same float operations as r_value."""
-    if n < 1 or not 0 <= r <= n:
-        raise ValueError("need n >= 1 and 0 <= r <= n")
-    return r_value(k, iterations, r / n)
-
-
 def fixpoint_k3(y: float) -> float:
     """Closed-form limit of the recurrence for k = 3."""
     if not 0.0 <= y <= 1.0:
@@ -184,43 +176,3 @@ def r_sequence_bounds(
         out.append((sum(vals[:-1]) / grid, sum(vals[1:]) / grid))
     return tuple(out)
 
-
-@dataclass(frozen=True)
-class PhiReport:
-    """Comparison of the discrete rank profile against the recurrence
-    grid at the same resolution."""
-
-    k: int
-    iterations: int
-    n: int
-    pointwise_ok: bool
-    mean_profile: float
-    integral_low: float
-    integral_high: float
-
-    @property
-    def passed(self) -> bool:
-        return self.pointwise_ok and self.mean_profile >= self.integral_low
-
-
-def phi_riemann_check(k: int, iterations: int, n: int) -> PhiReport:
-    """Check that the rank profile dominates the recurrence on a grid of
-    n points and that its average brackets the integral from above.
-
-    phi satisfies the recurrence with equality at y = r/n, so the
-    pointwise comparison holds at every level, and the average over
-    ranks 1..n is exactly the right Riemann sum.
-    """
-    if iterations < 0:
-        raise ValueError("iterations must be nonnegative")
-    if n < 1:
-        raise ValueError("need n >= 1")
-    pointwise_ok = True
-    for j in range(iterations + 1):
-        level = r_grid(k, j, n)
-        for r in range(n + 1):
-            if phi(k, j, r, n) < level[r]:
-                pointwise_ok = False
-    mean_profile = sum(phi(k, iterations, r, n) for r in range(1, n + 1)) / n
-    low, high = r_integral_bounds(k, iterations, n)
-    return PhiReport(k, iterations, n, pointwise_ok, mean_profile, low, high)

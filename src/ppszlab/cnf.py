@@ -88,15 +88,6 @@ class Assignment:
     def literal_for(self, var: int) -> int | None:
         return self._values.get(var)
 
-    def provenance_of(self, var: int) -> str | None:
-        for lit, prov in self.entries:
-            if abs(lit) == var:
-                return prov
-        return None
-
-    def with_literal(self, lit: int, provenance: str = FIXED) -> "Assignment":
-        return Assignment(self.entries + ((lit, provenance),))
-
     def __iter__(self) -> Iterator[int]:
         return iter(self.literals())
 

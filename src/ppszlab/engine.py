@@ -3,9 +3,11 @@
 Modify walks the variables in a given order. At each variable it first asks
 the bounded-subset implication engine for a pinned literal; a hit is
 appended as "forced" and consumes nothing. Otherwise the next bit of the
-supplied bit vector decides the value ("guessed"); running out of bits
-before a guess is needed aborts the run. A finished assignment is returned
-only if it satisfies the formula, the bottom value None otherwise.
+supplied bit sequence decides the value ("guessed"); running out of bits
+before a guess is needed aborts the run. `PpszEngine.modify` returns a pair:
+the finished assignment if it satisfies the formula (None otherwise), and
+the walk's guess profile. Every order handed to `modify` or to either
+probability route must list each variable exactly once.
 
 Guess profiles come out of the same walk: a replay against a known solution
 feeds the guesses from that solution instead of a bit vector, so the count
@@ -41,32 +43,6 @@ class EnumerationBudgetError(RuntimeError):
 
 
 @dataclass(frozen=True)
-class BitVector:
-    """An explicit bit supply with a cursor; exhaustion is observable state,
-    not an error."""
-
-    bits: tuple[int, ...]
-    cursor: int = 0
-
-    @classmethod
-    def from_int(cls, value: int, length: int) -> "BitVector":
-        if value < 0 or value >= 1 << length:
-            raise ValueError(f"value {value} does not fit in {length} bits")
-        return cls(tuple((value >> (length - 1 - i)) & 1 for i in range(length)))
-
-    @property
-    def remaining(self) -> tuple[int, ...]:
-        return self.bits[self.cursor :]
-
-    @property
-    def exhausted(self) -> bool:
-        return self.cursor >= len(self.bits)
-
-    def __len__(self) -> int:
-        return len(self.bits)
-
-
-@dataclass(frozen=True)
 class GuessProfile:
     """Per-variable record of one Modify walk, in processing order."""
 
@@ -77,25 +53,6 @@ class GuessProfile:
     @property
     def guessed(self) -> int:
         return sum(1 for _, _, prov in self.entries if prov == GUESSED)
-
-    def indicator(self, var: int) -> int:
-        for v, _, prov in self.entries:
-            if v == var:
-                return 1 if prov == GUESSED else 0
-        raise KeyError(var)
-
-    def provenance_map(self) -> dict[int, str]:
-        return {v: prov for v, _, prov in self.entries}
-
-
-@dataclass(frozen=True)
-class ModifyResult:
-    assignment: Assignment | None
-    profile: GuessProfile
-
-    @property
-    def succeeded(self) -> bool:
-        return self.assignment is not None
 
 
 class PpszEngine:
@@ -204,22 +161,26 @@ class PpszEngine:
                     successes += 1 << (n - used)
         return successes
 
-    def modify(self, sigma: Sequence[int], bits: BitVector | Sequence[int]) -> ModifyResult:
-        sigma = tuple(sigma)
-        if len(sigma) != self.formula.n or set(sigma) != set(self.formula.variables):
+    def _check_order(self, sigma: Sequence[int]) -> None:
+        """Raise ValueError unless sigma lists each variable exactly once."""
+        if len(sigma) != len(self._bit) or self._bit.keys() != set(sigma):
             raise ValueError("sigma must order exactly the formula's variables")
-        if isinstance(bits, BitVector):
-            supply = bits.remaining
-        else:
-            supply = tuple(bits)
+
+    def modify(
+        self, sigma: Sequence[int], bits: Sequence[int]
+    ) -> tuple[Assignment | None, GuessProfile]:
+        """One walk over sigma, guesses read from bits in order. Returns the
+        finished assignment (None unless it satisfies the formula) and the
+        walk's profile."""
+        sigma = tuple(sigma)
+        self._check_order(sigma)
         value = 0
-        for b in supply:
+        for b in bits:
             value = (value << 1) | (1 if b else 0)
-        avals, profile = self._walk(tuple(sigma), value, len(supply), None)
+        avals, profile = self._walk(sigma, value, len(bits), None)
         if avals is None:
-            return ModifyResult(None, profile)
-        assignment = Assignment(tuple((lit, prov) for _, lit, prov in profile.entries))
-        return ModifyResult(assignment, profile)
+            return None, profile
+        return Assignment(tuple((lit, prov) for _, lit, prov in profile.entries)), profile
 
     def replay(self, alpha: Mapping[int, bool] | Iterable[int], sigma: Sequence[int]) -> GuessProfile:
         """Walk sigma with guesses read off a reference solution. The walk
@@ -233,16 +194,6 @@ class PpszEngine:
 
 def _as_value_map(literals: Iterable[int]) -> dict[int, bool]:
     return {abs(lit): lit > 0 for lit in literals}
-
-
-def modify(
-    formula: Formula,
-    sigma: Sequence[int],
-    bits: BitVector | Sequence[int],
-    cfg: ImplicationConfig | None = None,
-) -> ModifyResult:
-    """One-shot Modify walk. Deterministic in all arguments."""
-    return PpszEngine(formula, cfg).modify(sigma, bits)
 
 
 def _as_permutation_list(perms) -> list[tuple[int, ...]]:
@@ -264,6 +215,7 @@ def success_probability_exact(
     which accounts for all 2^n bit vectors at once, and the count is
     weighted by the order's multiplicity in the family. The budget still
     counts (order, bit vector) pairs, |perms| x 2^n, not physical walks.
+    An order that skips or repeats a variable raises ValueError.
     """
     sigma_list = _as_permutation_list(perms)
     n = formula.n
@@ -273,10 +225,10 @@ def success_probability_exact(
             f"{len(sigma_list)} orders x 2^{n} bit vectors exceed the budget of {max_evaluations}"
         )
     engine = PpszEngine(formula, cfg)
-    successes = sum(
-        multiplicity * engine.count_successes(sigma)
-        for sigma, multiplicity in Counter(sigma_list).items()
-    )
+    successes = 0
+    for sigma, multiplicity in Counter(sigma_list).items():
+        engine._check_order(sigma)
+        successes += multiplicity * engine.count_successes(sigma)
     return Fraction(successes, total)
 
 
@@ -288,14 +240,16 @@ def success_probability_via_identity(
     """The same probability assembled solution by solution: each solution
     contributes the average over orders of 2^(-guessed), each distinct
     order replayed once and weighted by its multiplicity. Exact rationals;
-    must agree with the guess-tree route to the last bit."""
+    must agree with the guess-tree route to the last bit. An order that
+    skips or repeats a variable raises ValueError."""
     sigma_list = _as_permutation_list(perms)
     n = formula.n
     engine = PpszEngine(formula, cfg)
-    solutions = enumerate_solutions(formula)
     orders = Counter(sigma_list)
+    for sigma in orders:
+        engine._check_order(sigma)
     numerator = 0
-    for solution in solutions:
+    for solution in enumerate_solutions(formula):
         alpha = _as_value_map(solution)
         for sigma, multiplicity in orders.items():
             _, profile = engine._walk(sigma, None, 0, alpha)

@@ -41,16 +41,12 @@ def default_tau(n: int) -> int:
 
 @dataclass(frozen=True)
 class ImplicationConfig:
-    """Knobs for the implication search.
+    """The implication search's subset size bound.
 
     tau=None derives the default from the formula size at the point of use.
-    restrict_to_relevant skips candidate subsets that do not mention the
-    queried variable; it is a pure pruning step (such subsets can never
-    imply a literal over that variable) and never changes results.
     """
 
     tau: int | None = None
-    restrict_to_relevant: bool = True
 
     def resolve_tau(self, n: int) -> int:
         if self.tau is not None:
@@ -103,10 +99,6 @@ def tau_implied(formula: Formula, x: int, cfg: ImplicationConfig | None = None) 
     clauses = formula.clauses
     for size in range(1, min(tau, len(clauses)) + 1):
         for subset in combinations(clauses, size):
-            if cfg.restrict_to_relevant and not any(
-                abs(lit) == x for clause in subset for lit in clause
-            ):
-                continue
             lit = _implied_by_subset(subset, x)
             if lit is not None:
                 return lit

@@ -49,7 +49,22 @@ class SolutionSet:
         return tuple(solution) in set(self.solutions)
 
 
-def _clause_masks(formula: Formula) -> tuple[list[tuple[int, int, int]], dict[int, int]]:
+def _check_limit(formula: Formula, limit: int) -> None:
+    if formula.n > limit:
+        raise OracleLimitError(
+            f"{formula.n} variables exceed the oracle limit of {limit}"
+        )
+
+
+def _solution_cubes(formula: Formula) -> Iterator[tuple[int, int]]:
+    """Yield the solutions as disjoint cubes (avals, idx), in canonical
+    order: positions below idx take their bits from avals, and every
+    extension over positions idx..n-1 is a solution.
+
+    Positions are assigned in variable order, false before true; a branch
+    stops as soon as some clause is falsified or every clause is already
+    satisfied, so a cube can stand for many solutions.
+    """
     pos_of = {v: i for i, v in enumerate(formula.variables)}
     masks = []
     for clause in formula.clauses:
@@ -61,53 +76,39 @@ def _clause_masks(formula: Formula) -> tuple[list[tuple[int, int, int]], dict[in
             else:
                 neg |= bit
         masks.append((pos, neg, pos | neg))
-    return masks, pos_of
-
-def _check_limit(formula: Formula, limit: int) -> None:
-    if formula.n > limit:
-        raise OracleLimitError(
-            f"{formula.n} variables exceed the oracle limit of {limit}"
-        )
-
-
-def _solution_bits(formula: Formula) -> Iterator[int]:
-    """Yield every satisfying total assignment as a bitmask over variable
-    positions, in canonical order (variables by index, false before true)."""
-    n = formula.n
-    masks, _ = _clause_masks(formula)
-    if any(vars_mask == 0 for _, _, vars_mask in masks):
-        return  # an empty clause admits nothing
-
-    def rec(idx: int, amask: int, avals: int) -> Iterator[int]:
+    stack = [(0, 0)]  # (idx, avals) with positions below idx assigned
+    while stack:
+        idx, avals = stack.pop()
+        amask = (1 << idx) - 1
         live = False
         for pos, neg, vars_mask in masks:
             if (pos & avals) or (neg & amask & ~avals):
                 continue
             if vars_mask & ~amask == 0:
-                return  # fully assigned, nothing satisfied it
+                break  # fully assigned, nothing satisfied it
             live = True
-        if not live:
-            # every clause already satisfied: all extensions are solutions,
-            # the earliest free position varying slowest to keep canonical order
-            free = range(idx, n)
-            width = n - idx
-            for extension in range(1 << width):
-                bits = avals
-                for j, fi in enumerate(free):
-                    if (extension >> (width - 1 - j)) & 1:
-                        bits |= 1 << fi
-                yield bits
-            return
-        if idx == n:
-            yield avals
-            return
-        bit = 1 << idx
-        yield from rec(idx + 1, amask | bit, avals)
-        yield from rec(idx + 1, amask | bit, avals | bit)
+        else:
+            if not live:
+                yield avals, idx
+                continue
+            bit = 1 << idx
+            stack.append((idx + 1, avals | bit))
+            stack.append((idx + 1, avals))
 
-    # ascending order: position i is the i-th variable, False explored first,
-    # and the free-extension fast path counts up as well
-    yield from rec(0, 0, 0)
+
+def _solution_bits(formula: Formula) -> Iterator[int]:
+    """Yield every satisfying total assignment as a bitmask over variable
+    positions, in canonical order (variables by index, false before true):
+    each cube's free positions count up, the earliest varying slowest."""
+    n = formula.n
+    for avals, idx in _solution_cubes(formula):
+        width = n - idx
+        for extension in range(1 << width):
+            bits = avals
+            for j in range(width):
+                if (extension >> (width - 1 - j)) & 1:
+                    bits |= 1 << (idx + j)
+            yield bits
 
 
 def _bits_to_literals(bits: int, variables: tuple[int, ...]) -> tuple[int, ...]:
@@ -124,29 +125,10 @@ def enumerate_solutions(formula: Formula, limit: int = DEFAULT_ORACLE_LIMIT) -> 
 
 
 def count_solutions(formula: Formula, limit: int = DEFAULT_ORACLE_LIMIT) -> int:
-    """|sat(F)| without materializing the solutions."""
+    """|sat(F)| without materializing the solutions: one term per cube."""
     _check_limit(formula, limit)
     n = formula.n
-    masks, _ = _clause_masks(formula)
-    if any(vars_mask == 0 for _, _, vars_mask in masks):
-        return 0
-
-    def rec(idx: int, amask: int, avals: int) -> int:
-        live = False
-        for pos, neg, vars_mask in masks:
-            if (pos & avals) or (neg & amask & ~avals):
-                continue
-            if vars_mask & ~amask == 0:
-                return 0
-            live = True
-        if not live:
-            return 1 << (n - idx)
-        if idx == n:
-            return 1
-        bit = 1 << idx
-        return rec(idx + 1, amask | bit, avals) + rec(idx + 1, amask | bit, avals | bit)
-
-    return rec(0, 0, 0)
+    return sum(1 << (n - idx) for _, idx in _solution_cubes(formula))
 
 
 def first_solution(formula: Formula, limit: int = DEFAULT_ORACLE_LIMIT) -> tuple[int, ...] | None:

@@ -72,10 +72,6 @@ class HashFamily:
         return value
 
 
-def build_hash_family(n: int, independence: int) -> HashFamily:
-    return HashFamily.build(n, independence)
-
-
 @lru_cache(maxsize=64)
 def _rank_permutations(n: int, independence: int) -> tuple[tuple[int, ...], ...]:
     """All placements-induced permutations of range(n), one per family
@@ -118,10 +114,6 @@ class PermutationSet:
         return tuple(
             self.family.evaluate(member, rank + 1) for rank in range(len(self.variables))
         )
-
-    def placement_of(self, member: int, var: int) -> int:
-        rank = self.variables.index(var)
-        return self.family.evaluate(member, rank + 1)
 
     def permutation(self, member: int) -> tuple[int, ...]:
         if not 0 <= member < len(self):

@@ -16,8 +16,8 @@ from dataclasses import dataclass, field
 
 from .analysis import (
     crossover_delta,
+    fixpoint_k3,
     lambda_k,
-    phi,
     r_grid,
     r_sequence_bounds,
     r_value,
@@ -39,7 +39,7 @@ from .instances import (
     with_free_variables,
 )
 from .oracle import DEFAULT_ORACLE_LIMIT, count_solutions, enumerate_solutions
-from .permutations import build_hash_family, construct_sigma
+from .permutations import HashFamily, construct_sigma
 from .tree import certificate_depth, construct_tree, verify_tree
 from .unique import dppsz
 
@@ -206,7 +206,7 @@ def kwise_suite(
     report = SuiteReport("k-wise-uniformity")
     for p in primes:
         for degree in degrees:
-            family = build_hash_family(p, degree)
+            family = HashFamily.build(p, degree)
             report.checked += 1
             if family.prime != p:
                 report.failures.append(f"prime for n={p} came out {family.prime}")
@@ -256,8 +256,9 @@ def rgrid_suite(
     profile_n: int = 100,
 ) -> SuiteReport:
     """Sanity of the branching recurrence: zero start, bracketed first
-    integral, monotone growth, convergence near the series limit, and the
-    discrete profile never below the continuous curve."""
+    integral, monotone growth, convergence near the series limit, and, at
+    y = r/profile_n, the first iterates rising in j without passing the
+    recurrence's least fixpoint (fixpoint_k3)."""
     report = SuiteReport("recurrence-grid")
     seq = r_sequence_bounds(3, iterations, grid)
     report.checked += 1
@@ -286,17 +287,15 @@ def rgrid_suite(
     if high_last > lam + 1e-3:
         report.failures.append(f"iterate {iterations} integral {high_last} overshoots {lam}")
     report.checked += 1
-    for j in range(4):
-        bad = next(
-            (
-                r
-                for r in range(profile_n + 1)
-                if phi(3, j, r, profile_n) < r_value(3, j, r / profile_n)
-            ),
-            None,
-        )
+    for r in range(profile_n + 1):
+        y = r / profile_n
+        ceiling = fixpoint_k3(y) + 1e-12
+        rises = [r_value(3, j, y) for j in range(5)]
+        bad = next((j for j in range(4) if not rises[j] <= rises[j + 1] <= ceiling), None)
         if bad is not None:
-            report.failures.append(f"profile below the curve at j={j}, r={bad}")
+            report.failures.append(
+                f"iterates {bad}, {bad + 1} at y={y} do not rise to the fixpoint {ceiling}"
+            )
             break
     report.stats.update(lambda_3=lam, last_low=low_last, last_high=high_last)
     return report

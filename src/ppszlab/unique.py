@@ -13,10 +13,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .cnf import GUESSED, Assignment, Formula
+from .cnf import Assignment, Formula
 from .engine import PpszEngine
 from .implication import ImplicationConfig
-from .permutations import PermutationSet, construct_sigma
+from .permutations import construct_sigma
 
 
 @dataclass(frozen=True)
@@ -144,24 +144,3 @@ def solve_unique(
         result.solution, result.round_found, result.modify_calls, result.sigma_size, meta
     )
 
-
-def guess_rate_report(
-    formula: Formula,
-    perms: PermutationSet,
-    alpha,
-    cfg: ImplicationConfig | None = None,
-) -> dict[int, float]:
-    """Mean guessed-indicator per variable across the whole permutation
-    set, replayed against one solution. Diagnostic only: callers compare
-    the averages against the analytic guess-rate ceiling themselves."""
-    engine = PpszEngine(formula, cfg)
-    alpha_map = {abs(lit): lit > 0 for lit in alpha}
-    totals = {v: 0 for v in formula.variables}
-    count = 0
-    for sigma in perms:
-        profile = engine._walk(tuple(sigma), None, 0, alpha_map)[1]
-        for var, _, prov in profile.entries:
-            if prov == GUESSED:
-                totals[var] += 1
-        count += 1
-    return {v: totals[v] / count for v in formula.variables}

@@ -2,6 +2,7 @@ import math
 
 import pytest
 
+from ppszlab import suites
 from ppszlab.analysis import (
     AnalysisConfig,
     binary_entropy,
@@ -9,8 +10,6 @@ from ppszlab.analysis import (
     entropy_binomial_bound,
     fixpoint_k3,
     lambda_k,
-    phi,
-    phi_riemann_check,
     r_grid,
     r_integral_bounds,
     r_sequence_bounds,
@@ -149,11 +148,21 @@ def test_recurrence_approaches_the_closed_form_fixpoint():
         fixpoint_k3(-0.5)
 
 
-def test_phi_is_the_recurrence_at_rational_points():
-    for r in range(0, 11):
-        assert phi(3, 5, r, 10) == r_value(3, 5, r / 10)
-    with pytest.raises(ValueError):
-        phi(3, 5, 11, 10)
+@pytest.mark.parametrize(
+    "mutant",
+    [
+        lambda k, j, y: r_value(k, j, y) * (1.0 + 1e-9),  # passes the fixpoint
+        lambda k, j, y: r_value(k, 4 - j, y),  # falls instead of rising
+    ],
+    ids=["overshoot", "falling"],
+)
+def test_recurrence_grid_check_catches_a_broken_recurrence(monkeypatch, mutant):
+    assert suites.rgrid_suite(grid=500, profile_n=20).passed
+    monkeypatch.setattr(suites, "r_value", mutant)
+    report = suites.rgrid_suite(grid=500, profile_n=20)
+    assert not report.passed
+    assert report.checked == 6
+    assert "fixpoint" in report.failures[0]
 
 
 def test_grid_and_bounds_bracket_the_integral():
@@ -195,29 +204,6 @@ def test_bound_argument_validation():
         r_grid(3, 5, 0)
     with pytest.raises(ValueError):
         r_sequence_bounds(3, -1, 10)
-
-
-def test_phi_riemann_check_trivial_iterate():
-    report = phi_riemann_check(3, 0, 10)
-    assert report.pointwise_ok
-    assert report.mean_profile == 0.0
-    assert report.integral_low == 0.0
-    assert report.passed
-
-
-def test_phi_riemann_check_first_iterate_is_exact():
-    # one iteration gives (r/n)^(k-1), whose mean is the right sum exactly
-    report = phi_riemann_check(3, 1, 25)
-    assert report.passed
-    assert report.mean_profile == report.integral_high
-
-
-def test_phi_riemann_check_at_depth():
-    report = phi_riemann_check(3, 3, 100)
-    assert report.pointwise_ok
-    assert report.integral_low <= report.mean_profile <= report.integral_high + 1e-12
-    assert report.passed
-    assert (report.k, report.iterations, report.n) == (3, 3, 100)
 
 
 def test_analysis_defaults():

@@ -178,8 +178,7 @@ def test_assignment_provenance_and_lookup():
     assert a.variables() == (1, 3)
     assert a.value(3) is True and a.value(1) is False and a.value(2) is None
     assert a.literal_for(1) == -1
-    assert a.provenance_of(3) == "guessed"
-    assert a.provenance_of(2) is None
+    assert a.entries == ((3, "guessed"), (-1, "guessed"))
     assert 3 in a and -3 not in a and len(a) == 2
 
 
@@ -188,9 +187,3 @@ def test_assignment_rejects_double_assignment():
         Assignment.from_literals((1, -1))
     with pytest.raises(ValueError):
         Assignment.from_literals((2, 2))
-
-
-def test_assignment_with_literal_extends():
-    a = Assignment.from_literals((1,)).with_literal(-2, provenance="forced")
-    assert a.sorted_literals() == (1, -2)
-    assert a.provenance_of(2) == "forced"

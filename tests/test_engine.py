@@ -8,10 +8,8 @@ import pytest
 
 from ppszlab.cnf import Evaluation, Formula
 from ppszlab.engine import (
-    BitVector,
     EnumerationBudgetError,
     PpszEngine,
-    modify,
     ppsz_randomized,
     success_probability_exact,
     success_probability_via_identity,
@@ -32,58 +30,42 @@ def engine(formula, tau=None):
 
 
 def test_two_units_need_no_bits():
-    result = engine(F((1,), (2,))).modify((1, 2), BitVector.from_int(0, 0))
-    assert result.succeeded
-    assert result.profile.bits_consumed == 0
-    assert result.profile.guessed == 0
-    assert result.assignment.sorted_literals() == (1, 2)
+    assignment, profile = engine(F((1,), (2,))).modify((1, 2), ())
+    assert profile.bits_consumed == 0
+    assert profile.guessed == 0
+    assert assignment.sorted_literals() == (1, 2)
 
 
 def test_one_binary_clause_consumes_two_bits():
-    result = engine(F((1, 2))).modify((1, 2), BitVector.from_int(3, 2))
-    assert result.succeeded
-    assert result.profile.bits_consumed == 2
-    assert result.profile.guessed == 2
-    assert result.assignment.sorted_literals() == (1, 2)
+    assignment, profile = engine(F((1, 2))).modify((1, 2), (1, 1))
+    assert profile.bits_consumed == 2
+    assert profile.guessed == 2
+    assert assignment.sorted_literals() == (1, 2)
 
 
 def test_short_bit_string_exhausts():
-    result = engine(F((1, 2))).modify((1, 2), BitVector.from_int(1, 1))
-    assert not result.succeeded
-    assert result.assignment is None
-    assert result.profile.exhausted
-    assert result.profile.bits_consumed == 1
+    assignment, profile = engine(F((1, 2))).modify((1, 2), (1,))
+    assert assignment is None
+    assert profile.exhausted
+    assert profile.bits_consumed == 1
 
 
 def test_completed_walk_can_still_falsify():
     # guessing the first variable false leaves the units (2) and (-2); the
     # first one wins, the finished assignment falsifies the second clause
-    result = engine(F((1, 2), (1, -2))).modify((1, 2), BitVector.from_int(0, 1))
-    assert not result.succeeded
-    assert result.assignment is None
-    assert not result.profile.exhausted
-    assert result.profile.bits_consumed == 1
+    assignment, profile = engine(F((1, 2), (1, -2))).modify((1, 2), (0,))
+    assert assignment is None
+    assert not profile.exhausted
+    assert profile.bits_consumed == 1
 
 
 def test_forced_variables_skip_bits():
     # after x1 is guessed true, (-1, 2) becomes a unit and pins x2
-    result = engine(F((-1, 2), (1, 2))).modify((1, 2), BitVector.from_int(1, 1))
-    assert result.succeeded
-    assert result.profile.bits_consumed == 1
-    assert result.profile.guessed == 1
-    assert result.profile.provenance_map()[2] == "forced"
-    assert result.profile.indicator(1) == 1
-    assert result.profile.indicator(2) == 0
-
-
-def test_bitvector_reads_most_significant_first():
-    bits = BitVector.from_int(0b10, 2)
-    assert bits.bits == (1, 0)
-    assert len(bits) == 2
-    assert bits.remaining == (1, 0)
-    assert not bits.exhausted
-    with pytest.raises(ValueError):
-        BitVector.from_int(4, 2)
+    assignment, profile = engine(F((-1, 2), (1, 2))).modify((1, 2), (1,))
+    assert assignment.sorted_literals() == (1, 2)
+    assert profile.bits_consumed == 1
+    assert profile.guessed == 1
+    assert profile.entries == ((1, 1, "guessed"), (2, 2, "forced"))
 
 
 def test_probability_one_for_a_unit():
@@ -170,7 +152,8 @@ def test_guess_tree_count_matches_the_exhaustive_loop(tau):
 
 
 def test_guess_tree_count_runs_out_of_bits_like_the_walk():
-    # an order that revisits a variable can need more than n guesses
+    # an order that revisits a variable can need more than n guesses; the
+    # probability routes reject such orders, so the count is called directly
     for formula, orders in (
         (F((1, 2)), [(1, 1, 2), (2, 1, 2, 1)]),
         (F((1, 2, 3), (-1, 2)), [(1, 2, 1, 3), (3, 3, 2, 1), (1, 2, 3)]),
@@ -180,7 +163,19 @@ def test_guess_tree_count_runs_out_of_bits_like_the_walk():
         n = formula.n
         assert any(eng._walk(o, v, n, None)[1].exhausted for o in orders for v in range(1 << n))
         expected = _exhaustive_probability(formula, orders, cfg)
-        assert success_probability_exact(formula, orders, cfg) == expected
+        counted = sum(eng.count_successes(o) for o in orders)
+        assert Fraction(counted, len(orders) << n) == expected
+
+
+@pytest.mark.parametrize(
+    "orders",
+    [[(1, 1, 2)], [(1,)], [(1, 2, 3)], [(1, 2), (2, 2)], [(1, 2), (2, 1, 1)]],
+)
+def test_probability_routes_reject_orders_that_are_not_permutations(orders):
+    formula = F((1, 2))
+    for route in (success_probability_exact, success_probability_via_identity):
+        with pytest.raises(ValueError, match="exactly the formula's variables"):
+            route(formula, orders)
 
 
 def test_guess_tree_walk_leaves_no_reference_cycle():
@@ -226,7 +221,7 @@ def test_replay_profiles_a_reference_solution():
     eng = engine(formula)
     profile = eng.replay({1: True, 2: True}, (1, 2))
     assert profile.guessed == 1
-    assert profile.provenance_map()[2] == "forced"
+    assert profile.entries[1] == (2, 2, "forced")
 
 
 def test_replay_rejects_a_non_solution():
@@ -246,7 +241,7 @@ def test_sigma_must_permute_the_variables():
     eng = engine(F((1, 2)))
     for bad in ((1,), (1, 2, 3), (1, 1)):
         with pytest.raises(ValueError):
-            eng.modify(bad, BitVector.from_int(0, 0))
+            eng.modify(bad, ())
 
 
 def test_enumeration_budget_is_enforced():
@@ -279,29 +274,20 @@ def test_trial_records_have_a_stable_shape():
     assert set(payload) == {"sigma_index", "beta", "result", "guess_profile"}
 
 
-def test_module_level_modify_matches_the_engine():
-    formula = F((1, 2))
-    direct = modify(formula, (1, 2), BitVector.from_int(3, 2))
-    staged = engine(formula).modify((1, 2), BitVector.from_int(3, 2))
-    assert direct.succeeded and staged.succeeded
-    assert direct.assignment.sorted_literals() == staged.assignment.sorted_literals()
-
-
 def test_plain_bit_sequences_are_accepted():
-    result = modify(F((1, 2)), (1, 2), (1, 0))
-    assert result.succeeded
-    assert result.assignment.sorted_literals() == (1, -2)
+    # bits are read in order: the first one decides the first guess
+    assignment, _ = engine(F((1, 2))).modify((1, 2), [True, 0])
+    assert assignment.sorted_literals() == (1, -2)
 
 
 def test_walk_result_satisfies_the_formula():
     formula = F((1, 2), (1, -2))
-    good = engine(formula).modify((1, 2), BitVector.from_int(0b10, 2))
-    assert good.succeeded
-    assert formula.evaluate(good.assignment) is Evaluation.SATISFIED
+    assignment, _ = engine(formula).modify((1, 2), (1, 0))
+    assert formula.evaluate(assignment) is Evaluation.SATISFIED
 
 
 def test_engine_counts_walks():
     eng = engine(F((1, 2)))
-    eng.modify((1, 2), BitVector.from_int(3, 2))
-    eng.modify((2, 1), BitVector.from_int(0, 2))
+    eng.modify((1, 2), (1, 1))
+    eng.modify((2, 1), (0, 0))
     assert eng.modify_calls == 2

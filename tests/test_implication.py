@@ -1,4 +1,5 @@
 import random
+from itertools import combinations
 
 import pytest
 
@@ -6,6 +7,7 @@ from ppszlab.cnf import Formula, restrict
 from ppszlab.implication import (
     ImplicationConfig,
     ImplicationIndex,
+    _implied_by_subset,
     default_tau,
     sub_cnf_solutions,
     tau_implied,
@@ -123,15 +125,16 @@ def test_full_budget_decides_exactly_the_frozen_variables():
 
 
 def test_relevance_pruning_never_changes_results():
+    # every subset of at most two clauses in canonical order, including the
+    # ones that do not mention the variable: the first hit is tau_implied's
     rng = random.Random(37)
-    pruned = ImplicationConfig(tau=2, restrict_to_relevant=True)
-    everything = ImplicationConfig(tau=2, restrict_to_relevant=False)
     for _ in range(20):
         formula = uniform_kcnf(rng, 5, 10, 3)
+        subsets = [s for size in (1, 2) for s in combinations(formula.clauses, size)]
         for var in formula.variables:
-            assert tau_implied(formula, var, pruned) == tau_implied(
-                formula, var, everything
-            )
+            hits = (_implied_by_subset(s, var) for s in subsets)
+            first = next((lit for lit in hits if lit is not None), None)
+            assert first == tau_implied(formula, var, cfg(2))
 
 
 def test_default_tau_schedule():

@@ -1,12 +1,15 @@
+import math
 import random
+from itertools import product
 
 import pytest
 
 from ppszlab.cnf import Evaluation, Formula, evaluate, restrict
-from ppszlab.instances import planted_kcnf, uniform_kcnf, unique_kcnf
+from ppszlab.instances import planted_kcnf, uniform_kcnf, unique_kcnf, with_free_variables
 from ppszlab.oracle import (
     OracleLimitError,
     UnsatisfiableError,
+    _solution_bits,
     classify_variables,
     count_solutions,
     enumerate_solutions,
@@ -72,6 +75,44 @@ def test_counting_identity_under_restriction():
         pos = count_solutions(restrict(formula, (var,)))
         neg = count_solutions(restrict(formula, (-var,)))
         assert pos + neg == total
+
+
+def _brute_force_bits(formula):
+    """Every solution as a bitmask over variable positions, trying all value
+    tuples in itertools.product order: first variable slowest, false first."""
+    pos = {v: i for i, v in enumerate(formula.variables)}
+    return [
+        sum(1 << i for i, value in enumerate(values) if value)
+        for values in product((False, True), repeat=formula.n)
+        if all(any(values[pos[abs(lit)]] == (lit > 0) for lit in c) for c in formula.clauses)
+    ]
+
+
+def test_enumeration_order_matches_a_brute_force_loop():
+    rng = random.Random(59)
+    formulas = [F(), F(()), F((), variables=(1, 2)), F((1, 2, 3), variables=range(1, 10))]
+    for n in range(1, 9):
+        k = min(3, n)
+        for _ in range(30):
+            formula = uniform_kcnf(rng, n, min(rng.randrange(5 * n), math.comb(n, k) << k), k)
+            formulas += [formula, with_free_variables(formula, 2)]
+            lit = rng.choice((1, -1)) * rng.randrange(1, n + 1)
+            formulas.append(restrict(formula, (lit,)))  # gaps, maybe the empty clause
+    verdicts = set()
+    for formula in formulas:
+        brute = _brute_force_bits(formula)
+        assert list(_solution_bits(formula)) == brute
+        assert count_solutions(formula) == len(brute)
+        first = first_solution(formula)
+        if brute:
+            pos_first = brute[0]
+            assert first == tuple(
+                v if (pos_first >> i) & 1 else -v for i, v in enumerate(formula.variables)
+            )
+        else:
+            assert first is None
+        verdicts.add(bool(brute))
+    assert verdicts == {True, False}
 
 
 def test_first_solution_is_the_canonical_minimum():

@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 
 import pytest
 
@@ -8,7 +9,7 @@ from ppszlab.implication import ImplicationConfig
 from ppszlab.instances import unique_kcnf
 from ppszlab.oracle import enumerate_solutions
 from ppszlab.permutations import construct_sigma
-from ppszlab.unique import dppsz, guess_rate_report, solve_unique
+from ppszlab.unique import dppsz, solve_unique
 
 
 def F(*clauses, variables=None, k=None):
@@ -131,10 +132,21 @@ def test_solve_unique_zero_variables():
     assert unsat.round_found is None
 
 
+def _guess_rates(formula, perms, alpha):
+    """Per variable, the share of orders in which a replay against alpha
+    guesses it."""
+    engine = PpszEngine(formula)
+    profiles = [engine.replay(alpha, sigma) for sigma in perms]
+    guessed = Counter(
+        var for profile in profiles for var, _, prov in profile.entries if prov == "guessed"
+    )
+    return {v: guessed[v] / len(profiles) for v in formula.variables}
+
+
 def test_guess_rates_average_the_permutation_set():
     formula = F((1,), (-1, 2))
     perms = construct_sigma(formula.variables, independence=1)
-    rates = guess_rate_report(formula, perms, (1, 2))
+    rates = _guess_rates(formula, perms, (1, 2))
     # both variables are forced in every order: x1 by its unit, x2 by the
     # residual unit once x1 is set
     assert rates == {1: 0.0, 2: 0.0}
@@ -143,7 +155,7 @@ def test_guess_rates_average_the_permutation_set():
 def test_guess_rates_reflect_order_position():
     formula = F((1, 2))
     perms = construct_sigma(formula.variables, independence=2)
-    rates = guess_rate_report(formula, perms, (-1, 2))
+    rates = _guess_rates(formula, perms, (-1, 2))
     # the degree-2 family over GF(2) yields orders (1,2), (1,2), (2,1),
     # (1,2); replaying x1=F, x2=T forces x2 whenever x1 goes first, so x2
     # is guessed in exactly one of the four orders
