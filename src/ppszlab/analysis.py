@@ -175,4 +175,3 @@ def r_sequence_bounds(
         vals = [(y + (1.0 - y) * v) ** (k - 1) for y, v in zip(ys, vals)]
         out.append((sum(vals[:-1]) / grid, sum(vals[1:]) / grid))
     return tuple(out)
-

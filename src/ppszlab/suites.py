@@ -294,7 +294,7 @@ def rgrid_suite(
         bad = next((j for j in range(4) if not rises[j] <= rises[j + 1] <= ceiling), None)
         if bad is not None:
             report.failures.append(
-                f"iterates {bad}, {bad + 1} at y={y} do not rise to the fixpoint {ceiling}"
+                f"iterates {bad}, {bad + 1} at y={y} fall or pass the fixpoint {fixpoint_k3(y)}"
             )
             break
     report.stats.update(lambda_3=lam, last_low=low_last, last_high=high_last)

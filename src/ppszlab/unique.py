@@ -143,4 +143,3 @@ def solve_unique(
     return SolveReport(
         result.solution, result.round_found, result.modify_calls, result.sigma_size, meta
     )
-
