@@ -27,7 +27,6 @@ from .analysis import (
 )
 from .cnf import (
     Assignment,
-    DimacsError,
     Evaluation,
     Formula,
     evaluate,

@@ -151,10 +151,6 @@ class Formula:
     def num_clauses(self) -> int:
         return len(self.clauses)
 
-    @property
-    def has_empty_clause(self) -> bool:
-        return bool(self.clauses) and self.clauses[0] == ()
-
     def restrict(self, assignment: "Assignment | Iterable[int]") -> "Formula":
         return restrict(self, assignment)
 

@@ -87,17 +87,29 @@ class PpszEngine:
                 return False
         return True
 
+    def start_state(self, literals: Sequence[int]) -> tuple[int, int] | None:
+        """The (amask, avals) state fixing the literals, or None when it
+        falsifies a clause: the index's residual clauses there are
+        restrict()'s, so the empty clause sorts first."""
+        amask = sum(self._bit[abs(lit)] for lit in literals)
+        avals = sum(self._bit[lit] for lit in literals if lit > 0)
+        if self.index._survivors(amask, avals)[2][:1] == [()]:
+            return None
+        return amask, avals
+
     def _walk(
         self,
         sigma: Sequence[int],
         beta_value: int | None,
         beta_length: int,
         alpha: Mapping[int, bool] | None,
+        *,
+        start: tuple[int, int] = (0, 0),
     ) -> tuple[int | None, GuessProfile]:
         self.modify_calls += 1
         implied = self.index.implied_literal
         bit_of = self._bit
-        amask = avals = 0
+        amask, avals = start
         entries: list[tuple[int, int, str]] = []
         used = 0
         for var in sigma:

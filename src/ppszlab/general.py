@@ -7,7 +7,10 @@ to fix i variables, runs the round solver on each residue under a strict
 modify-call budget, and gives up quickly; as i grows the residual formulas
 get lonelier and the budget gets smaller. Instance n degenerates to testing
 complete assignments one by one, so the overall search is complete no
-matter how the budgets are set.
+matter how the budgets are set. No residue is built as a formula: a
+restriction is a start state on an engine over the whole formula, one
+engine per tau (the default tau follows the residual size), so the
+restrictions share that engine's implication memo.
 
 construct_good_assignment is the analysis-side counterpart: it exhibits
 one particular fixing of ceil(log2 S) variables that leaves exactly one
@@ -24,6 +27,7 @@ from typing import Iterator
 
 from .analysis import lambda_k
 from .cnf import FIXED, Assignment, Evaluation, Formula, evaluate, restrict
+from .engine import PpszEngine
 from .implication import ImplicationConfig
 from .oracle import (
     DEFAULT_ORACLE_LIMIT,
@@ -148,7 +152,8 @@ class GeneralResult:
 
 
 class _Search:
-    """Mutable counters shared by the two instance orders."""
+    """The counters the result reports, and one engine per tau over the
+    whole formula; each restriction runs as a start state on one of them."""
 
     def __init__(
         self,
@@ -157,8 +162,9 @@ class _Search:
         independence: int | None,
     ) -> None:
         self.formula = formula
-        self.cfg = cfg
+        self.cfg = cfg or ImplicationConfig()
         self.independence = independence
+        self.engines: dict[int, PpszEngine] = {}
         self.tried = 0
         self.skipped = 0
         self.calls = 0
@@ -169,12 +175,18 @@ class _Search:
         """One restriction: None when it provably cannot extend to a
         solution, otherwise the budgeted residual run."""
         self.tried += 1
-        sub = restrict(self.formula, literals)
-        if sub.has_empty_clause:
+        formula = self.formula
+        tau = self.cfg.resolve_tau(formula.n - len(literals))
+        engine = self.engines.get(tau)
+        if engine is None:
+            engine = self.engines[tau] = PpszEngine(formula, ImplicationConfig(tau))
+        start = engine.start_state(literals)
+        if start is None:
             self.skipped += 1
             return None
-        perms = construct_sigma(sub.variables, self.independence) if sub.variables else None
-        result = dppsz(sub, perms, self.cfg, max_modify_calls=cutoff)
+        free = set(formula.variables).difference(map(abs, literals))
+        perms = construct_sigma(free, self.independence) if free else None
+        result = dppsz(formula, perms, max_modify_calls=cutoff, engine=engine, start=start)
         self.calls += 1
         self.modify += result.modify_calls
         if result.cutoff_hit:
@@ -208,10 +220,12 @@ def solve_general(
 ) -> GeneralResult:
     """Complete deterministic search over all restriction instances.
 
-    Sequential by default: instance i finishes before i+1 starts. With
-    slice_budget set, instances take turns instead, each consuming that
-    many modify calls per visit; the answer is the same either way, only
-    the discovery order of satisfying assignments can differ.
+    Instances take turns, each visit running restrictions until it has
+    consumed slice_budget modify calls. The default None means an
+    unbounded slice: instance i finishes before i+1 starts. The answer is
+    the same either way, only the discovery order of satisfying
+    assignments can differ. Each restriction runs as a start state on the
+    engine for its residual tau, so a solve builds at most four engines.
     """
     n = formula.n
     lam = lambda_k(max(formula.k, 3))
@@ -245,33 +259,20 @@ def solve_general(
         )
 
     cutoffs = [cutoff_budget(n - i, formula.k, slack) for i in range(n + 1)]
-
-    if slice_budget is None:
-        for i in range(n + 1):
-            for literals in _instance_restrictions(formula.variables, i):
-                result = search.attempt(literals, cutoffs[i])
-                if result is not None and result.satisfiable:
-                    return finish(i, search.merge(literals, result))
-        return finish(None, None)
-
     queue = deque(
         (i, _instance_restrictions(formula.variables, i)) for i in range(n + 1)
     )
     while queue:
         i, stream = queue.popleft()
         spent = 0
-        exhausted = False
-        while spent < slice_budget:
-            literals = next(stream, None)
-            if literals is None:
-                exhausted = True
-                break
+        for literals in stream:
             result = search.attempt(literals, cutoffs[i])
             if result is None:
                 continue
-            spent += result.modify_calls
             if result.satisfiable:
                 return finish(i, search.merge(literals, result))
-        if not exhausted:
-            queue.append((i, stream))
+            spent += result.modify_calls
+            if slice_budget is not None and spent >= slice_budget:
+                queue.append((i, stream))
+                break
     return finish(None, None)

@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .cnf import Assignment, Formula
-from .engine import PpszEngine
+from .engine import PpszEngine, _as_permutation_list
 from .implication import ImplicationConfig
 from .permutations import construct_sigma
 
@@ -39,62 +39,50 @@ def dppsz(
     cfg: ImplicationConfig | None = None,
     max_modify_calls: int | None = None,
     engine: PpszEngine | None = None,
+    *,
+    start: tuple[int, int] = (0, 0),
 ) -> DppszResult:
     """Run rounds 1..n; return the first solution found, scanning bit
     vectors in lexicographic order and permutations in index order.
 
+    `start` is an (amask, avals) state of the engine: the walks extend it,
+    perms orders the variables it leaves free, and n is their number.
     max_modify_calls cuts the search off mid-round (the caller treats a
     cutoff as "nothing found here, move on"), so the full run is only
     attempted when the budget allows.
     """
-    n = formula.n
-    if n == 0:
-        # nothing to assign: the empty assignment either works or nothing does
-        if formula.clauses:
-            return DppszResult(None, None, (), 0, False, 0)
-        return DppszResult(Assignment(), 0, (), 0, False, 0)
-    if hasattr(perms, "materialized"):
-        sigma_list = perms.materialized()
-    else:
-        sigma_list = tuple(tuple(p) for p in perms)
     engine = engine or PpszEngine(formula, cfg)
+    n = formula.n - start[0].bit_count()
+    if n == 0:
+        # nothing to assign: the start state either works or nothing does
+        if engine._satisfies(start[1]):
+            return DppszResult(Assignment(), 0, (), 0, False, 0)
+        return DppszResult(None, None, (), 0, False, 0)
+    sigma_list = _as_permutation_list(perms)
     walk = engine._walk
     calls_before = engine.modify_calls
     per_round: list[int] = []
     budget = max_modify_calls
+
+    def finish(solution: Assignment | None, round_found: int | None, cutoff: bool) -> DppszResult:
+        calls = engine.modify_calls - calls_before
+        return DppszResult(solution, round_found, tuple(per_round), calls, cutoff, len(sigma_list))
+
     for round_no in range(1, n + 1):
         round_calls = 0
         for value in range(1 << round_no):
             for sigma in sigma_list:
                 if budget is not None and engine.modify_calls - calls_before >= budget:
                     per_round.append(round_calls)
-                    return DppszResult(
-                        None,
-                        None,
-                        tuple(per_round),
-                        engine.modify_calls - calls_before,
-                        True,
-                        len(sigma_list),
-                    )
-                avals, profile = walk(sigma, value, round_no, None)
+                    return finish(None, None, True)
+                avals, profile = walk(sigma, value, round_no, None, start=start)
                 round_calls += 1
                 if avals is not None:
                     per_round.append(round_calls)
-                    assignment = Assignment(
-                        tuple((lit, prov) for _, lit, prov in profile.entries)
-                    )
-                    return DppszResult(
-                        assignment,
-                        round_no,
-                        tuple(per_round),
-                        engine.modify_calls - calls_before,
-                        False,
-                        len(sigma_list),
-                    )
+                    entries = tuple((lit, prov) for _, lit, prov in profile.entries)
+                    return finish(Assignment(entries), round_no, False)
         per_round.append(round_calls)
-    return DppszResult(
-        None, None, tuple(per_round), engine.modify_calls - calls_before, False, len(sigma_list)
-    )
+    return finish(None, None, False)
 
 
 @dataclass(frozen=True)

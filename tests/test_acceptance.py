@@ -5,11 +5,7 @@ single PASS/FAIL line through the acceptance collector, and fails with
 the suite's own failure messages when anything is off.
 """
 
-import io
-import json
 import random
-
-import pytest
 
 from ppszlab.cli import main
 from ppszlab.suites import (

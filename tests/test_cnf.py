@@ -42,7 +42,6 @@ def test_parse_basic():
 
 def test_parse_empty_clause():
     formula = parse_dimacs("p cnf 1 1\n0\n")
-    assert formula.has_empty_clause
     assert formula.clauses == ((),)
 
 
@@ -105,7 +104,7 @@ def test_restrict_deletes_falsified_literal():
 
 def test_restrict_creates_empty_clause():
     restricted = restrict(F((1,)), (-1,))
-    assert restricted.has_empty_clause
+    assert restricted.clauses == ((),)
 
 
 def test_restrict_drops_assigned_variables_and_keeps_k():

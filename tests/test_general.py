@@ -1,8 +1,10 @@
 import math
 import random
+from dataclasses import replace
 
 import pytest
 
+from ppszlab import cnf, general
 from ppszlab.analysis import lambda_k
 from ppszlab.cnf import Evaluation, Formula, evaluate, restrict
 from ppszlab.general import (
@@ -12,7 +14,8 @@ from ppszlab.general import (
     default_slack,
     solve_general,
 )
-from ppszlab.instances import planted_kcnf, unique_kcnf
+from ppszlab.implication import ImplicationConfig, ImplicationIndex
+from ppszlab.instances import planted_kcnf, uniform_kcnf, unique_kcnf
 from ppszlab.oracle import UnsatisfiableError, count_solutions
 
 
@@ -184,6 +187,37 @@ def test_slice_mode_agrees_with_sequential():
     found = solve_general(sat, slice_budget=2)
     assert found.satisfiable
     assert evaluate(sat, found.solution) is Evaluation.SATISFIED
+    # a slice longer than the whole search is the sequential run
+    rng = random.Random(83)
+    formulas = [uniform_kcnf(rng, 5, 30, 3), planted_kcnf(rng, 6, 24, 3)[0]]
+    for formula, satisfiable in zip(formulas, (False, True)):
+        sequential = solve_general(formula, slack=0.0)
+        assert sequential.satisfiable is satisfiable
+        whole = solve_general(formula, slack=0.0, slice_budget=sequential.modify_calls + 1)
+        assert whole.mode == "slices" and sequential.mode == "sequential"
+        assert replace(whole, mode="sequential", metadata=sequential.metadata) == sequential
+
+
+@pytest.mark.parametrize("tau, engines", [(None, 2), (3, 1)])
+def test_restrictions_share_one_engine_per_tau(monkeypatch, tau, engines):
+    calls = {"restrict": 0, "index": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(cnf, "restrict", counted("restrict", cnf.restrict))
+    monkeypatch.setattr(general, "restrict", counted("restrict", general.restrict))
+    monkeypatch.setattr(
+        ImplicationIndex, "__init__", counted("index", ImplicationIndex.__init__)
+    )
+    formula = uniform_kcnf(random.Random(1), 6, 40, 3)
+    result = solve_general(formula, ImplicationConfig(tau))
+    assert not result.satisfiable and result.restrictions_tried == 3**6
+    # default tau over 6..0 free variables takes the values 2 and 1
+    assert calls == {"restrict": 0, "index": engines}
 
 
 def test_slice_budget_must_be_positive():

@@ -1,12 +1,11 @@
 import random
 from collections import Counter
+from itertools import combinations, product
 
-import pytest
-
-from ppszlab.cnf import Formula
+from ppszlab.cnf import Formula, restrict
 from ppszlab.engine import PpszEngine
-from ppszlab.implication import ImplicationConfig
-from ppszlab.instances import unique_kcnf
+from ppszlab.implication import ImplicationConfig, default_tau
+from ppszlab.instances import planted_kcnf, uniform_kcnf, unique_kcnf
 from ppszlab.oracle import enumerate_solutions
 from ppszlab.permutations import construct_sigma
 from ppszlab.unique import dppsz, solve_unique
@@ -73,6 +72,50 @@ def test_zero_variable_formulas():
     unsat = dppsz(F((),), [])
     assert not unsat.satisfiable
     assert unsat.round_found is None
+
+
+def _restricted_dppsz(formula, literals, cutoff):
+    """The reference: dppsz on the residual formula with its own engine."""
+    residual = restrict(formula, literals)
+    if residual.clauses[:1] == ((),):
+        return None
+    perms = construct_sigma(residual.variables) if residual.variables else None
+    return dppsz(residual, perms, max_modify_calls=cutoff)
+
+
+def test_start_state_runs_match_the_restricted_formula():
+    rng = random.Random(59)
+    formulas = [uniform_kcnf(rng, 5, 22, 3), uniform_kcnf(rng, 5, 8, 3)]
+    formulas += [planted_kcnf(rng, 6, 20, 3)[0], planted_kcnf(rng, 6, 9, 2)[0]]
+    formulas.append(F((1, 2), (-1, -2)))  # size 2 leaves no free variable
+    outcomes = Counter()
+    for formula in formulas:
+        engines = {}
+        for size in range(3):
+            for combo in combinations(formula.variables, size):
+                for signs in product((1, -1), repeat=size):
+                    literals = tuple(s * v for s, v in zip(signs, combo))
+                    tau = default_tau(formula.n - size)
+                    if tau not in engines:
+                        engines[tau] = PpszEngine(formula, ImplicationConfig(tau))
+                    engine = engines[tau]
+                    start = engine.start_state(literals)
+                    free = [v for v in formula.variables if v not in combo]
+                    perms = construct_sigma(free) if free else None
+                    for cutoff in (None, 7):
+                        want = _restricted_dppsz(formula, literals, cutoff)
+                        assert (start is None) == (want is None), literals
+                        if start is None:
+                            outcomes["skipped"] += 1
+                            continue
+                        got = dppsz(
+                            formula, perms, max_modify_calls=cutoff, engine=engine, start=start
+                        )
+                        assert got == want, (literals, cutoff)
+                        outcomes["found" if got.satisfiable else "cutoff" if got.cutoff_hit else "none"] += 1
+                        outcomes["free=0"] += not free
+    # the cases reach every outcome, the empty residual included
+    assert all(outcomes[key] for key in ("skipped", "found", "cutoff", "none", "free=0"))
 
 
 def test_budget_cutoff_is_reported():
