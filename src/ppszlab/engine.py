@@ -88,13 +88,14 @@ class PpszEngine:
         return True
 
     def start_state(self, literals: Sequence[int]) -> tuple[int, int] | None:
-        """The (amask, avals) state fixing the literals, or None when it
-        falsifies a clause: the index's residual clauses there are
-        restrict()'s, so the empty clause sorts first."""
+        """The (amask, avals) state fixing the literals, or None when they
+        falsify a clause. Reads only the clause masks, so a restriction
+        that is skipped leaves nothing in the index's memo."""
         amask = sum(self._bit[abs(lit)] for lit in literals)
         avals = sum(self._bit[lit] for lit in literals if lit > 0)
-        if self.index._survivors(amask, avals)[2][:1] == [()]:
-            return None
+        for pos, neg in self._clause_masks:
+            if not ((pos | neg) & ~amask or pos & avals or neg & ~avals):
+                return None
         return amask, avals
 
     def _walk(
@@ -103,13 +104,12 @@ class PpszEngine:
         beta_value: int | None,
         beta_length: int,
         alpha: Mapping[int, bool] | None,
-        *,
-        start: tuple[int, int] = (0, 0),
+        amask: int = 0,
+        avals: int = 0,
     ) -> tuple[int | None, GuessProfile]:
         self.modify_calls += 1
         implied = self.index.implied_literal
         bit_of = self._bit
-        amask, avals = start
         entries: list[tuple[int, int, str]] = []
         used = 0
         for var in sigma:

@@ -127,10 +127,14 @@ class ImplicationIndex:
     """Fast tau-implication over all restrictions of one fixed formula.
 
     A restriction state is a pair of bitmasks over variable positions:
-    which variables are assigned, and to what. Each clause is precomputed
-    as the set of total assignments satisfying it (one big integer with
-    2^n bits), so "solutions of a sub-CNF consistent with the state" is a
-    chain of integer ANDs. Results are memoized per (state, variable).
+    which variables are assigned, and to what. At each state every
+    residual clause becomes the set of assignments to the f free variables
+    that satisfy it (one integer with 2^f bits, the free positions packed
+    in order), so "solutions of a sub-CNF under the state" is a chain of
+    integer ANDs whose width shrinks as the state grows. Results are
+    memoized per (state, variable) and clause masks per state; each memo
+    is emptied whenever it reaches its limit, so memory stays bounded
+    however many restrictions share the index.
 
     By construction the answers match tau_implied on restrict(formula, a):
     the surviving clauses are swept in the same canonical order with the
@@ -143,7 +147,9 @@ class ImplicationIndex:
     first hit in canonical order is the same one the full sweep finds.
     """
 
-    VARIABLE_LIMIT = 20  # the per-clause masks hold 2^n bits
+    VARIABLE_LIMIT = 20  # the clause masks hold up to 2^n bits
+    STATE_CACHE_BYTES = 4 << 20  # estimated size of the cached states
+    RESULT_CACHE_LIMIT = 1 << 15  # (state, variable) answers
 
     def __init__(self, formula: Formula, cfg: ImplicationConfig | None = None):
         cfg = cfg or ImplicationConfig()
@@ -155,74 +161,67 @@ class ImplicationIndex:
                 f"{n} variables exceed the implication index limit of {self.VARIABLE_LIMIT}"
             )
         self._n = n
-        self._vars = formula.variables
-        self._pos_of = {v: i for i, v in enumerate(self._vars)}
-        self._space = (1 << (1 << n)) - 1  # all assignments
+        self._pos_of = {v: i for i, v in enumerate(formula.variables)}
+        # masks for n variables; their low 2^f bits are the masks for f
+        # variables, which is how a state's packed clause masks read them
+        space = (1 << (1 << n)) - 1
         true_masks = _polarity_masks(n)
         self._true_masks = true_masks
-        self._false_masks = [self._space & ~m for m in true_masks]
-        # clause -> (literal tuple, variable bitmask, satisfying-assignment mask)
-        entries = []
-        for clause in formula.clauses:
-            vars_mask = 0
-            falsify = self._space
-            for lit in clause:
-                j = self._pos_of[abs(lit)]
-                vars_mask |= 1 << j
-                falsify &= self._false_masks[j] if lit > 0 else self._true_masks[j]
-            if not clause:
-                sat_mask = 0  # the empty clause admits nothing
-            else:
-                sat_mask = self._space & ~falsify
-            entries.append((clause, vars_mask, sat_mask))
-        self._entries = entries
+        self._false_masks = [space & ~m for m in true_masks]
         self._state_cache: dict[
             tuple[int, int], tuple[list[int], list[int], list[Clause]]
         ] = {}
+        self._state_bytes = 0
         self._result_cache: dict[tuple[int, int, int], int] = {}
-
-    def _consistency_mask(self, amask: int, avals: int) -> int:
-        mask = self._space
-        bits = amask
-        while bits:
-            low = bits & -bits
-            j = low.bit_length() - 1
-            mask &= self._true_masks[j] if (avals >> j) & 1 else self._false_masks[j]
-            bits ^= low
-        return mask
 
     def _survivors(
         self, amask: int, avals: int
     ) -> tuple[list[int], list[int], list[Clause]]:
-        """Clause masks and residual literal tuples for the restriction at
-        this state, ordered and deduplicated exactly as restrict() orders
-        the residual clauses."""
+        """Clause masks over the free variables, variable bitmasks and
+        residual literal tuples for the restriction at this state, ordered
+        and deduplicated exactly as restrict() orders the residual clauses."""
         key = (amask, avals)
         cached = self._state_cache.get(key)
         if cached is not None:
             return cached
-        consistent = self._consistency_mask(amask, avals)
-        residual: dict[Clause, tuple[int, int]] = {}
-        for clause, vars_mask, sat_mask in self._entries:
+        pos_of = self._pos_of
+        residual: set[Clause] = set()
+        for clause in self.formula.clauses:
             satisfied = False
             rest: list[int] = []
             for lit in clause:
-                j = self._pos_of[abs(lit)]
+                j = pos_of[abs(lit)]
                 if (amask >> j) & 1:
                     if ((avals >> j) & 1) == (lit > 0):
                         satisfied = True
                         break
                 else:
                     rest.append(lit)
-            if satisfied:
-                continue
-            rkey = tuple(rest)
-            if rkey not in residual:
-                residual[rkey] = (sat_mask & consistent, vars_mask & ~amask)
+            if not satisfied:
+                residual.add(tuple(rest))
         ordered = sorted(residual)
-        sat_masks = [residual[c][0] for c in ordered]
-        var_masks = [residual[c][1] for c in ordered]
+        width = 1 << (self._n - amask.bit_count())
+        space = (1 << width) - 1
+        sat_masks = []
+        var_masks = []
+        for clause in ordered:
+            falsify = space  # the empty clause keeps it all and admits nothing
+            vars_mask = 0
+            for lit in clause:
+                j = pos_of[abs(lit)]
+                vars_mask |= 1 << j
+                c = j - (amask & ((1 << j) - 1)).bit_count()  # packed position
+                falsify &= self._false_masks[c] if lit > 0 else self._true_masks[c]
+            sat_masks.append(space & ~falsify)
+            var_masks.append(vars_mask)
         cached = (sat_masks, var_masks, ordered)
+        # a state costs about 256 bytes of objects, and each residual
+        # clause its mask plus about 128 more
+        cost = 256 + len(ordered) * (128 + width // 8)
+        self._state_bytes += cost
+        if self._state_bytes > self.STATE_CACHE_BYTES:
+            self._state_cache.clear()
+            self._state_bytes = cost
         self._state_cache[key] = cached
         return cached
 
@@ -235,6 +234,8 @@ class ImplicationIndex:
         if hit is not None:
             return hit
         result = self._sweep(amask, avals, var, xpos)
+        if len(self._result_cache) >= self.RESULT_CACHE_LIMIT:
+            self._result_cache.clear()
         self._result_cache[key] = result
         return result
 
@@ -242,8 +243,9 @@ class ImplicationIndex:
         pm, rv, residual = self._survivors(amask, avals)
         m = len(pm)
         xbit = 1 << xpos
-        xtrue = self._true_masks[xpos]
-        xfalse = self._false_masks[xpos]
+        packed = xpos - (amask & (xbit - 1)).bit_count()
+        xtrue = self._true_masks[packed]
+        xfalse = self._false_masks[packed]
         tau = self.tau
         # size 1: only a unit clause over x (or shorter) can decide it
         for a in range(m):

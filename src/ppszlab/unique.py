@@ -52,10 +52,11 @@ def dppsz(
     attempted when the budget allows.
     """
     engine = engine or PpszEngine(formula, cfg)
-    n = formula.n - start[0].bit_count()
+    amask, avals = start
+    n = formula.n - amask.bit_count()
     if n == 0:
         # nothing to assign: the start state either works or nothing does
-        if engine._satisfies(start[1]):
+        if engine._satisfies(avals):
             return DppszResult(Assignment(), 0, (), 0, False, 0)
         return DppszResult(None, None, (), 0, False, 0)
     sigma_list = _as_permutation_list(perms)
@@ -75,9 +76,9 @@ def dppsz(
                 if budget is not None and engine.modify_calls - calls_before >= budget:
                     per_round.append(round_calls)
                     return finish(None, None, True)
-                avals, profile = walk(sigma, value, round_no, None, start=start)
+                found, profile = walk(sigma, value, round_no, None, amask, avals)
                 round_calls += 1
-                if avals is not None:
+                if found is not None:
                     per_round.append(round_calls)
                     entries = tuple((lit, prov) for _, lit, prov in profile.entries)
                     return finish(Assignment(entries), round_no, False)

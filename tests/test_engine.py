@@ -280,6 +280,15 @@ def test_plain_bit_sequences_are_accepted():
     assert assignment.sorted_literals() == (1, -2)
 
 
+def test_start_state_leaves_the_memo_empty():
+    engine = PpszEngine(F((1, 2), (-1, 3), (-3,)))
+    assert engine.start_state(()) == (0, 0)
+    assert engine.start_state((-1, 2)) == (0b11, 0b10)
+    assert engine.start_state((-2, -1)) is None  # falsifies (1 2)
+    assert engine.start_state((3,)) is None  # falsifies (-3)
+    assert engine.index._state_cache == {} and engine.index._result_cache == {}
+
+
 def test_walk_result_satisfies_the_formula():
     formula = F((1, 2), (1, -2))
     assignment, _ = engine(formula).modify((1, 2), (1, 0))

@@ -220,6 +220,44 @@ def test_restrictions_share_one_engine_per_tau(monkeypatch, tau, engines):
     assert calls == {"restrict": 0, "index": engines}
 
 
+def test_shared_memos_stay_within_their_limits(monkeypatch):
+    peaks = []
+    survivors = ImplicationIndex._survivors
+    implied = ImplicationIndex.implied_literal
+
+    def watch(index):
+        peak = peaks[-1]
+        peak["bytes"] = max(peak["bytes"], index._state_bytes)
+        peak["states"] = max(peak["states"], len(index._state_cache))
+        peak["result"] = max(peak["result"], len(index._result_cache))
+
+    def watched_survivors(self, amask, avals):
+        found = survivors(self, amask, avals)
+        watch(self)
+        return found
+
+    def watched_implied(self, amask, avals, var):
+        lit = implied(self, amask, avals, var)
+        watch(self)
+        return lit
+
+    monkeypatch.setattr(ImplicationIndex, "_survivors", watched_survivors)
+    monkeypatch.setattr(ImplicationIndex, "implied_literal", watched_implied)
+    formula = uniform_kcnf(random.Random(1), 6, 40, 3)
+    peaks.append(dict.fromkeys(("bytes", "states", "result"), 0))
+    default = solve_general(formula)
+    monkeypatch.setattr(ImplicationIndex, "STATE_CACHE_BYTES", 1 << 14)
+    monkeypatch.setattr(ImplicationIndex, "RESULT_CACHE_LIMIT", 32)
+    peaks.append(dict.fromkeys(("bytes", "states", "result"), 0))
+    bounded = solve_general(formula)
+    assert not default.satisfiable and bounded == default
+    # the 729 restrictions need far more room than the limits give
+    assert peaks[0]["bytes"] > 1 << 15 and peaks[0]["states"] > 64 and peaks[0]["result"] > 32
+    # every cached state is charged at least 256 bytes
+    assert 1 << 13 < peaks[1]["bytes"] <= 1 << 14 and peaks[1]["states"] <= 64
+    assert peaks[1]["result"] == 32
+
+
 def test_slice_budget_must_be_positive():
     with pytest.raises(ValueError):
         solve_general(F((1, 2)), slice_budget=0)
