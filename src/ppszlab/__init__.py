@@ -11,11 +11,9 @@ from .analysis import (
     AnalysisConfig,
     binary_entropy,
     crossover_delta,
-    entropy_binomial_bound,
     fixpoint_k3,
     lambda_k,
     r_grid,
-    r_integral_bounds,
     r_sequence_bounds,
     r_value,
     runtime_exponent,

@@ -56,23 +56,6 @@ def binary_entropy(x: float) -> float:
     return -x * math.log2(x) - (1.0 - x) * math.log2(1.0 - x)
 
 
-def entropy_binomial_bound(n: int, delta: float) -> tuple[int, float]:
-    """Exact C(n, delta*n) next to its entropy bound 2^(h(delta) n).
-
-    delta*n must land on an integer; the bound always dominates the
-    binomial, and the pair makes the slack visible.
-    """
-    if n < 1:
-        raise ValueError("need n >= 1")
-    t = round(delta * n)
-    if not math.isclose(t, delta * n, abs_tol=1e-9) or not 0 <= t <= n:
-        raise ValueError(f"delta*n = {delta * n} is not an integer in [0, {n}]")
-    binom = math.comb(n, t)
-    bound = 2.0 ** (binary_entropy(t / n) * n)
-    assert binom <= bound
-    return binom, bound
-
-
 def runtime_exponent(k: int, delta: float, tol: float = 1e-12) -> float:
     """Exponent e(delta) with total work within poly factors of 2^(e*n).
 
@@ -140,18 +123,6 @@ def r_grid(k: int, iterations: int, grid: int) -> tuple[float, ...]:
     if grid < 1:
         raise ValueError("grid must be positive")
     return tuple(r_value(k, iterations, t / grid) for t in range(grid + 1))
-
-
-def r_integral_bounds(k: int, iterations: int, grid: int) -> tuple[float, float]:
-    """Left and right Riemann sums of the recurrence over [0, 1].
-
-    Each iterate is non-decreasing in y, so these bracket the true
-    integral.
-    """
-    values = r_grid(k, iterations, grid)
-    left = sum(values[:-1]) / grid
-    right = sum(values[1:]) / grid
-    return left, right
 
 
 def r_sequence_bounds(

@@ -85,9 +85,6 @@ class Assignment:
         lit = self._values.get(var)
         return None if lit is None else lit > 0
 
-    def literal_for(self, var: int) -> int | None:
-        return self._values.get(var)
-
     def __iter__(self) -> Iterator[int]:
         return iter(self.literals())
 

@@ -58,8 +58,10 @@ class GuessProfile:
 class PpszEngine:
     """Shared machinery for running many Modify walks over one formula:
     one implication index (with its memo) plus precomputed clause masks
-    for the final satisfaction check. Counts every walk it performs in
-    `modify_calls`; a guess-tree count is not a walk and is not counted."""
+    for the final satisfaction check. `modify_calls` counts the physical
+    `_walk` calls made on this engine. A guess-tree search (`count_successes`
+    or `dppsz`'s) is not a walk and is not counted; `dppsz` reports the
+    logical walk count of its scan itself and does not read this one."""
 
     def __init__(self, formula: Formula, cfg: ImplicationConfig | None = None):
         self.formula = formula

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .implication import default_tau
 
@@ -87,6 +87,33 @@ def _rank_permutations(n: int, independence: int) -> tuple[tuple[int, ...], ...]
         order = sorted(range(n), key=lambda rank: (placements[rank], rank))
         perms.append(tuple(order))
     return tuple(perms)
+
+
+@lru_cache(maxsize=64)
+def _distinct_rank_orders(n: int, independence: int) -> tuple[tuple[int, tuple[int, ...]], ...]:
+    """Each distinct order of _rank_permutations(n, independence) once,
+    paired with its first member, in member order."""
+    return tuple(_first_copies(_rank_permutations(n, independence)).items())
+
+
+def _first_copies(orders: Iterable[tuple[int, ...]]) -> dict[int, tuple[int, ...]]:
+    firsts: dict[tuple[int, ...], int] = {}
+    for index, order in enumerate(orders):
+        firsts.setdefault(order, index)
+    return {index: order for order, index in firsts.items()}
+
+
+def distinct_orders(perms) -> tuple[int, dict[int, tuple[int, ...]]]:
+    """The number of orders in perms, and each distinct order once, keyed
+    by the index of its first copy, in index order. perms is a
+    PermutationSet or any iterable of orders; a set's table is cached per
+    (n, K)."""
+    if isinstance(perms, PermutationSet):
+        variables = perms.variables
+        table = _distinct_rank_orders(len(variables), perms.independence)
+        return len(perms), {first: tuple(variables[r] for r in ranks) for first, ranks in table}
+    orders = [tuple(order) for order in perms]
+    return len(orders), _first_copies(orders)
 
 
 @dataclass(frozen=True)

@@ -7,6 +7,14 @@ Rounds grow geometrically, which is why the round where the first solution
 appears is the whole cost story; per-round work counters record it.
 
 Unsatisfiable input simply survives all n rounds and is reported as such.
+
+The counters are logical: they describe the value-major scan that walks
+each bit vector with each order in index order, one walk per (vector,
+order) pair. That scan is not run. Each distinct order's guess tree is
+searched once per round, in scan-position order, and the counters are
+derived from the position of the first hit or of the budget cutoff. Only
+the returned solution is replayed as a physical walk, so an engine's own
+`modify_calls` counts far fewer walks than `DppszResult.modify_calls`.
 """
 
 from __future__ import annotations
@@ -14,9 +22,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .cnf import Assignment, Formula
-from .engine import PpszEngine, _as_permutation_list
+from .engine import PpszEngine
 from .implication import ImplicationConfig
-from .permutations import construct_sigma
+from .permutations import construct_sigma, distinct_orders
 
 
 @dataclass(frozen=True)
@@ -49,7 +57,8 @@ def dppsz(
     perms orders the variables it leaves free, and n is their number.
     max_modify_calls cuts the search off mid-round (the caller treats a
     cutoff as "nothing found here, move on"), so the full run is only
-    attempted when the budget allows.
+    attempted when the budget allows. The counters are those of the scan;
+    the search behind them is `_first_hit`'s.
     """
     engine = engine or PpszEngine(formula, cfg)
     amask, avals = start
@@ -59,31 +68,104 @@ def dppsz(
         if engine._satisfies(avals):
             return DppszResult(Assignment(), 0, (), 0, False, 0)
         return DppszResult(None, None, (), 0, False, 0)
-    sigma_list = _as_permutation_list(perms)
-    walk = engine._walk
-    calls_before = engine.modify_calls
-    per_round: list[int] = []
-    budget = max_modify_calls
-
-    def finish(solution: Assignment | None, round_found: int | None, cutoff: bool) -> DppszResult:
-        calls = engine.modify_calls - calls_before
-        return DppszResult(solution, round_found, tuple(per_round), calls, cutoff, len(sigma_list))
-
+    size, orders = distinct_orders(perms)
+    total = ((1 << (n + 1)) - 2) * size
+    budget = total if max_modify_calls is None else max(0, min(max_modify_calls, total))
     for round_no in range(1, n + 1):
-        round_calls = 0
-        for value in range(1 << round_no):
-            for sigma in sigma_list:
-                if budget is not None and engine.modify_calls - calls_before >= budget:
-                    per_round.append(round_calls)
-                    return finish(None, None, True)
-                found, profile = walk(sigma, value, round_no, None, amask, avals)
-                round_calls += 1
-                if found is not None:
-                    per_round.append(round_calls)
-                    entries = tuple((lit, prov) for _, lit, prov in profile.entries)
-                    return finish(Assignment(entries), round_no, False)
-        per_round.append(round_calls)
-    return finish(None, None, False)
+        base = ((1 << round_no) - 2) * size
+        if base >= budget:
+            break
+        hit = _first_hit(engine, orders, size, round_no, base, budget, start)
+        if hit is not None:
+            position, sigma, value = hit
+            _, profile = engine._walk(sigma, value, round_no, None, amask, avals)
+            solution = Assignment(tuple((lit, prov) for _, lit, prov in profile.entries))
+            counts = _round_counts(size, position + 1, round_no)
+            return DppszResult(solution, round_no, counts, position + 1, False, size)
+    if budget < total:
+        # the walk at position `budget` was the first one refused
+        counts = _round_counts(size, budget, (budget // size + 2).bit_length() - 1)
+        return DppszResult(None, None, counts, budget, True, size)
+    return DppszResult(None, None, _round_counts(size, total, n), total, False, size)
+
+
+def _round_counts(size: int, calls: int, rounds: int) -> tuple[int, ...]:
+    """Walks per round when the scan stops after `calls` walks in round
+    `rounds`; round r holds the 2^r x size positions from (2^r - 2) x size."""
+    return tuple(
+        min(size << r, max(0, calls - ((1 << r) - 2) * size)) for r in range(1, rounds + 1)
+    )
+
+
+def _first_hit(
+    engine: PpszEngine,
+    orders: dict[int, tuple[int, ...]],
+    size: int,
+    round_no: int,
+    base: int,
+    budget: int,
+    start: tuple[int, int],
+) -> tuple[int, tuple[int, ...], int] | None:
+    """The scan position, order and value of round round_no's first
+    successful walk below budget, or None.
+
+    Each distinct order's guess tree is searched depth first, bit 0 first,
+    down to round_no guesses, on an explicit stack of pending branches.
+    A branch after `used` guesses with value prefix p covers the values
+    from lo = p << (round_no - used), so its smallest scan position, its
+    key, is base + lo x size + the order's first index; a later copy of an
+    order repeats the first copy's walks at larger positions and can never
+    be the first hit. Each pending branch is stored with its key. A heap
+    holds one key per order, its stack top's, and the order with the
+    smallest key runs to its next leaf; going down the 0 branch keeps the
+    key. So the leaves come in scan order, the first successful one is the
+    hit, and no node past the hit or the budget is visited. The heap holds
+    at most one entry per distinct order and a stack at most round_no.
+    """
+    # imported on first use: loading the _heapq extension adds about
+    # 0.2 MB of resident memory to every process that imports ppszlab
+    from heapq import heappop, heapreplace
+
+    implied = engine.index.implied_literal
+    bit_of = engine._bit
+    full = engine._full
+    satisfies = engine._satisfies
+    stacks: dict[int, list] = {}
+    heap = [base + first for first in orders]  # sorted, so already a heap
+    while heap:
+        key = heap[0]
+        if key >= budget:
+            return None
+        first = (key - base) % size
+        sigma = orders[first]
+        stack = stacks.get(first)
+        if stack is None:
+            stack = stacks[first] = []
+            position, used = 0, 0
+            amask, avals = start
+        else:
+            position, amask, avals, used, _ = stack.pop()
+        for position in range(position, len(sigma)):
+            var = sigma[position]
+            bit = bit_of[var]
+            lit = implied(amask, avals, var)
+            amask |= bit
+            if lit:
+                if lit > 0:
+                    avals |= bit
+            elif used == round_no:
+                break  # out of bits: the walk is exhausted
+            else:
+                used += 1
+                stack.append((position + 1, amask, avals | bit, used, key + (size << (round_no - used))))
+        else:
+            if amask == full and satisfies(avals):
+                return key, sigma, (key - base) // size
+        if stack:
+            heapreplace(heap, stack[-1][4])
+        else:
+            heappop(heap)
+    return None
 
 
 @dataclass(frozen=True)

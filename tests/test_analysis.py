@@ -7,11 +7,9 @@ from ppszlab.analysis import (
     AnalysisConfig,
     binary_entropy,
     crossover_delta,
-    entropy_binomial_bound,
     fixpoint_k3,
     lambda_k,
     r_grid,
-    r_integral_bounds,
     r_sequence_bounds,
     r_value,
     runtime_exponent,
@@ -68,24 +66,6 @@ def test_binary_entropy_landmarks():
         binary_entropy(-0.1)
     with pytest.raises(ValueError):
         binary_entropy(1.1)
-
-
-def test_entropy_bound_pairs():
-    assert entropy_binomial_bound(10, 0.0) == (1, 1.0)
-    binom, bound = entropy_binomial_bound(10, 0.5)
-    assert binom == 252
-    assert bound == 1024.0
-    binom, bound = entropy_binomial_bound(20, 0.25)
-    assert binom == 15504
-    assert math.isclose(bound, 2.0 ** (binary_entropy(0.25) * 20))
-    assert binom <= bound
-
-
-def test_entropy_bound_requires_integral_counts():
-    with pytest.raises(ValueError):
-        entropy_binomial_bound(10, 0.15)
-    with pytest.raises(ValueError):
-        entropy_binomial_bound(0, 0.0)
 
 
 def test_runtime_exponent_at_the_endpoints():
@@ -163,6 +143,14 @@ def test_recurrence_grid_check_catches_a_broken_recurrence(monkeypatch, mutant):
     assert not report.passed
     assert report.checked == 6
     assert "fixpoint" in report.failures[0]
+
+
+def r_integral_bounds(k, iterations, grid):
+    """The reference for r_sequence_bounds: left and right Riemann sums
+    of one iterate over [0, 1], read off r_grid. Each iterate is
+    non-decreasing in y, so the pair brackets the true integral."""
+    values = r_grid(k, iterations, grid)
+    return sum(values[:-1]) / grid, sum(values[1:]) / grid
 
 
 def test_grid_and_bounds_bracket_the_integral():

@@ -176,7 +176,6 @@ def test_assignment_provenance_and_lookup():
     assert a.sorted_literals() == (-1, 3)
     assert a.variables() == (1, 3)
     assert a.value(3) is True and a.value(1) is False and a.value(2) is None
-    assert a.literal_for(1) == -1
     assert a.entries == ((3, "guessed"), (-1, "guessed"))
     assert 3 in a and -3 not in a and len(a) == 2
 

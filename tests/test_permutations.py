@@ -7,6 +7,7 @@ from ppszlab.permutations import (
     HashFamily,
     PermutationBudgetError,
     construct_sigma,
+    distinct_orders,
     smallest_prime_at_least,
 )
 
@@ -134,6 +135,19 @@ def test_materialization_is_deterministic_and_iterable():
 def test_duplicate_orders_are_retained():
     perms = construct_sigma((1, 2), independence=1)
     assert perms.materialized() == ((1, 2), (1, 2))
+
+
+def test_distinct_orders_list_each_order_once_at_its_first_index():
+    for n, k in ((2, 1), (5, 2), (6, 3)):
+        perms = construct_sigma(range(3, 3 + n), k)
+        listed = perms.materialized()
+        size, table = distinct_orders(perms)
+        assert size == len(listed)
+        assert list(table.values()) == list(dict.fromkeys(listed))
+        assert list(table) == [listed.index(order) for order in table.values()]
+        # a plain order list goes through the same table
+        assert distinct_orders(list(listed)) == (size, table)
+    assert distinct_orders([]) == (0, {})
 
 
 def test_materialization_budget():

@@ -2,13 +2,13 @@ import random
 from collections import Counter
 from itertools import combinations, product
 
-from ppszlab.cnf import Formula, restrict
+from ppszlab.cnf import Assignment, Formula, restrict
 from ppszlab.engine import PpszEngine
 from ppszlab.implication import ImplicationConfig, default_tau
 from ppszlab.instances import planted_kcnf, uniform_kcnf, unique_kcnf
 from ppszlab.oracle import enumerate_solutions
 from ppszlab.permutations import construct_sigma
-from ppszlab.unique import dppsz, solve_unique
+from ppszlab.unique import DppszResult, dppsz, solve_unique
 
 
 def F(*clauses, variables=None, k=None):
@@ -116,6 +116,107 @@ def test_start_state_runs_match_the_restricted_formula():
                         outcomes["free=0"] += not free
     # the cases reach every outcome, the empty residual included
     assert all(outcomes[key] for key in ("skipped", "found", "cutoff", "none", "free=0"))
+
+
+def _scan_results(engine, perms, start):
+    """The value-major scan dppsz's counters describe, run once for every
+    budget at the same time: round by round, each bit vector in turn is
+    walked with each order in index order, and a budget b stops the scan
+    just before walk number b. Returns the results for budgets 0..total
+    (a larger budget ends like total) and the position of the first hit."""
+    amask, avals = start
+    n = engine.formula.n - amask.bit_count()
+    orders = [tuple(sigma) for sigma in perms]
+    results = []
+    per_round = []
+    calls = 0
+    for round_no in range(1, n + 1):
+        round_calls = 0
+        for value in range(1 << round_no):
+            for sigma in orders:
+                results.append(DppszResult(None, None, (*per_round, round_calls), calls, True, len(orders)))
+                found, profile = engine._walk(sigma, value, round_no, None, amask, avals)
+                calls += 1
+                round_calls += 1
+                if found is not None:
+                    per_round.append(round_calls)
+                    solution = Assignment(tuple((lit, prov) for _, lit, prov in profile.entries))
+                    results.append(DppszResult(solution, round_no, tuple(per_round), calls, False, len(orders)))
+                    return results, calls - 1
+        per_round.append(round_calls)
+    results.append(DppszResult(None, None, tuple(per_round), calls, False, len(orders)))
+    return results, None
+
+
+def _assert_matches_the_scan(formula, perms, start=(0, 0), tau=None):
+    """dppsz against the scan at every budget from 1 to total + 1 and
+    unbudgeted; returns the scan's round of the first hit and its position."""
+    cfg = ImplicationConfig(tau)
+    want, hit = _scan_results(PpszEngine(formula, cfg), perms, start)
+    engine = PpszEngine(formula, cfg)
+    total = want[-1].modify_calls
+    for budget in range(1, total + 2):
+        got = dppsz(formula, perms, max_modify_calls=budget, engine=engine, start=start)
+        assert got == want[min(budget, len(want) - 1)], budget
+    assert dppsz(formula, perms, engine=engine, start=start) == want[-1]
+    return want[-1].round_found, hit
+
+
+def test_dppsz_matches_the_value_major_scan():
+    rng = random.Random(61)
+    cases = [(uniform_kcnf(rng, n, m, k), None) for n, m, k in ((4, 14, 3), (5, 9, 2), (5, 24, 3), (6, 16, 2))]
+    cases += [(unique_kcnf(rng, 5, 3)[0], None), (planted_kcnf(rng, 6, 14, 3)[0], None)]
+    # tau = 1 leaves most variables to guesses, so hits land in late rounds
+    cases += [(unique_kcnf(rng, 6, 3)[0], 1), (unique_kcnf(rng, 5, 2)[0], 1), (planted_kcnf(rng, 6, 8, 3)[0], 1)]
+    outcomes = Counter()
+    for formula, tau in cases:
+        family = construct_sigma(formula.variables, independence=1 if formula.n == 6 else None)
+        round_found, hit = _assert_matches_the_scan(formula, family, tau=tau)
+        outcomes["sat" if hit is not None else "unsat"] += 1
+        outcomes["round 4 or later"] += (round_found or 0) >= 4
+        # explicit order lists with repeats: a few family members drawn
+        # with replacement, then one with a copy of the hitting order
+        # placed right behind it, on the position after the hit
+        orders = [rng.choice(family.materialized()) for _ in range(4)]
+        orders.append(orders[1])
+        _, hit = _assert_matches_the_scan(formula, orders, tau=tau)
+        if hit is None:
+            continue
+        first = hit % len(orders)
+        repeated = orders[: first + 1] + [orders[first]] + orders[first + 1 :]
+        assert _assert_matches_the_scan(formula, repeated, tau=tau)[1] == hit + hit // len(orders)
+        outcomes["repeat behind the hit"] += 1
+    assert all(outcomes[key] for key in ("sat", "unsat", "round 4 or later", "repeat behind the hit"))
+
+
+def test_dppsz_matches_the_scan_from_start_states():
+    rng = random.Random(67)
+    outcomes = Counter()
+    for formula in (uniform_kcnf(rng, 6, 30, 3), planted_kcnf(rng, 6, 12, 2)[0]):
+        for literals in ((1,), (-2, 5), (3, -4), (-1, -6)):
+            tau = default_tau(formula.n - len(literals))
+            start = PpszEngine(formula, ImplicationConfig(tau)).start_state(literals)
+            if start is None:
+                outcomes["skipped"] += 1
+                continue
+            free = [v for v in formula.variables if v not in map(abs, literals)]
+            _, hit = _assert_matches_the_scan(formula, construct_sigma(free), start, tau)
+            outcomes["sat" if hit is not None else "unsat"] += 1
+    assert outcomes["sat"] and outcomes["unsat"]
+
+
+def test_engine_counts_only_the_replayed_walk():
+    # dppsz's modify_calls is the scan's logical count; the engine's own
+    # counter sees only the physical walk that replays the hit
+    formula = F((1, 2), (-1, 2), (1, -2))
+    engine = PpszEngine(formula, ImplicationConfig(1))
+    result = dppsz(formula, [(1, 2), (2, 1)], engine=engine)
+    assert result.solution.sorted_literals() == (1, 2)
+    assert (result.modify_calls, engine.modify_calls) == (3, 1)
+    unsat = F((1, 2), (1, -2), (-1, 2), (-1, -2))
+    engine = PpszEngine(unsat)
+    result = dppsz(unsat, [(1, 2), (2, 1)], engine=engine)
+    assert (result.modify_calls, engine.modify_calls) == (12, 0)
 
 
 def test_budget_cutoff_is_reported():
