@@ -57,37 +57,26 @@ class GuessProfile:
 
 class PpszEngine:
     """Shared machinery for running many Modify walks over one formula:
-    one implication index (with its memo) plus precomputed clause masks
-    for the final satisfaction check. `modify_calls` counts the physical
-    `_walk` calls made on this engine. A guess-tree search (`count_successes`
-    or `dppsz`'s) is not a walk and is not counted; `dppsz` reports the
-    logical walk count of its scan itself and does not read this one."""
+    one implication index (with its memo), clause masks for start states
+    and a bitmap of the formula's solutions for the final satisfaction
+    check. `modify_calls` counts the physical `_walk` calls made on this
+    engine. A guess-tree search (`count_successes` or `dppsz`'s) is not a
+    walk and is not counted; `dppsz` reports the logical walk count of its
+    scan itself and does not read this one."""
 
     def __init__(self, formula: Formula, cfg: ImplicationConfig | None = None):
         self.formula = formula
         self.cfg = cfg or ImplicationConfig()
         self.index = ImplicationIndex(formula, self.cfg)
-        self.tau = self.index.tau
         self._bit = {v: 1 << i for i, v in enumerate(formula.variables)}
         self._full = (1 << formula.n) - 1
-        clause_masks = []
-        for clause in formula.clauses:
-            pos = neg = 0
-            for lit in clause:
-                if lit > 0:
-                    pos |= self._bit[lit]
-                else:
-                    neg |= self._bit[-lit]
-            clause_masks.append((pos, neg))
-        self._clause_masks = clause_masks
+        self._clause_masks = [(pos, neg) for _, _, pos, neg in self.index._clauses]
+        self._solutions = self.index.solution_bitmap()
         self.modify_calls = 0
 
     def _satisfies(self, avals: int) -> bool:
-        full = self._full
-        for pos, neg in self._clause_masks:
-            if not ((pos & avals) | (neg & ~avals & full)):
-                return False
-        return True
+        """Whether the total assignment avals satisfies the formula."""
+        return (self._solutions[avals >> 3] >> (avals & 7)) & 1 == 1
 
     def start_state(self, literals: Sequence[int]) -> tuple[int, int] | None:
         """The (amask, avals) state fixing the literals, or None when they

@@ -8,9 +8,9 @@ modify-call budget, and gives up quickly; as i grows the residual formulas
 get lonelier and the budget gets smaller. Instance n degenerates to testing
 complete assignments one by one, so the overall search is complete no
 matter how the budgets are set. No residue is built as a formula: a
-restriction is a start state on an engine over the whole formula, one
-engine per tau (the default tau follows the residual size), so the
-restrictions share that engine's implication memo.
+restriction is a start state on one engine over the whole formula, so all
+restrictions share its implication memo. The default tau follows the
+residual size; it is the index's lookup depth, set before each run.
 
 construct_good_assignment is the analysis-side counterpart: it exhibits
 one particular fixing of ceil(log2 S) variables that leaves exactly one
@@ -152,8 +152,9 @@ class GeneralResult:
 
 
 class _Search:
-    """The counters the result reports, and one engine per tau over the
-    whole formula; each restriction runs as a start state on one of them."""
+    """The counters the result reports, and one engine over the whole
+    formula; each restriction runs as a start state on it, with the index's
+    lookup depth set to the tau of the restriction's residual size."""
 
     def __init__(
         self,
@@ -164,7 +165,7 @@ class _Search:
         self.formula = formula
         self.cfg = cfg or ImplicationConfig()
         self.independence = independence
-        self.engines: dict[int, PpszEngine] = {}
+        self.engine = PpszEngine(formula, self.cfg)
         self.tried = 0
         self.skipped = 0
         self.calls = 0
@@ -176,14 +177,12 @@ class _Search:
         solution, otherwise the budgeted residual run."""
         self.tried += 1
         formula = self.formula
-        tau = self.cfg.resolve_tau(formula.n - len(literals))
-        engine = self.engines.get(tau)
-        if engine is None:
-            engine = self.engines[tau] = PpszEngine(formula, ImplicationConfig(tau))
+        engine = self.engine
         start = engine.start_state(literals)
         if start is None:
             self.skipped += 1
             return None
+        engine.index.tau = self.cfg.resolve_tau(formula.n - len(literals))
         free = set(formula.variables).difference(map(abs, literals))
         perms = construct_sigma(free, self.independence) if free else None
         result = dppsz(formula, perms, max_modify_calls=cutoff, engine=engine, start=start)
@@ -224,8 +223,9 @@ def solve_general(
     consumed slice_budget modify calls. The default None means an
     unbounded slice: instance i finishes before i+1 starts. The answer is
     the same either way, only the discovery order of satisfying
-    assignments can differ. Each restriction runs as a start state on the
-    engine for its residual tau, so a solve builds at most four engines.
+    assignments can differ. Each restriction runs as a start state on one
+    engine, at the lookup depth of its residual tau, so a solve builds one
+    implication index whatever the depths.
     """
     n = formula.n
     lam = lambda_k(max(formula.k, 3))

@@ -123,6 +123,15 @@ def _polarity_masks(n: int) -> list[int]:
     return masks
 
 
+# A memo entry is one small int, size << 2 | polarity. Polarity _POSITIVE
+# or _NEGATIVE: that literal over the variable is the first hit, found
+# among the subsets of `size` clauses. Polarity 0: no subset of up to
+# `size` clauses decides the variable; the entry 0 itself means no subset
+# of any size does.
+_POSITIVE = 1
+_NEGATIVE = 2
+
+
 class ImplicationIndex:
     """Fast tau-implication over all restrictions of one fixed formula.
 
@@ -131,10 +140,22 @@ class ImplicationIndex:
     residual clause becomes the set of assignments to the f free variables
     that satisfy it (one integer with 2^f bits, the free positions packed
     in order), so "solutions of a sub-CNF under the state" is a chain of
-    integer ANDs whose width shrinks as the state grows. Results are
-    memoized per (state, variable) and clause masks per state; each memo
-    is emptied whenever it reaches its limit, so memory stays bounded
-    however many restrictions share the index.
+    integer ANDs whose width shrinks as the state grows. Clause masks are
+    memoized per state, and each memo is emptied whenever it reaches its
+    limit, so memory stays bounded however many restrictions share the
+    index.
+
+    `tau` is the lookup depth. It starts at the configured bound and a
+    caller may change it between lookups; one index, with one memo,
+    serves every depth. Subset sizes are searched in ascending order, so
+    the sweep at a smaller depth is a prefix of the sweep at a larger one.
+    A (state, variable) memo entry records either the literal found and
+    the subset size that decided it, or that nothing was found and the
+    size searched through (or that every size was searched, when the
+    residual has at most tau clauses). A lookup at depth tau answers from
+    the entry when it can: a literal decided at a size above tau reads as
+    0. Otherwise it resumes the sweep at the next size, never at size
+    one, and deepens the entry in place.
 
     By construction the answers match tau_implied on restrict(formula, a):
     the surviving clauses are swept in the same canonical order with the
@@ -162,6 +183,15 @@ class ImplicationIndex:
             )
         self._n = n
         self._pos_of = {v: i for i, v in enumerate(formula.variables)}
+        # per clause: each literal with its variable's bit, and the bits of
+        # its positive and of its negative literals
+        clauses = []
+        for clause in formula.clauses:
+            lit_bits = tuple((lit, 1 << self._pos_of[abs(lit)]) for lit in clause)
+            pos = sum(bit for lit, bit in lit_bits if lit > 0)
+            neg = sum(bit for lit, bit in lit_bits if lit < 0)
+            clauses.append((clause, lit_bits, pos, neg))
+        self._clauses = clauses
         # masks for n variables; their low 2^f bits are the masks for f
         # variables, which is how a state's packed clause masks read them
         space = (1 << (1 << n)) - 1
@@ -174,6 +204,19 @@ class ImplicationIndex:
         self._state_bytes = 0
         self._result_cache: dict[tuple[int, int, int], int] = {}
 
+    def solution_bitmap(self) -> bytes:
+        """Bit s (byte s >> 3, bit s & 7) is set iff the total assignment
+        s, in the state's bit layout, satisfies the formula."""
+        n = self._n
+        solutions = (1 << (1 << n)) - 1
+        for clause in self.formula.clauses:
+            satisfying = 0
+            for lit in clause:
+                j = self._pos_of[abs(lit)]
+                satisfying |= self._true_masks[j] if lit > 0 else self._false_masks[j]
+            solutions &= satisfying
+        return solutions.to_bytes(((1 << n) + 7) >> 3, "little")
+
     def _survivors(
         self, amask: int, avals: int
     ) -> tuple[list[int], list[int], list[Clause]]:
@@ -184,36 +227,34 @@ class ImplicationIndex:
         cached = self._state_cache.get(key)
         if cached is not None:
             return cached
-        pos_of = self._pos_of
-        residual: set[Clause] = set()
-        for clause in self.formula.clauses:
-            satisfied = False
-            rest: list[int] = []
-            for lit in clause:
-                j = pos_of[abs(lit)]
-                if (amask >> j) & 1:
-                    if ((avals >> j) & 1) == (lit > 0):
-                        satisfied = True
-                        break
-                else:
-                    rest.append(lit)
-            if not satisfied:
-                residual.add(tuple(rest))
+        falses = amask ^ avals
+        residual: dict[Clause, int] = {}  # residual clause -> its variables' bits
+        for clause, lit_bits, pos, neg in self._clauses:
+            if pos & avals or neg & falses:
+                continue  # satisfied
+            vbits = pos | neg
+            if vbits & amask:
+                clause = tuple([lit for lit, bit in lit_bits if not bit & amask])
+            residual[clause] = vbits & ~amask
         ordered = sorted(residual)
         width = 1 << (self._n - amask.bit_count())
         space = (1 << width) - 1
+        # each literal over a free variable: the assignments falsifying it,
+        # read at the variable's packed position
+        falsifier: dict[int, int] = {}
+        packed = 0
+        for var, j in self._pos_of.items():
+            if not (amask >> j) & 1:
+                falsifier[var] = self._false_masks[packed]
+                falsifier[-var] = self._true_masks[packed]
+                packed += 1
         sat_masks = []
-        var_masks = []
         for clause in ordered:
             falsify = space  # the empty clause keeps it all and admits nothing
-            vars_mask = 0
             for lit in clause:
-                j = pos_of[abs(lit)]
-                vars_mask |= 1 << j
-                c = j - (amask & ((1 << j) - 1)).bit_count()  # packed position
-                falsify &= self._false_masks[c] if lit > 0 else self._true_masks[c]
-            sat_masks.append(space & ~falsify)
-            var_masks.append(vars_mask)
+                falsify &= falsifier[lit]
+            sat_masks.append(space ^ falsify)
+        var_masks = [residual[clause] for clause in ordered]
         cached = (sat_masks, var_masks, ordered)
         # a state costs about 256 bytes of objects, and each residual
         # clause its mask plus about 128 more
@@ -227,50 +268,63 @@ class ImplicationIndex:
 
     def implied_literal(self, amask: int, avals: int, var: int) -> int:
         """The implied literal over var under the given restriction state,
-        or 0. Memoized; var must be unassigned in the state."""
+        searching subsets of up to self.tau clauses, or 0. Memoized; var
+        must be unassigned in the state."""
         xpos = self._pos_of[var]
         key = (amask, avals, xpos)
-        hit = self._result_cache.get(key)
-        if hit is not None:
-            return hit
-        result = self._sweep(amask, avals, var, xpos)
-        if len(self._result_cache) >= self.RESULT_CACHE_LIMIT:
-            self._result_cache.clear()
-        self._result_cache[key] = result
-        return result
+        memo = self._result_cache
+        entry = memo.get(key)
+        tau = self.tau
+        if entry is None:
+            entry = self._sweep(amask, avals, var, xpos, 1, tau)
+            if len(memo) >= self.RESULT_CACHE_LIMIT:
+                memo.clear()
+            memo[key] = entry
+        elif entry and not entry & 3 and entry >> 2 < tau:
+            # nothing up to a smaller size: search on from the next one
+            entry = memo[key] = self._sweep(amask, avals, var, xpos, (entry >> 2) + 1, tau)
+        if entry & 3 and entry >> 2 <= tau:
+            return var if entry & 1 else -var  # polarity _POSITIVE
+        return 0
 
-    def _sweep(self, amask: int, avals: int, var: int, xpos: int) -> int:
+    def _sweep(self, amask: int, avals: int, var: int, xpos: int, lo: int, tau: int) -> int:
+        """The memo entry for var at this state after searching the subsets
+        of lo..tau clauses, given that no smaller subset decides var."""
         pm, rv, residual = self._survivors(amask, avals)
         m = len(pm)
         xbit = 1 << xpos
         packed = xpos - (amask & (xbit - 1)).bit_count()
         xtrue = self._true_masks[packed]
         xfalse = self._false_masks[packed]
-        tau = self.tau
         # size 1: only a unit clause over x (or shorter) can decide it
-        for a in range(m):
-            ma = pm[a]
-            if ma == 0:
-                continue  # the empty clause has no variables to decide
-            if ma & xfalse == 0:
-                return var
-            if ma & xtrue == 0:
-                return -var
-        if tau >= 2:
+        if lo == 1:
+            for a in range(m):
+                ma = pm[a]
+                if ma == 0:
+                    continue  # the empty clause has no variables to decide
+                if ma & xfalse == 0:
+                    return 1 << 2 | _POSITIVE
+                if ma & xtrue == 0:
+                    return 1 << 2 | _NEGATIVE
+        if lo <= 2 <= tau:
             for a in range(m - 1):
                 pa, ra = pm[a], rv[a]
                 for b in range(a + 1, m):
                     mab = pa & pm[b]
                     if mab == 0:
                         if (ra | rv[b]) & xbit:
-                            return var
+                            return 2 << 2 | _POSITIVE
                     elif mab & xfalse == 0:
-                        return var
+                        return 2 << 2 | _POSITIVE
                     elif mab & xtrue == 0:
-                        return -var
-        if tau < 3 or m < 3:
-            return 0
-        return self._deep_sweep(pm, rv, residual, var, xbit, xtrue, xfalse)
+                        return 2 << 2 | _NEGATIVE
+        if tau >= 3 and m >= 3:
+            hit = self._deep_sweep(
+                pm, rv, residual, var, xbit, xtrue, xfalse, max(lo, 3), min(tau, m)
+            )
+            if hit:
+                return hit
+        return 0 if tau >= m else tau << 2
 
     def _deep_sweep(
         self,
@@ -281,9 +335,12 @@ class ImplicationIndex:
         xbit: int,
         xtrue: int,
         xfalse: int,
+        lo: int,
+        hi: int,
     ) -> int:
-        """Subsets of 3..tau clauses, depth first in canonical order, with
-        every branch cut that the union bound proves holds no hit.
+        """Subsets of lo..hi clauses (3 <= lo), depth first in canonical
+        order, with every branch cut that the union bound proves holds no
+        hit. Returns the memo entry of the first hit, or 0.
 
         Clause i weighs w0[i] on the x=0 side and w1[i] on the x=1 side:
         2^(K - width once x is fixed), or 0 where fixing x satisfies it,
@@ -297,7 +354,6 @@ class ImplicationIndex:
         maximum after it stays below 2^K on both sides.
         """
         m = len(pm)
-        tau = self.tau
         top = 1 << max(map(len, residual))
         w0: list[int] = []
         w1: list[int] = []
@@ -347,8 +403,8 @@ class ImplicationIndex:
                     return hit
             return 0
 
-        for size in range(3, min(tau, m) + 1):
+        for size in range(lo, hi + 1):
             hit = dive(0, size, -1, 0, 0, 0)
             if hit:
-                return hit
+                return size << 2 | (_POSITIVE if hit > 0 else _NEGATIVE)
         return 0

@@ -198,8 +198,8 @@ def test_slice_mode_agrees_with_sequential():
         assert replace(whole, mode="sequential", metadata=sequential.metadata) == sequential
 
 
-@pytest.mark.parametrize("tau, engines", [(None, 2), (3, 1)])
-def test_restrictions_share_one_engine_per_tau(monkeypatch, tau, engines):
+@pytest.mark.parametrize("tau", [None, 3])
+def test_restrictions_share_one_engine(monkeypatch, tau):
     calls = {"restrict": 0, "index": 0}
 
     def counted(name, fn):
@@ -216,8 +216,9 @@ def test_restrictions_share_one_engine_per_tau(monkeypatch, tau, engines):
     formula = uniform_kcnf(random.Random(1), 6, 40, 3)
     result = solve_general(formula, ImplicationConfig(tau))
     assert not result.satisfiable and result.restrictions_tried == 3**6
-    # default tau over 6..0 free variables takes the values 2 and 1
-    assert calls == {"restrict": 0, "index": engines}
+    # default tau over 6..0 free variables takes the values 2 and 1, and
+    # both are lookup depths of the one index
+    assert calls == {"restrict": 0, "index": 1}
 
 
 def test_shared_memos_stay_within_their_limits(monkeypatch):

@@ -251,3 +251,49 @@ def test_vacuous_hit_from_an_unsatisfiable_core_without_x():
     # size 4: the triple (2, 3), (-2), (-3) plus the only x-clause
     formula = F((-1, 4), (2, 3), (-2,), (-3,))
     assert _first_hits(formula, 1, (3, 4)) == [(0, 0), (1, 1)]
+
+
+@pytest.mark.parametrize("limit", [None, 8])
+def test_one_index_answers_every_depth(monkeypatch, limit):
+    # one index visited at changing depths must answer like a fresh index
+    # built at each depth, and like the reference on the restriction
+    if limit is not None:
+        monkeypatch.setattr(ImplicationIndex, "RESULT_CACHE_LIMIT", limit)
+    rng = random.Random(53)
+    sequences = ((2, 4, 3), (1, 3, 2, 4), (4, 1))
+    resumed_hits = resumed_misses = short_residuals = 0
+    for n, k in ((6, 3), (7, 4), (8, 3), (9, 4)):
+        for taus in sequences:
+            formula = uniform_kcnf(rng, n, 4 * n if k == 3 else 6 * n, k)
+            shared = ImplicationIndex(formula)
+            fresh = {tau: ImplicationIndex(formula, cfg(tau)) for tau in taus}
+            lows = []
+            sweep = shared._sweep
+
+            def recorded(amask, avals, var, xpos, lo, tau):
+                lows.append(lo)
+                return sweep(amask, avals, var, xpos, lo, tau)
+
+            shared._sweep = recorded
+            for assigned in [rng.randrange(n - 1) for _ in range(5)] + [n - 2, n - 1]:
+                amask, avals, literals = _restriction_state(formula, rng, assigned)
+                residual = restrict(formula, literals)
+                for tau in taus:
+                    shared.tau = tau
+                    short_residuals += len(residual.clauses) < tau
+                    for var in residual.variables:
+                        swept, held = len(lows), len(shared._result_cache)
+                        got = shared.implied_literal(amask, avals, var)
+                        want = fresh[tau].implied_literal(amask, avals, var)
+                        assert got == want, (literals, var, tau)
+                        # the reference solves every subset: small residuals only
+                        if n <= 7 and len(residual.clauses) <= 16:
+                            assert got == (tau_implied(residual, var, cfg(tau)) or 0)
+                        if len(lows) > swept and lows[-1] > 1:
+                            # a resume deepens its entry in place: no new
+                            # entry, and no clear at the limit
+                            assert len(shared._result_cache) == held
+                            resumed_hits += got != 0
+                            resumed_misses += got == 0
+    # resumes end both ways, and some residuals hold fewer clauses than tau
+    assert resumed_hits > 0 and resumed_misses > 0 and short_residuals > 0
