@@ -166,6 +166,10 @@ class _Search:
         self.cfg = cfg or ImplicationConfig()
         self.independence = independence
         self.engine = PpszEngine(formula, self.cfg)
+        # the permutation set of the last free-variable set: the 2^i
+        # polarity patterns of one variable subset come one after another
+        self.free: set[int] | None = None
+        self.perms = None
         self.tried = 0
         self.skipped = 0
         self.calls = 0
@@ -184,8 +188,10 @@ class _Search:
             return None
         engine.index.tau = self.cfg.resolve_tau(formula.n - len(literals))
         free = set(formula.variables).difference(map(abs, literals))
-        perms = construct_sigma(free, self.independence) if free else None
-        result = dppsz(formula, perms, max_modify_calls=cutoff, engine=engine, start=start)
+        if free != self.free:
+            self.free = free
+            self.perms = construct_sigma(free, self.independence) if free else None
+        result = dppsz(formula, self.perms, max_modify_calls=cutoff, engine=engine, start=start)
         self.calls += 1
         self.modify += result.modify_calls
         if result.cutoff_hit:

@@ -10,8 +10,10 @@ The candidate order is pinned so every caller is deterministic: subset sizes
 ascending, and within one size the index combinations over the formula's
 canonical clause order, lexicographically. The first implying subset wins.
 
-The index below skips, for subsets of three clauses or more, every subset
-the union bound proves cannot decide x. A subset J decides x only if J with
+The index below decides subsets of one and two clauses from the clauses'
+literals alone: a unit clause, or one resolution step (class docstring).
+For subsets of three clauses or more it skips every subset the union
+bound proves cannot decide x. A subset J decides x only if J with
 x=0 or J with x=1 is unsatisfiable; that covers both J implying a literal
 over x and the vacuous case. A CNF whose clauses' 2^-width sum to less than
 one is satisfiable, since a uniformly random assignment falsifies each
@@ -132,16 +134,67 @@ _POSITIVE = 1
 _NEGATIVE = 2
 
 
+class _State:
+    """One restriction state of an ImplicationIndex: its residual clauses
+    with the bits of each one's free variables, the bits of every variable
+    they mention, the literals of its unit clauses, its two-literal
+    clauses, and whether it falsifies a clause. The clause lists are in
+    the formula's order until _clause_masks builds the masks and puts them
+    in canonical order."""
+
+    __slots__ = ("residual", "var_masks", "reach", "units", "binaries", "dead", "masks", "bytes")
+
+    def __init__(self, residual: dict[Clause, int], reach: int):
+        self.residual = list(residual)
+        self.var_masks = list(residual.values())
+        self.reach = reach
+        units: list[int] = []
+        binaries: list[Clause] = []
+        for clause in residual:
+            if len(clause) < 3:
+                if len(clause) == 2:
+                    binaries.append(clause)
+                elif clause:
+                    units.append(clause[0])
+        self.units = tuple(units)
+        self.binaries = tuple(binaries)
+        self.dead = () in residual
+        self.masks: list[int] | None = None
+        self.bytes = 0  # charged to the state memo
+
+
+def _pair_hit(binaries: tuple[Clause, ...], units: tuple[int, ...], var: int) -> int:
+    """The polarity of the first pair of clauses, in canonical order, that
+    decides var, or 0; for a state with no empty clause and no unit over
+    var. Such a pair is a binary (L, l) with L over var and a partner left
+    as the unit (-l) once L is removed: the unit (-l) itself or the binary
+    (L, -l). Canonical order sorts clauses as tuples, so the first pair is
+    the smallest (first clause, second clause)."""
+    anchors: dict[tuple[int, int], Clause] = {}  # (L, l) -> its clause
+    for clause in binaries:
+        a, b = clause
+        if a == var or a == -var:
+            anchors[a, b] = clause
+        elif b == var or b == -var:
+            anchors[b, a] = clause
+    best = None
+    polarity = 0
+    for (lit, other), clause in anchors.items():
+        for partner in ((-other,) if -other in units else None, anchors.get((lit, -other))):
+            if partner is not None:
+                pair = (clause, partner) if clause < partner else (partner, clause)
+                if best is None or pair < best:
+                    best = pair
+                    polarity = _POSITIVE if lit > 0 else _NEGATIVE
+    return polarity
+
+
 class ImplicationIndex:
     """Fast tau-implication over all restrictions of one fixed formula.
 
     A restriction state is a pair of bitmasks over variable positions:
-    which variables are assigned, and to what. At each state every
-    residual clause becomes the set of assignments to the f free variables
-    that satisfy it (one integer with 2^f bits, the free positions packed
-    in order), so "solutions of a sub-CNF under the state" is a chain of
-    integer ANDs whose width shrinks as the state grows. Clause masks are
-    memoized per state, and each memo is emptied whenever it reaches its
+    which variables are assigned, and to what. Each state's residual
+    clauses are memoized, and each memo is emptied whenever it reaches its
     limit, so memory stays bounded however many restrictions share the
     index.
 
@@ -161,9 +214,31 @@ class ImplicationIndex:
     the surviving clauses are swept in the same canonical order with the
     same first-hit rule. Tests hold the two implementations together.
 
-    Sizes 1 and 2 are plain loops. Sizes 3..tau share one depth-first
-    kernel that cuts a branch as soon as the union bound shows both x=0
-    and x=1 stay satisfiable under every completion of it (module
+    Sizes 1 and 2 are decided by clause shape; only the clauses of at
+    most two literals matter:
+    - Size 1: the first unit clause over x decides x.
+    - A dead state, one whose residual holds the empty clause (), has
+      (), b as its first deciding pair, with b the first clause that
+      mentions x. So after a miss at size 1, x is positive at size 2 if
+      some clause mentions x, and no subset of any size decides it if
+      none does.
+    - A live state with no unit over x: a pair decides the literal L over
+      x iff both clauses have at most two literals, neither contains -L,
+      at least one contains L, and removing L leaves complementary units
+      (l) and (-l). The pair decides L iff it is unsatisfiable with L
+      false, and two nonempty clauses are unsatisfiable only as clashing
+      units; every other shape needs a unit over x or leaves x outside
+      the pair. One pair cannot decide both literals, since it would then
+      be unsatisfiable itself, so the first deciding pair over both
+      polarities is the hit.
+    Sizes 3..tau share one depth-first kernel over clause masks: at each
+    state every residual clause becomes the set of assignments to the f
+    free variables that satisfy it (one integer with 2^f bits, the free
+    positions packed in order), so "solutions of a sub-CNF under the
+    state" is a chain of integer ANDs whose width shrinks as the state
+    grows. A state's masks are built on its first size-3 sweep and kept
+    with it. The kernel cuts a branch as soon as the union bound shows
+    both x=0 and x=1 stay satisfiable under every completion of it (module
     docstring). The cut drops only subsets that decide nothing, so the
     first hit in canonical order is the same one the full sweep finds.
     """
@@ -198,9 +273,7 @@ class ImplicationIndex:
         true_masks = _polarity_masks(n)
         self._true_masks = true_masks
         self._false_masks = [space & ~m for m in true_masks]
-        self._state_cache: dict[
-            tuple[int, int], tuple[list[int], list[int], list[Clause]]
-        ] = {}
+        self._state_cache: dict[tuple[int, int], _State] = {}
         self._state_bytes = 0
         self._result_cache: dict[tuple[int, int, int], int] = {}
 
@@ -217,26 +290,37 @@ class ImplicationIndex:
             solutions &= satisfying
         return solutions.to_bytes(((1 << n) + 7) >> 3, "little")
 
-    def _survivors(
-        self, amask: int, avals: int
-    ) -> tuple[list[int], list[int], list[Clause]]:
-        """Clause masks over the free variables, variable bitmasks and
-        residual literal tuples for the restriction at this state, ordered
-        and deduplicated exactly as restrict() orders the residual clauses."""
+    def _survivors(self, amask: int, avals: int) -> _State:
+        """The restriction's residual clauses at this state, deduplicated
+        as restrict() does, with what the size-1 and size-2 tests read."""
         key = (amask, avals)
-        cached = self._state_cache.get(key)
-        if cached is not None:
-            return cached
+        state = self._state_cache.get(key)
+        if state is not None:
+            return state
         falses = amask ^ avals
         residual: dict[Clause, int] = {}  # residual clause -> its variables' bits
+        reach = 0
         for clause, lit_bits, pos, neg in self._clauses:
             if pos & avals or neg & falses:
                 continue  # satisfied
             vbits = pos | neg
             if vbits & amask:
                 clause = tuple([lit for lit, bit in lit_bits if not bit & amask])
-            residual[clause] = vbits & ~amask
-        ordered = sorted(residual)
+                vbits &= ~amask
+            residual[clause] = vbits
+            reach |= vbits
+        state = _State(residual, reach)
+        # a state costs about 256 bytes of objects, and each residual
+        # clause about 128 more
+        self._charge(key, state, 256 + len(residual) * 128)
+        return state
+
+    def _clause_masks(self, amask: int, avals: int, state: _State) -> list[int]:
+        """Each residual clause's satisfying assignments over the state's f
+        free variables (an integer of 2^f bits, the free positions packed
+        in order), built on the first size >= 3 sweep at the state. The
+        state's clause lists are put in restrict()'s canonical order, which
+        the masks follow."""
         width = 1 << (self._n - amask.bit_count())
         space = (1 << width) - 1
         # each literal over a free variable: the assignments falsifying it,
@@ -248,23 +332,28 @@ class ImplicationIndex:
                 falsifier[var] = self._false_masks[packed]
                 falsifier[-var] = self._true_masks[packed]
                 packed += 1
-        sat_masks = []
-        for clause in ordered:
+        ordered = sorted(zip(state.residual, state.var_masks))
+        state.residual = [clause for clause, _ in ordered]
+        state.var_masks = [vbits for _, vbits in ordered]
+        masks = []
+        for clause in state.residual:
             falsify = space  # the empty clause keeps it all and admits nothing
             for lit in clause:
                 falsify &= falsifier[lit]
-            sat_masks.append(space ^ falsify)
-        var_masks = [residual[clause] for clause in ordered]
-        cached = (sat_masks, var_masks, ordered)
-        # a state costs about 256 bytes of objects, and each residual
-        # clause its mask plus about 128 more
-        cost = 256 + len(ordered) * (128 + width // 8)
+            masks.append(space ^ falsify)
+        state.masks = masks
+        self._charge((amask, avals), state, len(masks) * (width // 8))
+        return masks
+
+    def _charge(self, key: tuple[int, int], state: _State, cost: int) -> None:
+        """Count cost toward the state memo, emptying it when it passes
+        its budget, and keep state in it."""
+        state.bytes += cost
         self._state_bytes += cost
         if self._state_bytes > self.STATE_CACHE_BYTES:
             self._state_cache.clear()
-            self._state_bytes = cost
-        self._state_cache[key] = cached
-        return cached
+            self._state_bytes = state.bytes
+        self._state_cache[key] = state
 
     def implied_literal(self, amask: int, avals: int, var: int) -> int:
         """The implied literal over var under the given restriction state,
@@ -289,41 +378,44 @@ class ImplicationIndex:
 
     def _sweep(self, amask: int, avals: int, var: int, xpos: int, lo: int, tau: int) -> int:
         """The memo entry for var at this state after searching the subsets
-        of lo..tau clauses, given that no smaller subset decides var."""
-        pm, rv, residual = self._survivors(amask, avals)
-        m = len(pm)
-        xbit = 1 << xpos
-        packed = xpos - (amask & (xbit - 1)).bit_count()
-        xtrue = self._true_masks[packed]
-        xfalse = self._false_masks[packed]
-        # size 1: only a unit clause over x (or shorter) can decide it
+        of lo..tau clauses, given that no smaller subset decides var.
+
+        Sizes 1 and 2 are read off the unit and two-literal clauses (class
+        docstring); only sizes 3 and up sweep clause masks."""
+        state = self._survivors(amask, avals)
+        m = len(state.residual)
         if lo == 1:
-            for a in range(m):
-                ma = pm[a]
-                if ma == 0:
-                    continue  # the empty clause has no variables to decide
-                if ma & xfalse == 0:
-                    return 1 << 2 | _POSITIVE
-                if ma & xtrue == 0:
-                    return 1 << 2 | _NEGATIVE
-        if lo <= 2 <= tau:
-            for a in range(m - 1):
-                pa, ra = pm[a], rv[a]
-                for b in range(a + 1, m):
-                    mab = pa & pm[b]
-                    if mab == 0:
-                        if (ra | rv[b]) & xbit:
-                            return 2 << 2 | _POSITIVE
-                    elif mab & xfalse == 0:
-                        return 2 << 2 | _POSITIVE
-                    elif mab & xtrue == 0:
-                        return 2 << 2 | _NEGATIVE
-        if tau >= 3 and m >= 3:
-            hit = self._deep_sweep(
-                pm, rv, residual, var, xbit, xtrue, xfalse, max(lo, 3), min(tau, m)
-            )
-            if hit:
-                return hit
+            # the first unit over var decides it; (-var,) sorts first
+            if -var in state.units:
+                return 1 << 2 | _NEGATIVE
+            if var in state.units:
+                return 1 << 2 | _POSITIVE
+        xbit = 1 << xpos
+        if state.reach & xbit:  # otherwise no subset mentions var
+            if lo <= 2 <= tau:
+                if state.dead:
+                    return 2 << 2 | _POSITIVE  # () and the first clause over var
+                hit = _pair_hit(state.binaries, state.units, var)
+                if hit:
+                    return 2 << 2 | hit
+            if tau >= 3 and m >= 3:
+                pm = state.masks
+                if pm is None:
+                    pm = self._clause_masks(amask, avals, state)
+                packed = xpos - (amask & (xbit - 1)).bit_count()
+                hit = self._deep_sweep(
+                    pm,
+                    state.var_masks,
+                    state.residual,
+                    var,
+                    xbit,
+                    self._true_masks[packed],
+                    self._false_masks[packed],
+                    max(lo, 3),
+                    min(tau, m),
+                )
+                if hit:
+                    return hit
         return 0 if tau >= m else tau << 2
 
     def _deep_sweep(

@@ -13,7 +13,7 @@ members instead of n! so it can be enumerated outright.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Iterable, Iterator, Sequence
 
 from .implication import default_tau
@@ -106,12 +106,10 @@ def _first_copies(orders: Iterable[tuple[int, ...]]) -> dict[int, tuple[int, ...
 def distinct_orders(perms) -> tuple[int, dict[int, tuple[int, ...]]]:
     """The number of orders in perms, and each distinct order once, keyed
     by the index of its first copy, in index order. perms is a
-    PermutationSet or any iterable of orders; a set's table is cached per
-    (n, K)."""
+    PermutationSet or any iterable of orders; a set keeps its own table,
+    read off one shared per (n, K)."""
     if isinstance(perms, PermutationSet):
-        variables = perms.variables
-        table = _distinct_rank_orders(len(variables), perms.independence)
-        return len(perms), {first: tuple(variables[r] for r in ranks) for first, ranks in table}
+        return len(perms), perms.distinct
     orders = [tuple(order) for order in perms]
     return len(orders), _first_copies(orders)
 
@@ -152,6 +150,14 @@ class PermutationSet:
     def __iter__(self) -> Iterator[tuple[int, ...]]:
         for member in range(len(self)):
             yield self.permutation(member)
+
+    @cached_property
+    def distinct(self) -> dict[int, tuple[int, ...]]:
+        """Each distinct order once, keyed by its first member, in member
+        order; built on first use and kept with the set. Read only."""
+        table = _distinct_rank_orders(len(self.variables), self.family.degree)
+        at = self.variables.__getitem__
+        return {first: tuple(map(at, ranks)) for first, ranks in table}
 
     def materialized(self) -> tuple[tuple[int, ...], ...]:
         """The full tuple of permutations, for hot loops."""

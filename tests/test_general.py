@@ -259,6 +259,34 @@ def test_shared_memos_stay_within_their_limits(monkeypatch):
     assert peaks[1]["result"] == 32
 
 
+@pytest.mark.parametrize("tau", [2, 3])
+def test_clause_masks_are_built_only_for_size_three_sweeps(monkeypatch, tau):
+    built, swept = [], []
+    clause_masks = ImplicationIndex._clause_masks
+    deep_sweep = ImplicationIndex._deep_sweep
+
+    def counted_masks(self, amask, avals, state):
+        masks = clause_masks(self, amask, avals, state)
+        built.append(((amask, avals), masks))
+        return masks
+
+    def counted_sweep(self, pm, *args):
+        swept.append(pm)
+        return deep_sweep(self, pm, *args)
+
+    monkeypatch.setattr(ImplicationIndex, "_clause_masks", counted_masks)
+    monkeypatch.setattr(ImplicationIndex, "_deep_sweep", counted_sweep)
+    formula = uniform_kcnf(random.Random(1), 6, 40, 3)
+    assert not solve_general(formula, ImplicationConfig(tau)).satisfiable
+    if tau == 2:
+        assert built == [] and swept == []
+        return
+    # each state's masks are built once, right before its first deep sweep
+    assert 0 < len(built) < len(swept)
+    assert len({key for key, _ in built}) == len(built)
+    assert all(any(pm is masks for pm in swept) for _, masks in built)
+
+
 def test_slice_budget_must_be_positive():
     with pytest.raises(ValueError):
         solve_general(F((1, 2)), slice_budget=0)

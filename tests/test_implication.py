@@ -297,3 +297,82 @@ def test_one_index_answers_every_depth(monkeypatch, limit):
                             resumed_misses += got == 0
     # resumes end both ways, and some residuals hold fewer clauses than tau
     assert resumed_hits > 0 and resumed_misses > 0 and short_residuals > 0
+
+
+def _mixed_width_formula(rng, n, m, empty):
+    """m random clauses of width 1 to 3 over variables 1..n, plus the empty
+    clause when asked."""
+    clauses = [() for _ in range(empty)]
+    for _ in range(m):
+        width = min(n, rng.choice((1, 2, 2, 3, 3, 3)))
+        clauses.append(tuple(v * rng.choice((1, -1)) for v in rng.sample(range(1, n + 1), width)))
+    return F(*clauses, variables=range(1, n + 1))
+
+
+def test_shape_rules_match_the_reference_on_mixed_widths():
+    # sizes 1 and 2 are read off the clause shapes; one index visited at
+    # changing depths must still answer like tau_implied on the restriction
+    rng = random.Random(59)
+    sequences = ((2, 4, 1, 3), (1, 3, 2), (4, 2))
+    seen = dict.fromkeys(("unit", "pair", "dead pair", "dead none", "deep"), 0)
+    for case in range(36):
+        n = 2 + case % 6
+        formula = _mixed_width_formula(rng, n, rng.randrange(n, 2 * n + 2), case % 5 == 0)
+        index = ImplicationIndex(formula)
+        for _ in range(3):
+            amask, avals, literals = _restriction_state(formula, rng, rng.randrange(n))
+            residual = restrict(formula, literals)
+            dead = () in residual.clauses
+            for tau in rng.choice(sequences):
+                index.tau = tau
+                for var in residual.variables:
+                    want = tau_implied(residual, var, cfg(tau)) or 0
+                    assert index.implied_literal(amask, avals, var) == want, (literals, var, tau)
+                    if want:
+                        size = next(s for s in (1, 2, 3, 4) if tau_implied(residual, var, cfg(s)))
+                        kind = ("unit", "dead pair" if dead else "pair", "deep", "deep")[size - 1]
+                        seen[kind] += 1
+                    elif dead and tau >= 2:
+                        seen["dead none"] += 1
+    # every rule is reached: units, live and dead pairs, a dead state with
+    # nothing over the variable, and the size >= 3 kernel
+    assert all(seen.values()), seen
+
+
+def test_shape_rules_match_the_reference_at_larger_n():
+    rng = random.Random(61)
+    hits = 0
+    for n in (12, 13, 14):
+        formula = uniform_kcnf(rng, n, 3 * n, 3)
+        index = ImplicationIndex(formula)
+        for tau in (2, 1):
+            amask, avals, literals = _restriction_state(formula, rng, n // 2)
+            residual = restrict(formula, literals)
+            index.tau = tau
+            for var in residual.variables:
+                want = tau_implied(residual, var, cfg(tau)) or 0
+                assert index.implied_literal(amask, avals, var) == want, (literals, var, tau)
+                hits += want != 0
+    assert hits > 0
+
+
+def test_lex_first_pair_sets_the_sign_when_both_are_implied():
+    # (-1, -2), (-1, 2) imply -1 and (1, -3), (1, 3) imply 1; the first
+    # pair in canonical order wins
+    formula = F((-1, -2), (-1, 2), (1, -3), (1, 3))
+    assert _first_hits(formula, 1, (1, 2)) == [(0, 0), (-1, -1)]
+
+
+def test_a_later_unit_beats_an_earlier_pair():
+    formula = F((-3, -4), (-3, 4), (3,))
+    assert formula.clauses[-1] == (3,)
+    assert _first_hits(formula, 3, (1, 2)) == [(3, 3), (3, 3)]
+
+
+def test_a_dead_state_decides_only_the_variables_its_clauses_mention():
+    # () with any clause over x is unsatisfiable and mentions x; variable 5
+    # is in no clause, so no subset of any size decides it
+    formula = F((), (2, 3), (1, 4), variables=range(1, 6))
+    for x in (1, 2):
+        assert _first_hits(formula, x, (1, 2, 4)) == [(0, 0), (x, x), (x, x)]
+    assert _first_hits(formula, 5, (1, 2, 3, 4)) == [(0, 0)] * 4
