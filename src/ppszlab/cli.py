@@ -17,6 +17,7 @@ import json
 import random
 import sys
 import time
+from functools import lru_cache
 
 from .analysis import (
     AnalysisConfig,
@@ -493,8 +494,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@lru_cache(maxsize=1)
+def _parser() -> argparse.ArgumentParser:
+    """The parser, built on the first call and reused by every later one;
+    help text is still formatted, at the terminal's width, when printed."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
+    parser = _parser()
     args = parser.parse_args(argv)
     if args.command == "gen" and args.kind != "unique" and args.m is None:
         parser.error("gen needs --m for this kind")

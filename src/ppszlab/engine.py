@@ -21,6 +21,14 @@ guessed step one child per bit value, and a leaf reached after `used`
 guesses stands for the 2^(n - used) vectors that share its prefix. One
 depth-first pass over that tree counts the successful vectors, and each
 distinct order is walked once, weighted by how often the family lists it.
+
+A guess-tree search visits only the branches that some solution extends.
+A node's live set, the solutions that extend its state, is the only place
+a successful leaf can come from. A forced step never shrinks it, since the
+implication rule is sound on a satisfiable residual, so it changes only at
+guesses: a guess branches on a value only if some live solution takes it.
+The walk itself (`modify`, `replay`, the randomized trial) is not pruned,
+because it reports the profile of a failed walk too.
 """
 
 from __future__ import annotations
@@ -69,6 +77,12 @@ class PpszEngine:
         self.cfg = cfg or ImplicationConfig()
         self.index = ImplicationIndex(formula, self.cfg)
         self._bit = {v: 1 << i for i, v in enumerate(formula.variables)}
+        # per variable, the total assignments setting it to 1 and to 0: a
+        # guess splits a live set with them
+        self._halves = {
+            v: (self.index._true_masks[i], self.index._false_masks[i])
+            for i, v in enumerate(formula.variables)
+        }
         self._full = (1 << formula.n) - 1
         self._clause_masks = [(pos, neg) for _, _, pos, neg in self.index._clauses]
         self._solutions = self.index.solution_bitmap()
@@ -136,16 +150,30 @@ class PpszEngine:
         guesses adds 2^(n - used). The pending branches live on an explicit
         stack; a self-recursive closure would form a reference cycle that
         keeps the index and its memo alive until the cyclic collector runs.
+
+        Only branches that some solution extends are visited (module
+        docstring); a dead branch holds no successful leaf, so the count
+        is the full tree's. The live set is carried along the current path
+        only, and a popped branch recomputes its own. An order that
+        revisits a variable can turn a 0 into a 1 and revive a dead
+        branch, so such an order walks every branch.
         """
         implied = self.index.implied_literal
         bit_of = self._bit
         full = self._full
         n = self.formula.n
         steps = len(sigma)
+        if len(set(sigma)) == steps:
+            live_of, halves = self.index.live, self._halves
+        else:
+            live_of, halves = _everything_live, dict.fromkeys(sigma, (-1, -1))
         successes = 0
         stack = [(0, 0, 0, 0)]  # (position in sigma, amask, avals, bits used)
         while stack:
             start, amask, avals, used = stack.pop()
+            live = live_of(amask, avals)  # empty only at an unsatisfiable root
+            if not live:
+                continue
             for position in range(start, steps):
                 var = sigma[position]
                 bit = bit_of[var]
@@ -158,7 +186,12 @@ class PpszEngine:
                     break  # out of bits: `_walk` reports exhaustion
                 else:
                     used += 1
-                    stack.append((position + 1, amask, avals | bit, used))
+                    ones, zeros = halves[var]
+                    if live & ones:
+                        stack.append((position + 1, amask, avals | bit, used))
+                    live &= zeros
+                    if not live:
+                        break  # no solution sets var to 0 here
             else:
                 if amask == full and self._satisfies(avals):
                     successes += 1 << (n - used)
@@ -193,6 +226,11 @@ class PpszEngine:
         if avals is None:
             raise ValueError("replay reference is not a solution of the formula")
         return profile
+
+
+def _everything_live(amask: int, avals: int) -> int:
+    """A live set that no split empties, for walks that must not prune."""
+    return -1
 
 
 def _as_value_map(literals: Iterable[int]) -> dict[int, bool]:

@@ -19,6 +19,15 @@ over x and the vacuous case. A CNF whose clauses' 2^-width sum to less than
 one is satisfiable, since a uniformly random assignment falsifies each
 clause with probability 2^-width. Only non-deciding subsets are skipped and
 the order is kept, so the first hit, and with it every answer, is unchanged.
+
+Every sweep is first screened by the state's live set: the formula's
+solutions that extend the state. On a satisfiable residual the rule is
+sound, so every implied literal holds in every live solution. When the
+live solutions take both values of x, no subset of any size decides x.
+When they all take one value, that side of x is satisfiable under every
+subset, and the union bound tests the other side alone. A state with no
+live solution is swept in full, since its vacuous first hit must stay
+exact.
 """
 
 from __future__ import annotations
@@ -138,11 +147,14 @@ class _State:
     """One restriction state of an ImplicationIndex: its residual clauses
     with the bits of each one's free variables, the bits of every variable
     they mention, the literals of its unit clauses, its two-literal
-    clauses, and whether it falsifies a clause. The clause lists are in
+    clauses, whether it falsifies a clause, and once a sweep needs it the
+    live-set screen (ImplicationIndex._screen). The clause lists are in
     the formula's order until _clause_masks builds the masks and puts them
     in canonical order."""
 
-    __slots__ = ("residual", "var_masks", "reach", "units", "binaries", "dead", "masks", "bytes")
+    __slots__ = (
+        "residual", "var_masks", "reach", "units", "binaries", "dead", "masks", "screen", "bytes"
+    )
 
     def __init__(self, residual: dict[Clause, int], reach: int):
         self.residual = list(residual)
@@ -160,6 +172,7 @@ class _State:
         self.binaries = tuple(binaries)
         self.dead = () in residual
         self.masks: list[int] | None = None
+        self.screen: tuple[int, int] | None = None
         self.bytes = 0  # charged to the state memo
 
 
@@ -241,6 +254,12 @@ class ImplicationIndex:
     both x=0 and x=1 stay satisfiable under every completion of it (module
     docstring). The cut drops only subsets that decide nothing, so the
     first hit in canonical order is the same one the full sweep finds.
+
+    Before sizes 2 and up, a sweep reads the state's live set (`live`),
+    summed up once per state by `_screen`: if the live solutions take both
+    values of x the entry is 0, and if they take one value the kernel's
+    union bound counts the other side only (module docstring). States
+    with no live solution skip the screen.
     """
 
     VARIABLE_LIMIT = 20  # the clause masks hold up to 2^n bits
@@ -273,6 +292,15 @@ class ImplicationIndex:
         true_masks = _polarity_masks(n)
         self._true_masks = true_masks
         self._false_masks = [space & ~m for m in true_masks]
+        # the total assignments that satisfy every clause
+        solutions = space
+        for clause in formula.clauses:
+            satisfying = 0
+            for lit in clause:
+                j = self._pos_of[abs(lit)]
+                satisfying |= true_masks[j] if lit > 0 else self._false_masks[j]
+            solutions &= satisfying
+        self._solutions = solutions
         self._state_cache: dict[tuple[int, int], _State] = {}
         self._state_bytes = 0
         self._result_cache: dict[tuple[int, int, int], int] = {}
@@ -280,15 +308,22 @@ class ImplicationIndex:
     def solution_bitmap(self) -> bytes:
         """Bit s (byte s >> 3, bit s & 7) is set iff the total assignment
         s, in the state's bit layout, satisfies the formula."""
-        n = self._n
-        solutions = (1 << (1 << n)) - 1
-        for clause in self.formula.clauses:
-            satisfying = 0
-            for lit in clause:
-                j = self._pos_of[abs(lit)]
-                satisfying |= self._true_masks[j] if lit > 0 else self._false_masks[j]
-            solutions &= satisfying
-        return solutions.to_bytes(((1 << n) + 7) >> 3, "little")
+        return self._solutions.to_bytes(((1 << self._n) + 7) >> 3, "little")
+
+    def live(self, amask: int, avals: int) -> int:
+        """The state's live set: the formula's solutions that extend it, as
+        a mask over the 2^n total assignments in solution_bitmap's layout."""
+        live = self._solutions
+        true_masks = self._true_masks
+        false_masks = self._false_masks
+        j = 0
+        while amask and live:
+            if amask & 1:
+                live &= true_masks[j] if avals & 1 else false_masks[j]
+            amask >>= 1
+            avals >>= 1
+            j += 1
+        return live
 
     def _survivors(self, amask: int, avals: int) -> _State:
         """The restriction's residual clauses at this state, deduplicated
@@ -345,6 +380,26 @@ class ImplicationIndex:
         self._charge((amask, avals), state, len(masks) * (width // 8))
         return masks
 
+    def _screen(self, amask: int, avals: int, state: _State) -> tuple[int, int]:
+        """The bits of the variables the residual mentions that some live
+        solution sets to 1, and those that some live solution sets to 0;
+        both are 0 when no solution extends the state. Built on the
+        state's first screened sweep and kept with it."""
+        live = self.live(amask, avals)
+        ones = zeros = 0
+        reach = state.reach if live else 0
+        while reach:
+            xbit = reach & -reach
+            reach ^= xbit
+            some_true = live & self._true_masks[xbit.bit_length() - 1]
+            if some_true:
+                ones |= xbit
+            if some_true != live:
+                zeros |= xbit
+        state.screen = (ones, zeros)
+        self._charge((amask, avals), state, 64)
+        return state.screen
+
     def _charge(self, key: tuple[int, int], state: _State, cost: int) -> None:
         """Count cost toward the state memo, emptying it when it passes
         its budget, and keep state in it."""
@@ -391,7 +446,15 @@ class ImplicationIndex:
             if var in state.units:
                 return 1 << 2 | _POSITIVE
         xbit = 1 << xpos
-        if state.reach & xbit:  # otherwise no subset mentions var
+        # past size 1, and only when some subset mentions var
+        if tau >= 2 and state.reach & xbit:
+            sat0 = sat1 = False
+            if not state.dead:
+                ones, zeros = state.screen or self._screen(amask, avals, state)
+                sat0 = bool(zeros & xbit)  # a live solution sets var to 0
+                sat1 = bool(ones & xbit)
+                if sat0 and sat1:
+                    return 0  # no subset of any size decides var
             if lo <= 2 <= tau:
                 if state.dead:
                     return 2 << 2 | _POSITIVE  # () and the first clause over var
@@ -411,6 +474,8 @@ class ImplicationIndex:
                     xbit,
                     self._true_masks[packed],
                     self._false_masks[packed],
+                    sat0,
+                    sat1,
                     max(lo, 3),
                     min(tau, m),
                 )
@@ -427,6 +492,8 @@ class ImplicationIndex:
         xbit: int,
         xtrue: int,
         xfalse: int,
+        sat0: bool,
+        sat1: bool,
         lo: int,
         hi: int,
     ) -> int:
@@ -460,6 +527,10 @@ class ImplicationIndex:
                 w = top >> len(clause)
                 w0.append(w)
                 w1.append(w)
+        if sat0:
+            w0 = [0] * m
+        if sat1:
+            w1 = [0] * m
         s0 = [0] * (m + 1)
         s1 = [0] * (m + 1)
         for i in range(m - 1, -1, -1):

@@ -12,8 +12,10 @@ members instead of n! so it can be enumerated outright.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
+from itertools import product
 from typing import Iterable, Iterator, Sequence
 
 from .implication import default_tau
@@ -81,11 +83,20 @@ def _rank_permutations(n: int, independence: int) -> tuple[tuple[int, ...], ...]
         raise PermutationBudgetError(
             f"{len(family)} permutations of {n} variables exceed the materialization budget"
         )
+    # Members come in coefficient order, the constant term c fastest, so
+    # the p members sharing the higher terms are consecutive. Those terms
+    # place rank r at t(r); the member adds c, which rotates the stable
+    # order by t: ranks with t(r) >= p - c wrap around to the front.
+    prime = family.prime
+    powers = [[pow(x, d, prime) for x in range(1, n + 1)] for d in range(independence - 1, 0, -1)]
     perms = []
-    for member in range(len(family)):
-        placements = [family.evaluate(member, rank + 1) for rank in range(n)]
-        order = sorted(range(n), key=lambda rank: (placements[rank], rank))
-        perms.append(tuple(order))
+    for high in product(range(prime), repeat=independence - 1):
+        tail = [sum(c * column[r] for c, column in zip(high, powers)) % prime for r in range(n)]
+        order = sorted(range(n), key=tail.__getitem__)
+        placed = [tail[r] for r in order]
+        for c in range(prime):
+            split = bisect_left(placed, prime - c)
+            perms.append(tuple(order[split:] + order[:split]))
     return tuple(perms)
 
 

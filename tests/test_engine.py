@@ -167,6 +167,29 @@ def test_guess_tree_count_runs_out_of_bits_like_the_walk():
         assert Fraction(counted, len(orders) << n) == expected
 
 
+def test_guess_tree_count_visits_only_branches_a_solution_extends():
+    # with one solution the only live branch is its own path: one lookup
+    # per variable, and the count is the replay's 2^(n - guessed); with
+    # none the index is never asked
+    rng = random.Random(149)
+    for n in (4, 6, 8):
+        formula, alpha = unique_kcnf(rng, n, 3)
+        unsat = _draw(rng, n, min(6 * n, math.comb(n, 3) << 3), 3, False)
+        for sigma in construct_sigma(formula.variables).materialized()[:6]:
+            eng = engine(formula)
+            lookups = []
+            implied = eng.index.implied_literal
+            eng.index.implied_literal = lambda *args: lookups.append(args) or implied(*args)
+            guessed = eng.replay(alpha, sigma).guessed
+            lookups.clear()
+            assert eng.count_successes(sigma) == 1 << (n - guessed)
+            assert len(lookups) == n
+            eng = engine(unsat)
+            eng.index.implied_literal = lambda *args: lookups.append(args)
+            lookups.clear()
+            assert eng.count_successes(sigma) == 0 and lookups == []
+
+
 @pytest.mark.parametrize(
     "orders",
     [[(1, 1, 2)], [(1,)], [(1, 2, 3)], [(1, 2), (2, 2)], [(1, 2), (2, 1, 1)]],

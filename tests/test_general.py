@@ -244,15 +244,18 @@ def test_shared_memos_stay_within_their_limits(monkeypatch):
 
     monkeypatch.setattr(ImplicationIndex, "_survivors", watched_survivors)
     monkeypatch.setattr(ImplicationIndex, "implied_literal", watched_implied)
-    formula = uniform_kcnf(random.Random(1), 6, 40, 3)
+    # satisfiable, so the searches reach the index: no search runs from a
+    # restriction that no solution extends
+    formula = planted_kcnf(random.Random(1), 10, 42, 3)[0]
     peaks.append(dict.fromkeys(("bytes", "states", "result"), 0))
     default = solve_general(formula)
     monkeypatch.setattr(ImplicationIndex, "STATE_CACHE_BYTES", 1 << 14)
     monkeypatch.setattr(ImplicationIndex, "RESULT_CACHE_LIMIT", 32)
     peaks.append(dict.fromkeys(("bytes", "states", "result"), 0))
     bounded = solve_general(formula)
-    assert not default.satisfiable and bounded == default
-    # the 729 restrictions need far more room than the limits give
+    assert default.satisfiable and default.instance_found == 1 and bounded == default
+    # the restrictions of instances 0 and 1 need far more room than the
+    # limits give
     assert peaks[0]["bytes"] > 1 << 15 and peaks[0]["states"] > 64 and peaks[0]["result"] > 32
     # every cached state is charged at least 256 bytes
     assert 1 << 13 < peaks[1]["bytes"] <= 1 << 14 and peaks[1]["states"] <= 64
@@ -276,8 +279,9 @@ def test_clause_masks_are_built_only_for_size_three_sweeps(monkeypatch, tau):
 
     monkeypatch.setattr(ImplicationIndex, "_clause_masks", counted_masks)
     monkeypatch.setattr(ImplicationIndex, "_deep_sweep", counted_sweep)
-    formula = uniform_kcnf(random.Random(1), 6, 40, 3)
-    assert not solve_general(formula, ImplicationConfig(tau)).satisfiable
+    # satisfiable, so the searches reach the index (see above)
+    formula = planted_kcnf(random.Random(1), 10, 42, 3)[0]
+    assert solve_general(formula, ImplicationConfig(tau)).satisfiable
     if tau == 2:
         assert built == [] and swept == []
         return
@@ -295,3 +299,13 @@ def test_slice_budget_must_be_positive():
 def test_solve_is_deterministic():
     formula = planted_kcnf(random.Random(79), 5, 9, 3)[0]
     assert solve_general(formula) == solve_general(formula)
+
+
+def test_planted_sixteen_variables_solve_at_instance_one():
+    # the large-n guard: the searches visit only branches a solution
+    # extends and the implication screen reads the same live sets, which
+    # keeps this solve to seconds; the logical counters are the full scan's
+    formula = planted_kcnf(random.Random(5), 16, 67, 3)[0]
+    result = solve_general(formula)
+    assert result.satisfiable and result.instance_found == 1
+    assert result.modify_calls == 51905

@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 from itertools import combinations
 
 import pytest
@@ -13,7 +14,7 @@ from ppszlab.implication import (
     tau_implied,
 )
 from ppszlab.instances import satisfiable_kcnf, uniform_kcnf
-from ppszlab.oracle import enumerate_solutions, implied_literals
+from ppszlab.oracle import count_solutions, enumerate_solutions, implied_literals
 
 
 def F(*clauses, variables=None):
@@ -337,6 +338,42 @@ def test_shape_rules_match_the_reference_on_mixed_widths():
     # every rule is reached: units, live and dead pairs, a dead state with
     # nothing over the variable, and the size >= 3 kernel
     assert all(seen.values()), seen
+
+
+def test_live_screen_matches_the_reference():
+    # a state's live set is every solution that extends it. A variable the
+    # live solutions set both ways ends at the screen, one they all set
+    # one way has only the other side tested by the union bound, and a
+    # state with no live solution is swept in full; all must answer like
+    # tau_implied on the restriction at every depth
+    rng = random.Random(67)
+    seen = Counter()
+    for case in range(48):
+        n = 4 + case % 4
+        formula = _mixed_width_formula(rng, n, rng.randrange(n, 2 * n + 2), 0)
+        index = ImplicationIndex(formula)
+        for _ in range(3):
+            amask, avals, literals = _restriction_state(formula, rng, rng.randrange(n - 1))
+            residual = restrict(formula, literals)
+            live = index.live(amask, avals)
+            assert live.bit_count() == count_solutions(residual)
+            mentioned = {abs(lit) for clause in residual.clauses for lit in clause}
+            for tau in (1, 2, 3, 4):
+                index.tau = tau
+                for var in residual.variables:
+                    j = formula.variables.index(var)
+                    ones = live & index._true_masks[j]
+                    kind = "dead" if not live else "both" if ones and ones != live else "one"
+                    want = tau_implied(residual, var, cfg(tau)) or 0
+                    assert index.implied_literal(amask, avals, var) == want, (literals, var, tau)
+                    seen[kind] += 1
+                    if kind == "both" and tau >= 2 and var in mentioned:
+                        # no subset of any size decides var
+                        assert index._result_cache[amask, avals, j] == 0
+                        seen["both, screened"] += 1
+                    if kind == "one" and want and not tau_implied(residual, var, cfg(2)):
+                        seen["one, deep hit"] += 1
+    assert all(seen[key] for key in ("dead", "both", "both, screened", "one", "one, deep hit")), seen
 
 
 def test_shape_rules_match_the_reference_at_larger_n():

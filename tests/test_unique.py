@@ -6,7 +6,7 @@ from ppszlab.cnf import Assignment, Formula, restrict
 from ppszlab.engine import PpszEngine
 from ppszlab.implication import ImplicationConfig, default_tau
 from ppszlab.instances import planted_kcnf, uniform_kcnf, unique_kcnf
-from ppszlab.oracle import enumerate_solutions
+from ppszlab.oracle import count_solutions, enumerate_solutions
 from ppszlab.permutations import construct_sigma
 from ppszlab.unique import DppszResult, dppsz, solve_unique
 
@@ -168,12 +168,16 @@ def test_dppsz_matches_the_value_major_scan():
     cases += [(unique_kcnf(rng, 5, 3)[0], None), (planted_kcnf(rng, 6, 14, 3)[0], None)]
     # tau = 1 leaves most variables to guesses, so hits land in late rounds
     cases += [(unique_kcnf(rng, 6, 3)[0], 1), (unique_kcnf(rng, 5, 2)[0], 1), (planted_kcnf(rng, 6, 8, 3)[0], 1)]
+    # many solutions, where the search branches both ways at most guesses
+    more = random.Random(62)
+    cases += [(uniform_kcnf(more, 6, 6, 3), None), (uniform_kcnf(more, 5, 4, 2), 1)]
     outcomes = Counter()
     for formula, tau in cases:
         family = construct_sigma(formula.variables, independence=1 if formula.n == 6 else None)
         round_found, hit = _assert_matches_the_scan(formula, family, tau=tau)
         outcomes["sat" if hit is not None else "unsat"] += 1
         outcomes["round 4 or later"] += (round_found or 0) >= 4
+        outcomes["many solutions"] += count_solutions(formula) >= 1 << (formula.n - 2)
         # explicit order lists with repeats: a few family members drawn
         # with replacement, then one with a copy of the hitting order
         # placed right behind it, on the position after the hit
@@ -186,23 +190,52 @@ def test_dppsz_matches_the_value_major_scan():
         repeated = orders[: first + 1] + [orders[first]] + orders[first + 1 :]
         assert _assert_matches_the_scan(formula, repeated, tau=tau)[1] == hit + hit // len(orders)
         outcomes["repeat behind the hit"] += 1
-    assert all(outcomes[key] for key in ("sat", "unsat", "round 4 or later", "repeat behind the hit"))
+    keys = ("sat", "unsat", "round 4 or later", "repeat behind the hit", "many solutions")
+    assert all(outcomes[key] for key in keys), outcomes
 
 
 def test_dppsz_matches_the_scan_from_start_states():
     rng = random.Random(67)
+    formulas = [uniform_kcnf(rng, 6, 30, 3), planted_kcnf(rng, 6, 12, 2)[0]]
+    # many solutions, and a start state no solution extends although it
+    # falsifies no clause: fixing 1 forces 2 and 3, which (-2, -3) forbids
+    formulas += [uniform_kcnf(random.Random(68), 6, 7, 3), F((-1, 2), (-1, 3), (-2, -3), (4, 5, 6))]
     outcomes = Counter()
-    for formula in (uniform_kcnf(rng, 6, 30, 3), planted_kcnf(rng, 6, 12, 2)[0]):
+    for formula in formulas:
         for literals in ((1,), (-2, 5), (3, -4), (-1, -6)):
             tau = default_tau(formula.n - len(literals))
-            start = PpszEngine(formula, ImplicationConfig(tau)).start_state(literals)
+            engine = PpszEngine(formula, ImplicationConfig(tau))
+            start = engine.start_state(literals)
             if start is None:
                 outcomes["skipped"] += 1
                 continue
             free = [v for v in formula.variables if v not in map(abs, literals)]
             _, hit = _assert_matches_the_scan(formula, construct_sigma(free), start, tau)
             outcomes["sat" if hit is not None else "unsat"] += 1
-    assert outcomes["sat"] and outcomes["unsat"]
+            outcomes["dead start"] += engine.index.live(*start) == 0
+            outcomes["many solutions"] += engine.index.live(*start).bit_count() >= 8
+    assert all(outcomes[key] for key in ("sat", "unsat", "dead start", "many solutions")), outcomes
+
+
+def test_dppsz_from_a_dead_start_does_no_search():
+    # no solution extends these starts, though they falsify no clause: the
+    # scan's result follows from the budget, and the index is never asked
+    formula = F((1, 2), (1, -2, 3), (-1, 4), (-1, -4), (-3, 5), (-3, -5))
+    for literals in ((), (3,), (-2, 4)):
+        engine = PpszEngine(formula)
+        start = engine.start_state(literals)
+        assert start is not None and engine.index.live(*start) == 0
+        free = [v for v in formula.variables if v not in map(abs, literals)]
+        perms = construct_sigma(free)
+        want, hit = _scan_results(PpszEngine(formula), perms, start)
+        assert hit is None
+        lookups = []
+        implied = engine.index.implied_literal
+        engine.index.implied_literal = lambda *args: lookups.append(args) or implied(*args)
+        for budget in (1, 5, len(want) - 2, None):
+            got = dppsz(formula, perms, max_modify_calls=budget, engine=engine, start=start)
+            assert got == want[-1 if budget is None else min(budget, len(want) - 1)], budget
+        assert lookups == [] and engine.modify_calls == 0
 
 
 def test_engine_counts_only_the_replayed_walk():
