@@ -136,7 +136,8 @@ def cmd_solve(args) -> int:
         }
         _emit(canonical_json(payload), args.out)
         return EXIT_SAT if report.satisfiable else EXIT_UNSAT
-    perms = construct_sigma(formula.variables, args.kwise)
+    # with no variables the one order is the empty one
+    perms = construct_sigma(formula.variables, args.kwise) if formula.n else [()]
     record = ppsz_randomized(formula, perms, cfg, seed=args.seed)
     found = record.result is not None
     payload = {

@@ -284,7 +284,10 @@ def parse_dimacs(text: str | bytes) -> Formula:
         raise DimacsError("missing problem line")
     if pending:
         raise DimacsError("unterminated clause at end of input", pending_line)
-    return Formula.from_clauses(clauses, variables=range(1, declared_vars + 1))
+    # each clause is canonical already and mentions only declared variables
+    canon = tuple(sorted(set(clauses)))
+    width = max((len(c) for c in canon), default=0)
+    return Formula(variables=tuple(range(1, declared_vars + 1)), clauses=canon, k=width)
 
 
 def serialize_dimacs(formula: Formula) -> str:

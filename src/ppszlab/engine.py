@@ -18,9 +18,13 @@ The exact success probability does not replay every (order, bit vector)
 pair. A walk reads only the bits its guesses consume, so for one order the
 2^n bit vectors form a binary guess tree: a forced step has one child, a
 guessed step one child per bit value, and a leaf reached after `used`
-guesses stands for the 2^(n - used) vectors that share its prefix. One
-depth-first pass over that tree counts the successful vectors, and each
-distinct order is walked once, weighted by how often the family lists it.
+guesses stands for the 2^(n - used) vectors that share its prefix.
+
+Both guess-tree searches, this count and `dppsz`'s round search, take
+their steps in `PpszEngine._descend`, which runs a node down its 0-branches
+and hands the 1-branches it passes back to the caller. Both read their
+orders off one table, `permutations.distinct_orders`: each distinct order
+once, with its multiplicity.
 
 A guess-tree search visits only the branches that some solution extends.
 A node's live set, the solutions that extend its state, is the only place
@@ -34,7 +38,6 @@ because it reports the profile of a failed walk too.
 from __future__ import annotations
 
 import random
-from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
@@ -42,6 +45,7 @@ from typing import Iterable, Mapping, Sequence
 from .cnf import FORCED, GUESSED, Assignment, Formula
 from .implication import ImplicationConfig, ImplicationIndex
 from .oracle import enumerate_solutions
+from .permutations import distinct_orders
 
 DEFAULT_EVALUATION_BUDGET = 1 << 23
 
@@ -141,59 +145,67 @@ class PpszEngine:
             return avals, profile
         return None, profile
 
-    def count_successes(self, sigma: Sequence[int]) -> int:
-        """How many of the 2^n bit vectors make the walk over sigma succeed.
+    def _descend(self, sigma: Sequence[int], node: tuple, live: int, pending: list, limit: int) -> int:
+        """Run a guess-tree node down its 0-branches to a leaf; return the
+        leaf's guess count if its walk succeeds and -1 otherwise.
 
-        The same decisions as `_walk`, taken once per node of the guess
-        tree: a forced step goes straight on, a guessed step branches on 0
-        and 1, and a leaf that passes `_walk`'s success test after `used`
-        guesses adds 2^(n - used). The pending branches live on an explicit
-        stack; a self-recursive closure would form a reference cycle that
-        keeps the index and its memo alive until the cyclic collector runs.
-
-        Only branches that some solution extends are visited (module
-        docstring); a dead branch holds no successful leaf, so the count
-        is the full tree's. The live set is carried along the current path
-        only, and a popped branch recomputes its own. An order that
-        revisits a variable can turn a 0 into a 1 and revive a dead
-        branch, so such an order walks every branch.
+        node is (position in sigma, amask, avals, guesses used, guessed-bit
+        prefix), and live is its live set, which must not be empty. Each
+        step takes `_walk`'s decision: a forced literal goes straight on,
+        and a guess past `limit` bits ends the walk as exhausted. A guess
+        appends its 1-branch, as a node, to `pending` if a live solution
+        sets the variable to 1, and goes on with 0 while one sets it to 0.
         """
         implied = self.index.implied_literal
         bit_of = self._bit
-        full = self._full
-        n = self.formula.n
-        steps = len(sigma)
-        if len(set(sigma)) == steps:
-            live_of, halves = self.index.live, self._halves
-        else:
-            live_of, halves = _everything_live, dict.fromkeys(sigma, (-1, -1))
-        successes = 0
-        stack = [(0, 0, 0, 0)]  # (position in sigma, amask, avals, bits used)
-        while stack:
-            start, amask, avals, used = stack.pop()
-            live = live_of(amask, avals)  # empty only at an unsatisfiable root
-            if not live:
-                continue
-            for position in range(start, steps):
-                var = sigma[position]
-                bit = bit_of[var]
-                lit = implied(amask, avals, var)
-                amask |= bit
-                if lit:
-                    if lit > 0:
-                        avals |= bit
-                elif used == n:
-                    break  # out of bits: `_walk` reports exhaustion
-                else:
-                    used += 1
-                    ones, zeros = halves[var]
-                    if live & ones:
-                        stack.append((position + 1, amask, avals | bit, used))
-                    live &= zeros
-                    if not live:
-                        break  # no solution sets var to 0 here
+        halves = self._halves
+        position, amask, avals, used, prefix = node
+        for position in range(position, len(sigma)):
+            var = sigma[position]
+            bit = bit_of[var]
+            lit = implied(amask, avals, var)
+            amask |= bit
+            if lit:
+                if lit > 0:
+                    avals |= bit
+            elif used == limit:
+                return -1  # out of bits: `_walk` reports exhaustion
             else:
-                if amask == full and self._satisfies(avals):
+                used += 1
+                prefix <<= 1
+                ones, zeros = halves[var]
+                if live & ones:
+                    pending.append((position + 1, amask, avals | bit, used, prefix | 1))
+                live &= zeros
+                if not live:
+                    return -1  # no solution sets var to 0 here
+        if amask == self._full and self._satisfies(avals):
+            return used
+        return -1
+
+    def count_successes(self, sigma: Sequence[int]) -> int:
+        """How many of the 2^n bit vectors make the walk over sigma succeed.
+        sigma must list each variable exactly once (ValueError otherwise).
+
+        `_descend` runs each node of the guess tree down once, from a
+        stack of pending 1-branches, and a successful leaf after `used`
+        guesses adds 2^(n - used). Only branches that some solution
+        extends are visited (module docstring), so the count is the full
+        tree's. The stack is explicit: a self-recursive closure would form
+        a reference cycle that keeps the index and its memo alive until
+        the cyclic collector runs.
+        """
+        self._check_order(sigma)
+        n = self.formula.n
+        live_of = self.index.live
+        successes = 0
+        pending = [(0, 0, 0, 0, 0)]
+        while pending:
+            node = pending.pop()
+            live = live_of(node[1], node[2])  # empty only at an unsatisfiable root
+            if live:
+                used = self._descend(sigma, node, live, pending, n)
+                if used >= 0:
                     successes += 1 << (n - used)
         return successes
 
@@ -228,19 +240,8 @@ class PpszEngine:
         return profile
 
 
-def _everything_live(amask: int, avals: int) -> int:
-    """A live set that no split empties, for walks that must not prune."""
-    return -1
-
-
 def _as_value_map(literals: Iterable[int]) -> dict[int, bool]:
     return {abs(lit): lit > 0 for lit in literals}
-
-
-def _as_permutation_list(perms) -> list[tuple[int, ...]]:
-    if hasattr(perms, "materialized"):
-        return list(perms.materialized())
-    return [tuple(p) for p in perms]
 
 
 def success_probability_exact(
@@ -252,24 +253,23 @@ def success_probability_exact(
     """Pr[a run over uniform (order, bits) returns a solution]. Exact
     rational arithmetic.
 
-    Each distinct order's guess tree is walked once (`count_successes`),
-    which accounts for all 2^n bit vectors at once, and the count is
-    weighted by the order's multiplicity in the family. The budget still
+    Each distinct order of the table `distinct_orders` reads off perms is
+    counted once (`count_successes`), which accounts for all 2^n bit
+    vectors at once, and weighted by its multiplicity. The budget still
     counts (order, bit vector) pairs, |perms| x 2^n, not physical walks.
     An order that skips or repeats a variable raises ValueError.
     """
-    sigma_list = _as_permutation_list(perms)
+    size, orders = distinct_orders(perms)
     n = formula.n
-    total = len(sigma_list) << n
+    total = size << n
     if total > max_evaluations:
         raise EnumerationBudgetError(
-            f"{len(sigma_list)} orders x 2^{n} bit vectors exceed the budget of {max_evaluations}"
+            f"{size} orders x 2^{n} bit vectors exceed the budget of {max_evaluations}"
         )
     engine = PpszEngine(formula, cfg)
-    successes = 0
-    for sigma, multiplicity in Counter(sigma_list).items():
-        engine._check_order(sigma)
-        successes += multiplicity * engine.count_successes(sigma)
+    successes = sum(
+        multiplicity * engine.count_successes(sigma) for sigma, multiplicity in orders.values()
+    )
     return Fraction(successes, total)
 
 
@@ -280,22 +280,22 @@ def success_probability_via_identity(
 ) -> Fraction:
     """The same probability assembled solution by solution: each solution
     contributes the average over orders of 2^(-guessed), each distinct
-    order replayed once and weighted by its multiplicity. Exact rationals;
-    must agree with the guess-tree route to the last bit. An order that
-    skips or repeats a variable raises ValueError."""
-    sigma_list = _as_permutation_list(perms)
+    order of the same table replayed once and weighted by its
+    multiplicity. Exact rationals; must agree with the guess-tree route to
+    the last bit. An order that skips or repeats a variable raises
+    ValueError."""
+    size, orders = distinct_orders(perms)
     n = formula.n
     engine = PpszEngine(formula, cfg)
-    orders = Counter(sigma_list)
-    for sigma in orders:
+    for sigma, _ in orders.values():
         engine._check_order(sigma)
     numerator = 0
     for solution in enumerate_solutions(formula):
         alpha = _as_value_map(solution)
-        for sigma, multiplicity in orders.items():
+        for sigma, multiplicity in orders.values():
             _, profile = engine._walk(sigma, None, 0, alpha)
             numerator += multiplicity << (n - profile.guessed)
-    return Fraction(numerator, len(sigma_list) << n)
+    return Fraction(numerator, size << n)
 
 
 @dataclass(frozen=True)

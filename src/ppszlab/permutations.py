@@ -13,10 +13,11 @@ members instead of n! so it can be enumerated outright.
 from __future__ import annotations
 
 from bisect import bisect_left
+from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from itertools import product
-from typing import Iterable, Iterator, Sequence
+from typing import Iterator, Sequence
 
 from .implication import default_tau
 
@@ -101,24 +102,27 @@ def _rank_permutations(n: int, independence: int) -> tuple[tuple[int, ...], ...]
 
 
 @lru_cache(maxsize=64)
-def _distinct_rank_orders(n: int, independence: int) -> tuple[tuple[int, tuple[int, ...]], ...]:
+def _distinct_rank_orders(n: int, independence: int) -> tuple[tuple[int, tuple[int, ...], int], ...]:
     """Each distinct order of _rank_permutations(n, independence) once,
-    paired with its first member, in member order."""
-    return tuple(_first_copies(_rank_permutations(n, independence)).items())
+    as (first member, order, multiplicity), in member order."""
+    table = _first_copies(_rank_permutations(n, independence))
+    return tuple((first, order, count) for first, (order, count) in table.items())
 
 
-def _first_copies(orders: Iterable[tuple[int, ...]]) -> dict[int, tuple[int, ...]]:
+def _first_copies(orders: Sequence[tuple[int, ...]]) -> dict[int, tuple[tuple[int, ...], int]]:
     firsts: dict[tuple[int, ...], int] = {}
     for index, order in enumerate(orders):
         firsts.setdefault(order, index)
-    return {index: order for order, index in firsts.items()}
+    counts = Counter(orders)
+    return {index: (order, counts[order]) for order, index in firsts.items()}
 
 
-def distinct_orders(perms) -> tuple[int, dict[int, tuple[int, ...]]]:
-    """The number of orders in perms, and each distinct order once, keyed
-    by the index of its first copy, in index order. perms is a
-    PermutationSet or any iterable of orders; a set keeps its own table,
-    read off one shared per (n, K)."""
+def distinct_orders(perms) -> tuple[int, dict[int, tuple[tuple[int, ...], int]]]:
+    """The number of orders in perms, and each distinct order once with
+    its multiplicity, keyed by the index of its first copy, in index
+    order. perms is a PermutationSet or any iterable of orders; a set
+    keeps its own table, read off one shared per (n, K). This is the one
+    place where repeated orders are merged."""
     if isinstance(perms, PermutationSet):
         return len(perms), perms.distinct
     orders = [tuple(order) for order in perms]
@@ -163,12 +167,13 @@ class PermutationSet:
             yield self.permutation(member)
 
     @cached_property
-    def distinct(self) -> dict[int, tuple[int, ...]]:
-        """Each distinct order once, keyed by its first member, in member
-        order; built on first use and kept with the set. Read only."""
+    def distinct(self) -> dict[int, tuple[tuple[int, ...], int]]:
+        """Each distinct order once with its multiplicity, keyed by its
+        first member, in member order; built on first use and kept with
+        the set. Read only."""
         table = _distinct_rank_orders(len(self.variables), self.family.degree)
         at = self.variables.__getitem__
-        return {first: tuple(map(at, ranks)) for first, ranks in table}
+        return {first: (tuple(map(at, ranks)), count) for first, ranks, count in table}
 
     def materialized(self) -> tuple[tuple[int, ...], ...]:
         """The full tuple of permutations, for hot loops."""

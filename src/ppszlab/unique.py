@@ -11,7 +11,8 @@ Unsatisfiable input simply survives all n rounds and is reported as such.
 The counters are logical: they describe the value-major scan that walks
 each bit vector with each order in index order, one walk per (vector,
 order) pair. That scan is not run. Each distinct order's guess tree is
-searched once per round, in scan-position order, and the counters are
+searched once per round, in scan-position order, by the descent the exact
+probability count uses (`PpszEngine._descend`), and the counters are
 derived from the position of the first hit or of the budget cutoff. Only
 the returned solution is replayed as a physical walk, so an engine's own
 `modify_calls` counts far fewer walks than `DppszResult.modify_calls`.
@@ -107,7 +108,7 @@ def _round_counts(size: int, calls: int, rounds: int) -> tuple[int, ...]:
 
 def _first_hit(
     engine: PpszEngine,
-    orders: dict[int, tuple[int, ...]],
+    orders: dict[int, tuple[tuple[int, ...], int]],
     size: int,
     round_no: int,
     base: int,
@@ -118,36 +119,28 @@ def _first_hit(
     """The scan position, order and value of round round_no's first
     successful walk below budget, or None.
 
-    Each distinct order's guess tree is searched depth first, bit 0 first,
-    down to round_no guesses, on an explicit stack of pending branches.
-    A branch after `used` guesses with value prefix p covers the values
-    from lo = p << (round_no - used), so its smallest scan position, its
-    key, is base + lo x size + the order's first index; a later copy of an
-    order repeats the first copy's walks at larger positions and can never
-    be the first hit. Each pending branch is stored with its key. A heap
-    holds one key per order, its stack top's, and the order with the
-    smallest key runs to its next leaf; going down the 0 branch keeps the
-    key. So the leaves come in scan order, the first successful one is the
-    hit, and no node past the hit or the budget is visited. The heap holds
-    at most one entry per distinct order and a stack at most round_no.
+    Each distinct order's guess tree, cut at round_no guesses, is searched
+    by `engine._descend`, bit 0 first, from a stack of pending 1-branches.
+    A node after `used` guesses with guessed-bit prefix p covers the
+    values from lo = p << (round_no - used), so its smallest scan position,
+    its key, is base + lo x size + the order's first index; a later copy of
+    an order repeats the first copy's walks at larger positions and can
+    never be the first hit. A heap holds one key per order, its stack
+    top's, and the order with the smallest key runs to its next leaf;
+    going down the 0 branch keeps the key. So the leaves come in scan
+    order, the first successful one is the hit, and no node past the hit
+    or the budget is visited. The heap holds at most one entry per
+    distinct order and a stack at most round_no.
 
-    `live` is the start state's live set, the solutions that extend it. A
-    guess goes down a branch only if some live solution takes its value,
-    so every branch visited can still hold a successful leaf, and a
-    dropped branch held none: the first hit is the full tree's. The live
-    set is carried along the current path only; a popped branch
-    recomputes its own from its state.
+    `live` is the start state's live set, the solutions that extend it; a
+    popped branch recomputes its own from its state.
     """
     # imported on first use: loading the _heapq extension adds about
     # 0.2 MB of resident memory to every process that imports ppszlab
     from heapq import heappop, heapreplace
 
-    implied = engine.index.implied_literal
+    descend = engine._descend
     live_of = engine.index.live
-    halves = engine._halves
-    bit_of = engine._bit
-    full = engine._full
-    satisfies = engine._satisfies
     stacks: dict[int, list] = {}
     heap = [base + first for first in orders]  # sorted, so already a heap
     while heap:
@@ -155,39 +148,19 @@ def _first_hit(
         if key >= budget:
             return None
         first = (key - base) % size
-        sigma = orders[first]
+        sigma = orders[first][0]
         stack = stacks.get(first)
         if stack is None:
             stack = stacks[first] = []
-            position, used = 0, 0
-            amask, avals = start
-            path_live = live
+            node, node_live = (0, *start, 0, 0), live
         else:
-            position, amask, avals, used, _ = stack.pop()
-            path_live = live_of(amask, avals)
-        for position in range(position, len(sigma)):
-            var = sigma[position]
-            bit = bit_of[var]
-            lit = implied(amask, avals, var)
-            amask |= bit
-            if lit:
-                if lit > 0:
-                    avals |= bit
-            elif used == round_no:
-                break  # out of bits: the walk is exhausted
-            else:
-                used += 1
-                ones, zeros = halves[var]
-                if path_live & ones:
-                    stack.append((position + 1, amask, avals | bit, used, key + (size << (round_no - used))))
-                path_live &= zeros
-                if not path_live:
-                    break  # no solution sets var to 0 here
-        else:
-            if amask == full and satisfies(avals):
-                return key, sigma, (key - base) // size
+            node = stack.pop()
+            node_live = live_of(node[1], node[2])
+        if descend(sigma, node, node_live, stack, round_no) >= 0:
+            return key, sigma, (key - base) // size
         if stack:
-            heapreplace(heap, stack[-1][4])
+            _, _, _, used, prefix = stack[-1]
+            heapreplace(heap, base + (prefix << (round_no - used)) * size + first)
         else:
             heappop(heap)
     return None

@@ -82,6 +82,20 @@ def test_solve_randomized_modes(capsys, chain_file, unsat_file):
     assert assert_canonical(out)["found"] is False
 
 
+@pytest.mark.parametrize("mode", ["general", "unique", "randomized"])
+def test_solve_without_variables_agrees_across_modes(capsys, monkeypatch, mode):
+    # no clauses: the empty assignment is a solution; the empty clause: none
+    found, empty = {"general": (10, 20), "unique": (10, 20), "randomized": (10, 0)}[mode]
+    monkeypatch.setattr("sys.stdin", io.StringIO("p cnf 0 0\n"))
+    code, out, _ = run(capsys, "solve", "--mode", mode, "-")
+    assert code == found
+    assert assert_canonical(out)["solution"] == []
+    monkeypatch.setattr("sys.stdin", io.StringIO("p cnf 0 1\n0\n"))
+    code, out, _ = run(capsys, "solve", "--mode", mode, "-")
+    assert code == empty
+    assert assert_canonical(out)["solution"] is None
+
+
 def test_solve_slice_mode(capsys, chain_file):
     code, out, _ = run(capsys, "solve", chain_file, "--slice", "4")
     assert code == 10

@@ -65,6 +65,16 @@ def test_parse_dedupes_repeated_literal():
     assert formula.clauses == ((1, -2),)
 
 
+def test_parse_canonicalizes_each_clause_once(monkeypatch):
+    calls = []
+    monkeypatch.setattr(
+        "ppszlab.cnf.canonical_clause", lambda lits: calls.append(lits) or canonical_clause(lits)
+    )
+    formula = parse_dimacs("p cnf 4 4\n3 -1 3 0\n2 0\n-1 3 0\n0\n")
+    assert len(calls) == 4
+    assert formula == F((3, -1, 3), (2,), (-1, 3), (), variables=range(1, 5))
+
+
 def test_parse_structural_errors():
     with pytest.raises(DimacsError):
         parse_dimacs("")

@@ -1,16 +1,21 @@
-"""Every module imports only what it uses.
+"""Every module imports only what it uses, and the package defines no
+private name it never uses.
 
 A name counts as used when it is read anywhere in the module, including
 inside a string annotation. The package's `__init__.py` is exempt: its
-imports are the public re-exports.
+imports are the public re-exports. A private function, class or method
+(one underscore, not a dunder) counts as used when some `src/ppszlab`
+module reads it, as a name or an attribute, outside its own body.
 """
 
 import ast
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = sorted((ROOT / "src" / "ppszlab").glob("*.py"))
 MODULES = sorted(
     path
     for path in [*(ROOT / "src" / "ppszlab").glob("*.py"), *(ROOT / "tests").glob("*.py")]
@@ -64,3 +69,57 @@ def test_the_check_sees_unused_and_annotation_only_names():
         "    return os.sep\n"
     )
     assert unused_imports(source) == ["line 2: Sequence", "line 3: _dumps"]
+
+
+def _is_private(name: str) -> bool:
+    return name.startswith("_") and not name.endswith("__")
+
+
+def _reads(node: ast.AST) -> Counter:
+    return Counter(
+        sub.id if isinstance(sub, ast.Name) else sub.attr
+        for sub in ast.walk(node)
+        if isinstance(sub, (ast.Name, ast.Attribute))
+    )
+
+
+def unreferenced_private_definitions(sources: dict[str, str]) -> list[str]:
+    trees = {name: ast.parse(source) for name, source in sources.items()}
+    reads = sum((_reads(tree) for tree in trees.values()), Counter())
+    kinds = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+    definitions = []
+    for module, tree in trees.items():
+        for node in tree.body:
+            members = node.body if isinstance(node, ast.ClassDef) else []
+            for defined in [node, *members]:
+                if isinstance(defined, kinds) and _is_private(defined.name):
+                    definitions.append((module, defined))
+    return [
+        f"{module}: {node.name}"
+        for module, node in definitions
+        if reads[node.name] == _reads(node)[node.name]
+    ]
+
+
+def test_package_has_no_unreferenced_private_definitions():
+    sources = {path.name: path.read_text() for path in PACKAGE}
+    assert unreferenced_private_definitions(sources) == []
+
+
+def test_the_check_sees_unreferenced_private_definitions():
+    sources = {
+        "a.py": (
+            "def _used(): return 1\n"
+            "def _recursive(n): return _recursive(n - 1)\n"
+            "class _Orphan:\n"
+            "    def _helper(self): return self._called()\n"
+            "    def _called(self): return 2\n"
+            "    def __len__(self): return 0\n"
+        ),
+        "b.py": "from a import _used\nVALUE = _used()\n",
+    }
+    assert unreferenced_private_definitions(sources) == [
+        "a.py: _recursive",
+        "a.py: _Orphan",
+        "a.py: _helper",
+    ]

@@ -143,11 +143,19 @@ def test_distinct_orders_list_each_order_once_at_its_first_index():
         listed = perms.materialized()
         size, table = distinct_orders(perms)
         assert size == len(listed)
-        assert list(table.values()) == list(dict.fromkeys(listed))
-        assert list(table) == [listed.index(order) for order in table.values()]
+        assert [order for order, _ in table.values()] == list(dict.fromkeys(listed))
+        assert list(table) == [listed.index(order) for order, _ in table.values()]
+        assert dict(table.values()) == Counter(listed)
+        assert sum(count for _, count in table.values()) == size
         # a plain order list goes through the same table
         assert distinct_orders(list(listed)) == (size, table)
     assert distinct_orders([]) == (0, {})
+    listed = [(2, 1, 3), (1, 2, 3), (2, 1, 3), [3, 2, 1], (1, 2, 3), (2, 1, 3)]
+    size, table = distinct_orders(listed)
+    assert size == 6
+    assert table == {0: ((2, 1, 3), 3), 1: ((1, 2, 3), 2), 3: ((3, 2, 1), 1)}
+    assert dict(table.values()) == Counter(map(tuple, listed))
+    assert sum(count for _, count in table.values()) == size
 
 
 def test_materialization_budget():
