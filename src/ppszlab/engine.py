@@ -31,8 +31,10 @@ A node's live set, the solutions that extend its state, is the only place
 a successful leaf can come from. A forced step never shrinks it, since the
 implication rule is sound on a satisfiable residual, so it changes only at
 guesses: a guess branches on a value only if some live solution takes it.
-The walk itself (`modify`, `replay`, the randomized trial) is not pruned,
-because it reports the profile of a failed walk too.
+So a leaf needs no satisfaction test: its total state has a nonempty live
+set, and is therefore a solution. The walk itself (`modify`, `replay`,
+the randomized trial) is not pruned, because it reports the profile of a
+failed walk too.
 """
 
 from __future__ import annotations
@@ -69,17 +71,16 @@ class GuessProfile:
 
 class PpszEngine:
     """Shared machinery for running many Modify walks over one formula:
-    one implication index (with its memo), clause masks for start states
-    and a bitmap of the formula's solutions for the final satisfaction
-    check. `modify_calls` counts the physical `_walk` calls made on this
+    one implication index (with its memo and the formula's solution mask,
+    which the walk's success test reads) and clause masks for start
+    states. `modify_calls` counts the physical `_walk` calls made on this
     engine. A guess-tree search (`count_successes` or `dppsz`'s) is not a
     walk and is not counted; `dppsz` reports the logical walk count of its
     scan itself and does not read this one."""
 
     def __init__(self, formula: Formula, cfg: ImplicationConfig | None = None):
         self.formula = formula
-        self.cfg = cfg or ImplicationConfig()
-        self.index = ImplicationIndex(formula, self.cfg)
+        self.index = ImplicationIndex(formula, cfg)
         self._bit = {v: 1 << i for i, v in enumerate(formula.variables)}
         # per variable, the total assignments setting it to 1 and to 0: a
         # guess splits a live set with them
@@ -89,12 +90,7 @@ class PpszEngine:
         }
         self._full = (1 << formula.n) - 1
         self._clause_masks = [(pos, neg) for _, _, pos, neg in self.index._clauses]
-        self._solutions = self.index.solution_bitmap()
         self.modify_calls = 0
-
-    def _satisfies(self, avals: int) -> bool:
-        """Whether the total assignment avals satisfies the formula."""
-        return (self._solutions[avals >> 3] >> (avals & 7)) & 1 == 1
 
     def start_state(self, literals: Sequence[int]) -> tuple[int, int] | None:
         """The (amask, avals) state fixing the literals, or None when they
@@ -141,7 +137,7 @@ class PpszEngine:
                 avals |= bit
             entries.append((var, lit, prov))
         profile = GuessProfile(tuple(entries), used, exhausted=False)
-        if amask == self._full and self._satisfies(avals):
+        if amask == self._full and (self.index._solutions >> avals) & 1:
             return avals, profile
         return None, profile
 
@@ -179,9 +175,9 @@ class PpszEngine:
                 live &= zeros
                 if not live:
                     return -1  # no solution sets var to 0 here
-        if amask == self._full and self._satisfies(avals):
-            return used
-        return -1
+        # a forced step keeps every live solution, so a total state reached
+        # with a nonempty live set is a solution
+        return used if amask == self._full else -1
 
     def count_successes(self, sigma: Sequence[int]) -> int:
         """How many of the 2^n bit vectors make the walk over sigma succeed.

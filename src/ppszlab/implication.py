@@ -10,7 +10,8 @@ The candidate order is pinned so every caller is deterministic: subset sizes
 ascending, and within one size the index combinations over the formula's
 canonical clause order, lexicographically. The first implying subset wins.
 
-The index below decides subsets of one and two clauses from the clauses'
+The index below memoizes each answer per restriction state, variable and
+depth. It decides subsets of one and two clauses from the clauses'
 literals alone: a unit clause, or one resolution step (class docstring).
 For subsets of three clauses or more it skips every subset the union
 bound proves cannot decide x. A subset J decides x only if J with
@@ -134,15 +135,6 @@ def _polarity_masks(n: int) -> list[int]:
     return masks
 
 
-# A memo entry is one small int, size << 2 | polarity. Polarity _POSITIVE
-# or _NEGATIVE: that literal over the variable is the first hit, found
-# among the subsets of `size` clauses. Polarity 0: no subset of up to
-# `size` clauses decides the variable; the entry 0 itself means no subset
-# of any size does.
-_POSITIVE = 1
-_NEGATIVE = 2
-
-
 class _State:
     """One restriction state of an ImplicationIndex: its residual clauses
     with the bits of each one's free variables, the bits of every variable
@@ -177,12 +169,12 @@ class _State:
 
 
 def _pair_hit(binaries: tuple[Clause, ...], units: tuple[int, ...], var: int) -> int:
-    """The polarity of the first pair of clauses, in canonical order, that
-    decides var, or 0; for a state with no empty clause and no unit over
-    var. Such a pair is a binary (L, l) with L over var and a partner left
-    as the unit (-l) once L is removed: the unit (-l) itself or the binary
-    (L, -l). Canonical order sorts clauses as tuples, so the first pair is
-    the smallest (first clause, second clause)."""
+    """The literal over var that the first deciding pair of clauses, in
+    canonical order, implies, or 0; for a state with no empty clause and
+    no unit over var. Such a pair is a binary (L, l) with L over var and a
+    partner left as the unit (-l) once L is removed: the unit (-l) itself
+    or the binary (L, -l). Canonical order sorts clauses as tuples, so the
+    first pair is the smallest (first clause, second clause)."""
     anchors: dict[tuple[int, int], Clause] = {}  # (L, l) -> its clause
     for clause in binaries:
         a, b = clause
@@ -191,15 +183,15 @@ def _pair_hit(binaries: tuple[Clause, ...], units: tuple[int, ...], var: int) ->
         elif b == var or b == -var:
             anchors[b, a] = clause
     best = None
-    polarity = 0
+    hit = 0
     for (lit, other), clause in anchors.items():
         for partner in ((-other,) if -other in units else None, anchors.get((lit, -other))):
             if partner is not None:
                 pair = (clause, partner) if clause < partner else (partner, clause)
                 if best is None or pair < best:
                     best = pair
-                    polarity = _POSITIVE if lit > 0 else _NEGATIVE
-    return polarity
+                    hit = lit
+    return hit
 
 
 class ImplicationIndex:
@@ -213,15 +205,8 @@ class ImplicationIndex:
 
     `tau` is the lookup depth. It starts at the configured bound and a
     caller may change it between lookups; one index, with one memo,
-    serves every depth. Subset sizes are searched in ascending order, so
-    the sweep at a smaller depth is a prefix of the sweep at a larger one.
-    A (state, variable) memo entry records either the literal found and
-    the subset size that decided it, or that nothing was found and the
-    size searched through (or that every size was searched, when the
-    residual has at most tau clauses). A lookup at depth tau answers from
-    the entry when it can: a literal decided at a size above tau reads as
-    0. Otherwise it resumes the sweep at the next size, never at size
-    one, and deepens the entry in place.
+    serves every depth. Answers are memoized per depth: the memo maps
+    (state, variable, tau) to the literal found, or to 0.
 
     By construction the answers match tau_implied on restrict(formula, a):
     the surviving clauses are swept in the same canonical order with the
@@ -257,7 +242,7 @@ class ImplicationIndex:
 
     Before sizes 2 and up, a sweep reads the state's live set (`live`),
     summed up once per state by `_screen`: if the live solutions take both
-    values of x the entry is 0, and if they take one value the kernel's
+    values of x the answer is 0, and if they take one value the kernel's
     union bound counts the other side only (module docstring). States
     with no live solution skip the screen.
     """
@@ -303,16 +288,12 @@ class ImplicationIndex:
         self._solutions = solutions
         self._state_cache: dict[tuple[int, int], _State] = {}
         self._state_bytes = 0
-        self._result_cache: dict[tuple[int, int, int], int] = {}
-
-    def solution_bitmap(self) -> bytes:
-        """Bit s (byte s >> 3, bit s & 7) is set iff the total assignment
-        s, in the state's bit layout, satisfies the formula."""
-        return self._solutions.to_bytes(((1 << self._n) + 7) >> 3, "little")
+        self._result_cache: dict[tuple[int, int, int, int], int] = {}
 
     def live(self, amask: int, avals: int) -> int:
         """The state's live set: the formula's solutions that extend it, as
-        a mask over the 2^n total assignments in solution_bitmap's layout."""
+        a mask over the 2^n total assignments: bit s stands for the
+        assignment whose variable at position j is true iff bit j of s is."""
         live = self._solutions
         true_masks = self._true_masks
         false_masks = self._false_masks
@@ -415,73 +396,60 @@ class ImplicationIndex:
         searching subsets of up to self.tau clauses, or 0. Memoized; var
         must be unassigned in the state."""
         xpos = self._pos_of[var]
-        key = (amask, avals, xpos)
-        memo = self._result_cache
-        entry = memo.get(key)
         tau = self.tau
-        if entry is None:
-            entry = self._sweep(amask, avals, var, xpos, 1, tau)
+        key = (amask, avals, xpos, tau)
+        memo = self._result_cache
+        lit = memo.get(key)
+        if lit is None:
+            lit = self._sweep(amask, avals, var, xpos, tau)
             if len(memo) >= self.RESULT_CACHE_LIMIT:
                 memo.clear()
-            memo[key] = entry
-        elif entry and not entry & 3 and entry >> 2 < tau:
-            # nothing up to a smaller size: search on from the next one
-            entry = memo[key] = self._sweep(amask, avals, var, xpos, (entry >> 2) + 1, tau)
-        if entry & 3 and entry >> 2 <= tau:
-            return var if entry & 1 else -var  # polarity _POSITIVE
-        return 0
+            memo[key] = lit
+        return lit
 
-    def _sweep(self, amask: int, avals: int, var: int, xpos: int, lo: int, tau: int) -> int:
-        """The memo entry for var at this state after searching the subsets
-        of lo..tau clauses, given that no smaller subset decides var.
+    def _sweep(self, amask: int, avals: int, var: int, xpos: int, tau: int) -> int:
+        """The first literal over var decided by a subset of up to tau
+        clauses at this state, or 0.
 
         Sizes 1 and 2 are read off the unit and two-literal clauses (class
         docstring); only sizes 3 and up sweep clause masks."""
         state = self._survivors(amask, avals)
-        m = len(state.residual)
-        if lo == 1:
-            # the first unit over var decides it; (-var,) sorts first
-            if -var in state.units:
-                return 1 << 2 | _NEGATIVE
-            if var in state.units:
-                return 1 << 2 | _POSITIVE
+        # the first unit over var decides it; (-var,) sorts first
+        if -var in state.units:
+            return -var
+        if var in state.units:
+            return var
         xbit = 1 << xpos
         # past size 1, and only when some subset mentions var
-        if tau >= 2 and state.reach & xbit:
-            sat0 = sat1 = False
-            if not state.dead:
-                ones, zeros = state.screen or self._screen(amask, avals, state)
-                sat0 = bool(zeros & xbit)  # a live solution sets var to 0
-                sat1 = bool(ones & xbit)
-                if sat0 and sat1:
-                    return 0  # no subset of any size decides var
-            if lo <= 2 <= tau:
-                if state.dead:
-                    return 2 << 2 | _POSITIVE  # () and the first clause over var
-                hit = _pair_hit(state.binaries, state.units, var)
-                if hit:
-                    return 2 << 2 | hit
-            if tau >= 3 and m >= 3:
-                pm = state.masks
-                if pm is None:
-                    pm = self._clause_masks(amask, avals, state)
-                packed = xpos - (amask & (xbit - 1)).bit_count()
-                hit = self._deep_sweep(
-                    pm,
-                    state.var_masks,
-                    state.residual,
-                    var,
-                    xbit,
-                    self._true_masks[packed],
-                    self._false_masks[packed],
-                    sat0,
-                    sat1,
-                    max(lo, 3),
-                    min(tau, m),
-                )
-                if hit:
-                    return hit
-        return 0 if tau >= m else tau << 2
+        if tau < 2 or not state.reach & xbit:
+            return 0
+        if state.dead:
+            return var  # () and the first clause over var
+        ones, zeros = state.screen or self._screen(amask, avals, state)
+        sat0 = bool(zeros & xbit)  # a live solution sets var to 0
+        sat1 = bool(ones & xbit)
+        if sat0 and sat1:
+            return 0  # no subset of any size decides var
+        hit = _pair_hit(state.binaries, state.units, var)
+        m = len(state.residual)
+        if hit or tau < 3 or m < 3:
+            return hit
+        pm = state.masks
+        if pm is None:
+            pm = self._clause_masks(amask, avals, state)
+        packed = xpos - (amask & (xbit - 1)).bit_count()
+        return self._deep_sweep(
+            pm,
+            state.var_masks,
+            state.residual,
+            var,
+            xbit,
+            self._true_masks[packed],
+            self._false_masks[packed],
+            sat0,
+            sat1,
+            min(tau, m),
+        )
 
     def _deep_sweep(
         self,
@@ -494,12 +462,11 @@ class ImplicationIndex:
         xfalse: int,
         sat0: bool,
         sat1: bool,
-        lo: int,
         hi: int,
     ) -> int:
-        """Subsets of lo..hi clauses (3 <= lo), depth first in canonical
-        order, with every branch cut that the union bound proves holds no
-        hit. Returns the memo entry of the first hit, or 0.
+        """Subsets of 3..hi clauses, depth first in canonical order, with
+        every branch cut that the union bound proves holds no hit. Returns
+        the literal of the first hit, or 0.
 
         Clause i weighs w0[i] on the x=0 side and w1[i] on the x=1 side:
         2^(K - width once x is fixed), or 0 where fixing x satisfies it,
@@ -566,8 +533,8 @@ class ImplicationIndex:
                     return hit
             return 0
 
-        for size in range(lo, hi + 1):
+        for size in range(3, hi + 1):
             hit = dive(0, size, -1, 0, 0, 0)
             if hit:
-                return size << 2 | (_POSITIVE if hit > 0 else _NEGATIVE)
+                return hit
         return 0

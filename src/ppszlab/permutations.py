@@ -122,10 +122,13 @@ def distinct_orders(perms) -> tuple[int, dict[int, tuple[tuple[int, ...], int]]]
     its multiplicity, keyed by the index of its first copy, in index
     order. perms is a PermutationSet or any iterable of orders; a set
     keeps its own table, read off one shared per (n, K). This is the one
-    place where repeated orders are merged."""
+    place where repeated orders are merged, and the one reader of order
+    families: a family with no order raises ValueError."""
     if isinstance(perms, PermutationSet):
         return len(perms), perms.distinct
     orders = [tuple(order) for order in perms]
+    if not orders:
+        raise ValueError("an order family needs at least one order")
     return len(orders), _first_copies(orders)
 
 

@@ -71,15 +71,15 @@ def dppsz(
     engine = engine or PpszEngine(formula, cfg)
     amask, avals = start
     n = formula.n - amask.bit_count()
+    live = engine.index.live(amask, avals)
     if n == 0:
-        # nothing to assign: the start state either works or nothing does
-        if engine._satisfies(avals):
+        # nothing to assign: the start state is a solution or nothing is
+        if live:
             return DppszResult(Assignment(), 0, (), 0, False, 0)
         return DppszResult(None, None, (), 0, False, 0)
     size, orders = distinct_orders(perms)
     total = ((1 << (n + 1)) - 2) * size
     budget = total if max_modify_calls is None else max(0, min(max_modify_calls, total))
-    live = engine.index.live(amask, avals)
     for round_no in range(1, n + 1):
         base = ((1 << round_no) - 2) * size
         if base >= budget or not live:

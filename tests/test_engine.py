@@ -19,6 +19,7 @@ from ppszlab.instances import unique_kcnf, uniform_kcnf, with_free_variables
 from ppszlab.oracle import count_solutions, enumerate_solutions
 from ppszlab.permutations import construct_sigma
 from ppszlab.suites import identity_corpus
+from ppszlab.unique import dppsz
 
 
 def F(*clauses, variables=None, k=None):
@@ -322,9 +323,20 @@ def test_solution_bitmap_matches_the_clause_loop():
         eng = PpszEngine(formula)
         for avals in range(1 << formula.n):
             want = _satisfies_by_clauses(formula, avals)
-            assert eng._satisfies(avals) is want, (formula.clauses, avals)
+            assert (eng.index._solutions >> avals) & 1 == want, (formula.clauses, avals)
             verdicts.add(want)
+        assert eng.index._solutions >> (1 << formula.n) == 0  # no bit past 2^n
     assert verdicts == {False, True}
+
+
+def test_an_empty_order_family_is_rejected():
+    formula = F((1, 2), (-1, 2))
+    for route in (success_probability_exact, success_probability_via_identity, dppsz):
+        with pytest.raises(ValueError, match="at least one order"):
+            route(formula, [])
+    # with nothing to assign, dppsz answers before it reads the family
+    assert dppsz(F(), ()).round_found == 0
+    assert dppsz(F(()), ()).round_found is None
 
 
 def test_walk_result_satisfies_the_formula():

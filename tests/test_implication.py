@@ -262,18 +262,18 @@ def test_one_index_answers_every_depth(monkeypatch, limit):
         monkeypatch.setattr(ImplicationIndex, "RESULT_CACHE_LIMIT", limit)
     rng = random.Random(53)
     sequences = ((2, 4, 3), (1, 3, 2, 4), (4, 1))
-    resumed_hits = resumed_misses = short_residuals = 0
+    swept = clears = short_residuals = 0
     for n, k in ((6, 3), (7, 4), (8, 3), (9, 4)):
         for taus in sequences:
             formula = uniform_kcnf(rng, n, 4 * n if k == 3 else 6 * n, k)
             shared = ImplicationIndex(formula)
             fresh = {tau: ImplicationIndex(formula, cfg(tau)) for tau in taus}
-            lows = []
+            sweeps = []
             sweep = shared._sweep
 
-            def recorded(amask, avals, var, xpos, lo, tau):
-                lows.append(lo)
-                return sweep(amask, avals, var, xpos, lo, tau)
+            def recorded(*args):
+                sweeps.append(args)
+                return sweep(*args)
 
             shared._sweep = recorded
             for assigned in [rng.randrange(n - 1) for _ in range(5)] + [n - 2, n - 1]:
@@ -283,21 +283,30 @@ def test_one_index_answers_every_depth(monkeypatch, limit):
                     shared.tau = tau
                     short_residuals += len(residual.clauses) < tau
                     for var in residual.variables:
-                        swept, held = len(lows), len(shared._result_cache)
+                        before, held = len(sweeps), len(shared._result_cache)
                         got = shared.implied_literal(amask, avals, var)
                         want = fresh[tau].implied_literal(amask, avals, var)
                         assert got == want, (literals, var, tau)
                         # the reference solves every subset: small residuals only
                         if n <= 7 and len(residual.clauses) <= 16:
                             assert got == (tau_implied(residual, var, cfg(tau)) or 0)
-                        if len(lows) > swept and lows[-1] > 1:
-                            # a resume deepens its entry in place: no new
-                            # entry, and no clear at the limit
-                            assert len(shared._result_cache) == held
-                            resumed_hits += got != 0
-                            resumed_misses += got == 0
-    # resumes end both ways, and some residuals hold fewer clauses than tau
-    assert resumed_hits > 0 and resumed_misses > 0 and short_residuals > 0
+                        size = len(shared._result_cache)
+                        if len(sweeps) > before:
+                            # a sweep adds exactly one entry, or clears the
+                            # memo at its limit
+                            assert len(sweeps) == before + 1
+                            assert size == held + 1 or (
+                                held == ImplicationIndex.RESULT_CACHE_LIMIT and size == 1
+                            )
+                            swept += 1
+                            clears += size == 1 and held > 0
+                        else:
+                            assert size == held
+                        # asked again at the same depth, the memo answers
+                        assert shared.implied_literal(amask, avals, var) == got
+                        assert len(sweeps) == before + (size != held)
+    # some residuals hold fewer clauses than tau, and the small memo clears
+    assert swept > 0 and short_residuals > 0 and (clears > 0) == (limit is not None)
 
 
 def _mixed_width_formula(rng, n, m, empty):
@@ -369,7 +378,7 @@ def test_live_screen_matches_the_reference():
                     seen[kind] += 1
                     if kind == "both" and tau >= 2 and var in mentioned:
                         # no subset of any size decides var
-                        assert index._result_cache[amask, avals, j] == 0
+                        assert index._result_cache[amask, avals, j, tau] == 0
                         seen["both, screened"] += 1
                     if kind == "one" and want and not tau_implied(residual, var, cfg(2)):
                         seen["one, deep hit"] += 1

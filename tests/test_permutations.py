@@ -149,7 +149,8 @@ def test_distinct_orders_list_each_order_once_at_its_first_index():
         assert sum(count for _, count in table.values()) == size
         # a plain order list goes through the same table
         assert distinct_orders(list(listed)) == (size, table)
-    assert distinct_orders([]) == (0, {})
+    with pytest.raises(ValueError, match="at least one order"):
+        distinct_orders([])
     listed = [(2, 1, 3), (1, 2, 3), (2, 1, 3), [3, 2, 1], (1, 2, 3), (2, 1, 3)]
     size, table = distinct_orders(listed)
     assert size == 6
