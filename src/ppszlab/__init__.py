@@ -8,7 +8,6 @@ variables, and the numerics sizing all the budgets.
 """
 
 from .analysis import (
-    AnalysisConfig,
     binary_entropy,
     crossover_delta,
     fixpoint_k3,
@@ -49,9 +48,9 @@ from .general import (
     solve_general,
 )
 from .implication import (
-    ImplicationConfig,
     ImplicationIndex,
     default_tau,
+    resolve_tau,
     sub_cnf_solutions,
     tau_implied,
 )

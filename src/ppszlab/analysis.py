@@ -10,17 +10,7 @@ on these values; they only size cutoffs and feed the reporting commands.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
-
-
-@dataclass(frozen=True)
-class AnalysisConfig:
-    """Defaults for the reporting commands."""
-
-    tol: float = 1e-12
-    grid: int = 10_000
-    iterations: int = 30
 
 
 @lru_cache(maxsize=64)
@@ -77,7 +67,7 @@ def crossover_delta(
     Solves e(delta) = log2(competitor_base) by bisection; e is strictly
     increasing on [0, 1/2], so the root is unique when it exists.
     """
-    if competitor_base <= 1.0:
+    if not competitor_base > 1.0:  # also rejects NaN
         raise ValueError("competitor_base must exceed 1")
     target = math.log2(competitor_base)
     lo, hi = 0.0, 0.5

@@ -20,7 +20,6 @@ import time
 from functools import lru_cache
 
 from .analysis import (
-    AnalysisConfig,
     crossover_delta,
     lambda_k,
     r_sequence_bounds,
@@ -36,7 +35,7 @@ from .cnf import (
 )
 from .engine import ppsz_randomized
 from .general import solve_general
-from .implication import ImplicationConfig, default_tau
+from .implication import resolve_tau
 from .instances import (
     planted_kcnf,
     satisfiable_kcnf,
@@ -62,7 +61,7 @@ LISTING_LIMIT = 10_000  # refuse to dump larger permutation families
 
 
 def canonical_json(payload) -> str:
-    return json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n"
+    return json.dumps(payload, sort_keys=True, separators=(",", ":"), allow_nan=False) + "\n"
 
 
 def _emit(text: str, out: str | None) -> None:
@@ -80,10 +79,6 @@ def _load_formula(path: str) -> Formula:
         return parse_dimacs(handle.read())
 
 
-def _config(args) -> ImplicationConfig:
-    return ImplicationConfig(tau=args.tau)
-
-
 def _checked_literals(formula: Formula, assignment: Assignment) -> list[int]:
     if evaluate(formula, assignment) is not Evaluation.SATISFIED:
         raise RuntimeError("internal error: solver returned a non-solution")
@@ -92,11 +87,10 @@ def _checked_literals(formula: Formula, assignment: Assignment) -> list[int]:
 
 def cmd_solve(args) -> int:
     formula = _load_formula(args.file)
-    cfg = _config(args)
     if args.mode == "general":
         result = solve_general(
             formula,
-            cfg,
+            args.tau,
             independence=args.kwise,
             slack=args.slack,
             slice_budget=args.slice,
@@ -123,7 +117,7 @@ def cmd_solve(args) -> int:
         _emit(canonical_json(payload), args.out)
         return EXIT_SAT if result.satisfiable else EXIT_UNSAT
     if args.mode == "unique":
-        report = solve_unique(formula, cfg, independence=args.kwise)
+        report = solve_unique(formula, args.tau, independence=args.kwise)
         payload = {
             "mode": "unique",
             "satisfiable": report.satisfiable,
@@ -138,7 +132,7 @@ def cmd_solve(args) -> int:
         return EXIT_SAT if report.satisfiable else EXIT_UNSAT
     # with no variables the one order is the empty one
     perms = construct_sigma(formula.variables, args.kwise) if formula.n else [()]
-    record = ppsz_randomized(formula, perms, cfg, seed=args.seed)
+    record = ppsz_randomized(formula, perms, args.tau, seed=args.seed)
     found = record.result is not None
     payload = {
         "mode": "randomized",
@@ -229,7 +223,7 @@ def cmd_tree(args) -> int:
     missing = [v for v in formula.variables if v not in amap]
     if missing:
         raise ValueError(f"alpha leaves variables unassigned: {missing}")
-    size = args.kwise if args.kwise is not None else default_tau(formula.n)
+    size = resolve_tau(args.kwise, formula.n)
     depth = args.depth if args.depth is not None else certificate_depth(formula.k, size)
     tree = construct_tree(formula, amap, args.var, depth)
     outcome = verify_tree(tree, formula, amap, size)
@@ -266,16 +260,13 @@ CONSTANTS_SAMPLES = (0.0, 0.001, 0.01, 0.1, 0.25, 0.5)
 
 
 def cmd_constants(args) -> int:
-    defaults = AnalysisConfig()
     k = args.k
-    lam = lambda_k(k, defaults.tol)
+    lam = lambda_k(k)
     seq = r_sequence_bounds(k, args.iterations, args.grid)
-    exponents = {
-        delta: runtime_exponent(k, delta, defaults.tol) for delta in CONSTANTS_SAMPLES
-    }
+    exponents = {delta: runtime_exponent(k, delta) for delta in CONSTANTS_SAMPLES}
     crossover = None
     if args.competitor is not None:
-        crossover = crossover_delta(k, args.competitor, defaults.tol)
+        crossover = crossover_delta(k, args.competitor)
     if args.format == "csv":
         buffer = io.StringIO()
         writer = csv.writer(buffer, lineterminator="\n")
@@ -347,7 +338,6 @@ def cmd_bench(args) -> int:
         columns.append("seconds")
     writer = csv.writer(buffer, lineterminator="\n")
     writer.writerow(columns)
-    cfg = ImplicationConfig(tau=args.tau)
     if args.mode == "unique":
         sizes = [int(tok) for tok in args.ns.split(",")]
         jobs = [unique_kcnf(rng, n, 3)[0] for n in sizes for _ in range(args.count)]
@@ -356,7 +346,7 @@ def cmd_bench(args) -> int:
     for index, formula in enumerate(jobs):
         start = time.perf_counter()
         if args.mode == "unique":
-            report = solve_unique(formula, cfg)
+            report = solve_unique(formula, args.tau)
             stats = [
                 int(report.satisfiable),
                 "",
@@ -368,7 +358,7 @@ def cmd_bench(args) -> int:
                 "",
             ]
         else:
-            result = solve_general(formula, cfg, slack=args.slack)
+            result = solve_general(formula, args.tau, slack=args.slack)
             stats = [
                 int(result.satisfiable),
                 result.instance_found if result.instance_found is not None else "",
@@ -459,8 +449,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_const = sub.add_parser("constants", help="series limit, exponents, recurrence integrals")
     p_const.add_argument("--k", type=int, default=3)
     p_const.add_argument("--competitor", type=float, default=None, help="competitor base to cross")
-    p_const.add_argument("--grid", type=int, default=AnalysisConfig().grid)
-    p_const.add_argument("--iterations", type=int, default=AnalysisConfig().iterations)
+    p_const.add_argument("--grid", type=int, default=10_000)
+    p_const.add_argument("--iterations", type=int, default=30)
     p_const.add_argument("--format", choices=("json", "csv"), default="json")
     p_const.add_argument("--out", default=None)
     p_const.set_defaults(func=cmd_constants)

@@ -45,7 +45,7 @@ from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
 from .cnf import FORCED, GUESSED, Assignment, Formula
-from .implication import ImplicationConfig, ImplicationIndex
+from .implication import ImplicationIndex
 from .oracle import enumerate_solutions
 from .permutations import distinct_orders
 
@@ -78,9 +78,9 @@ class PpszEngine:
     walk and is not counted; `dppsz` reports the logical walk count of its
     scan itself and does not read this one."""
 
-    def __init__(self, formula: Formula, cfg: ImplicationConfig | None = None):
+    def __init__(self, formula: Formula, tau: int | None = None):
         self.formula = formula
-        self.index = ImplicationIndex(formula, cfg)
+        self.index = ImplicationIndex(formula, tau)
         self._bit = {v: 1 << i for i, v in enumerate(formula.variables)}
         # per variable, the total assignments setting it to 1 and to 0: a
         # guess splits a live set with them
@@ -243,7 +243,7 @@ def _as_value_map(literals: Iterable[int]) -> dict[int, bool]:
 def success_probability_exact(
     formula: Formula,
     perms,
-    cfg: ImplicationConfig | None = None,
+    tau: int | None = None,
     max_evaluations: int = DEFAULT_EVALUATION_BUDGET,
 ) -> Fraction:
     """Pr[a run over uniform (order, bits) returns a solution]. Exact
@@ -262,7 +262,7 @@ def success_probability_exact(
         raise EnumerationBudgetError(
             f"{size} orders x 2^{n} bit vectors exceed the budget of {max_evaluations}"
         )
-    engine = PpszEngine(formula, cfg)
+    engine = PpszEngine(formula, tau)
     successes = sum(
         multiplicity * engine.count_successes(sigma) for sigma, multiplicity in orders.values()
     )
@@ -272,7 +272,7 @@ def success_probability_exact(
 def success_probability_via_identity(
     formula: Formula,
     perms,
-    cfg: ImplicationConfig | None = None,
+    tau: int | None = None,
 ) -> Fraction:
     """The same probability assembled solution by solution: each solution
     contributes the average over orders of 2^(-guessed), each distinct
@@ -282,7 +282,7 @@ def success_probability_via_identity(
     ValueError."""
     size, orders = distinct_orders(perms)
     n = formula.n
-    engine = PpszEngine(formula, cfg)
+    engine = PpszEngine(formula, tau)
     for sigma, _ in orders.values():
         engine._check_order(sigma)
     numerator = 0
@@ -323,9 +323,8 @@ class TrialRecord:
 def ppsz_randomized(
     formula: Formula,
     perms,
-    cfg: ImplicationConfig | None = None,
+    tau: int | None = None,
     seed: int = 0,
-    engine: PpszEngine | None = None,
 ) -> TrialRecord:
     """One randomized trial: uniform order index, uniform bit vector of
     length n. Fully reproducible from the seed."""
@@ -334,7 +333,7 @@ def ppsz_randomized(
     n = formula.n
     beta_value = rng.getrandbits(n) if n else 0
     sigma = perms.permutation(sigma_index) if hasattr(perms, "permutation") else tuple(perms[sigma_index])
-    engine = engine or PpszEngine(formula, cfg)
+    engine = PpszEngine(formula, tau)
     avals, profile = engine._walk(sigma, beta_value, n, None)
     result = None
     if avals is not None:

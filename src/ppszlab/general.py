@@ -28,7 +28,7 @@ from typing import Iterator
 from .analysis import lambda_k
 from .cnf import FIXED, Assignment, Evaluation, Formula, evaluate, restrict
 from .engine import PpszEngine
-from .implication import ImplicationConfig
+from .implication import resolve_tau
 from .oracle import (
     DEFAULT_ORACLE_LIMIT,
     UnsatisfiableError,
@@ -159,13 +159,13 @@ class _Search:
     def __init__(
         self,
         formula: Formula,
-        cfg: ImplicationConfig | None,
+        tau: int | None,
         independence: int | None,
     ) -> None:
         self.formula = formula
-        self.cfg = cfg or ImplicationConfig()
+        self.tau = tau
         self.independence = independence
-        self.engine = PpszEngine(formula, self.cfg)
+        self.engine = PpszEngine(formula, tau)
         # the permutation set of the last free-variable set: the 2^i
         # polarity patterns of one variable subset come one after another
         self.free: set[int] | None = None
@@ -186,7 +186,7 @@ class _Search:
         if start is None:
             self.skipped += 1
             return None
-        engine.index.tau = self.cfg.resolve_tau(formula.n - len(literals))
+        engine.index.tau = resolve_tau(self.tau, formula.n - len(literals))
         free = set(formula.variables).difference(map(abs, literals))
         if free != self.free:
             self.free = free
@@ -218,7 +218,7 @@ def _instance_restrictions(variables: tuple[int, ...], i: int) -> Iterator[tuple
 
 def solve_general(
     formula: Formula,
-    cfg: ImplicationConfig | None = None,
+    tau: int | None = None,
     independence: int | None = None,
     slack: float | None = None,
     slice_budget: int | None = None,
@@ -237,7 +237,9 @@ def solve_general(
     lam = lambda_k(max(formula.k, 3))
     if slack is None:
         slack = default_slack(n)
-    search = _Search(formula, cfg, independence)
+    if not math.isfinite(slack):
+        raise ValueError("slack must be finite")
+    search = _Search(formula, tau, independence)
     mode = "sequential" if slice_budget is None else "slices"
     metadata = {
         "n": n,

@@ -33,7 +33,6 @@ exact.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations
 from typing import Iterable, Sequence
 
@@ -51,25 +50,14 @@ def default_tau(n: int) -> int:
     return min(MAX_DEFAULT_TAU, max(1, n.bit_length() - 1))
 
 
-@dataclass(frozen=True)
-class ImplicationConfig:
-    """The implication search's subset size bound.
-
-    tau=None derives the default from the formula size at the point of use.
-    """
-
-    tau: int | None = None
-
-    def resolve_tau(self, n: int) -> int:
-        if self.tau is not None:
-            if self.tau < 1:
-                raise ValueError("tau must be at least 1")
-            return self.tau
+def resolve_tau(tau: int | None, n: int) -> int:
+    """The implication subset size: tau itself, or default_tau(n) when
+    tau is None."""
+    if tau is None:
         return default_tau(n)
-
-    @property
-    def tau_is_derived(self) -> bool:
-        return self.tau is None
+    if tau < 1:
+        raise ValueError("tau must be at least 1")
+    return tau
 
 
 def sub_cnf_solutions(clauses: Iterable[Clause] | Formula) -> SolutionSet:
@@ -100,14 +88,13 @@ def _implied_by_subset(subset: Sequence[Clause], x: int) -> int | None:
     return None
 
 
-def tau_implied(formula: Formula, x: int, cfg: ImplicationConfig | None = None) -> int | None:
+def tau_implied(formula: Formula, x: int, tau: int | None = None) -> int | None:
     """First literal over x implied by some sub-CNF of at most tau clauses,
     or None. This is the reference implementation: small, slow, and used as
     the verifier for the memoized fast path in the solver engine."""
-    cfg = cfg or ImplicationConfig()
     if x not in formula.variables:
         raise ValueError(f"variable {x} is not in the formula")
-    tau = cfg.resolve_tau(formula.n)
+    tau = resolve_tau(tau, formula.n)
     clauses = formula.clauses
     for size in range(1, min(tau, len(clauses)) + 1):
         for subset in combinations(clauses, size):
@@ -203,7 +190,7 @@ class ImplicationIndex:
     limit, so memory stays bounded however many restrictions share the
     index.
 
-    `tau` is the lookup depth. It starts at the configured bound and a
+    `tau` is the lookup depth. It starts at resolve_tau(tau, n) and a
     caller may change it between lookups; one index, with one memo,
     serves every depth. Answers are memoized per depth: the memo maps
     (state, variable, tau) to the literal found, or to 0.
@@ -251,10 +238,9 @@ class ImplicationIndex:
     STATE_CACHE_BYTES = 4 << 20  # estimated size of the cached states
     RESULT_CACHE_LIMIT = 1 << 15  # (state, variable) answers
 
-    def __init__(self, formula: Formula, cfg: ImplicationConfig | None = None):
-        cfg = cfg or ImplicationConfig()
+    def __init__(self, formula: Formula, tau: int | None = None):
         self.formula = formula
-        self.tau = cfg.resolve_tau(formula.n)
+        self.tau = resolve_tau(tau, formula.n)
         n = formula.n
         if n > self.VARIABLE_LIMIT:
             raise ValueError(

@@ -30,7 +30,7 @@ from .engine import (
     success_probability_via_identity,
 )
 from .general import construct_good_assignment, solve_general
-from .implication import ImplicationConfig, default_tau
+from .implication import resolve_tau
 from .instances import (
     planted_kcnf,
     satisfiable_kcnf,
@@ -63,15 +63,15 @@ class SuiteReport:
 
 def identity_suite(
     formulas,
-    cfg: ImplicationConfig | None = None,
+    tau: int | None = None,
     independence: int | None = None,
 ) -> SuiteReport:
     """The two probability routes must agree exactly, formula by formula."""
     report = SuiteReport("identity")
     for idx, formula in enumerate(formulas):
         perms = construct_sigma(formula.variables, independence)
-        exact = success_probability_exact(formula, perms, cfg)
-        assembled = success_probability_via_identity(formula, perms, cfg)
+        exact = success_probability_exact(formula, perms, tau)
+        assembled = success_probability_via_identity(formula, perms, tau)
         report.checked += 1
         if exact != assembled:
             report.failures.append(f"instance {idx}: {exact} != {assembled}")
@@ -80,7 +80,7 @@ def identity_suite(
 
 def solver_oracle_suite(
     formulas,
-    cfg: ImplicationConfig | None = None,
+    tau: int | None = None,
     slack: float | None = None,
     limit: int = DEFAULT_ORACLE_LIMIT,
 ) -> SuiteReport:
@@ -90,7 +90,7 @@ def solver_oracle_suite(
     sat = unsat = 0
     for idx, formula in enumerate(formulas):
         expected = count_solutions(formula, limit) > 0
-        result = solve_general(formula, cfg, slack=slack)
+        result = solve_general(formula, tau, slack=slack)
         report.checked += 1
         if result.satisfiable != expected:
             report.failures.append(
@@ -109,7 +109,7 @@ def solver_oracle_suite(
 
 def dppsz_round_suite(
     formulas,
-    cfg: ImplicationConfig | None = None,
+    tau: int | None = None,
     independence: int | None = None,
     limit: int = DEFAULT_ORACLE_LIMIT,
 ) -> SuiteReport:
@@ -118,9 +118,9 @@ def dppsz_round_suite(
     report = SuiteReport("round-accounting")
     for idx, formula in enumerate(formulas):
         perms = construct_sigma(formula.variables, independence)
-        engine = PpszEngine(formula, cfg)
+        engine = PpszEngine(formula, tau)
         solutions = enumerate_solutions(formula, limit)
-        result = dppsz(formula, perms, cfg, engine=engine)
+        result = dppsz(formula, perms, engine=engine)
         report.checked += 1
         if len(solutions) == 0:
             if result.round_found is not None:
@@ -151,7 +151,7 @@ def tree_suite(
     trees = cuts = 0
     for idx, (formula, alpha) in enumerate(pairs):
         amap = {abs(lit): lit > 0 for lit in alpha}
-        size = implication_size if implication_size is not None else default_tau(formula.n)
+        size = resolve_tau(implication_size, formula.n)
         depth = certificate_depth(formula.k, size)
         for var in formula.variables:
             tree = construct_tree(formula, amap, var, depth)

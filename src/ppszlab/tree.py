@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 from typing import Iterator, Mapping
 
 from .cnf import Clause, Formula, restrict
-from .implication import ImplicationConfig, tau_implied
+from .implication import tau_implied
 
 DUMMY = 0  # vertex label for "nothing new to flip"
 DEFAULT_CUT_BUDGET = 10**6
@@ -84,6 +84,8 @@ def construct_tree(
     """
     if x not in formula.variables:
         raise ValueError(f"variable {x} is not in the formula")
+    if depth < 0:
+        raise ValueError("depth must be nonnegative")
     values = {v: bool(alpha[v]) for v in formula.variables}
 
     def first_falsified() -> Clause | None:
@@ -239,7 +241,6 @@ def verify_tree(
 
     # the cut property, checked through the ordinary implication engine
     root_literal = root.label if alpha.get(root.label) else -root.label
-    cfg = ImplicationConfig(tau=implication_size)
     for cut in enumerate_cuts(root, budget=cut_budget):
         report.cuts_checked += 1
         fixings = []
@@ -258,7 +259,7 @@ def verify_tree(
             )
             continue
         restricted = restrict(formula, fixings)
-        got = tau_implied(restricted, root.label, cfg)
+        got = tau_implied(restricted, root.label, implication_size)
         if got != root_literal:
             report.cuts_imply_root = False
             report.failures.append(

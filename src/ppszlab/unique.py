@@ -30,7 +30,6 @@ from functools import lru_cache
 
 from .cnf import Assignment, Formula
 from .engine import PpszEngine
-from .implication import ImplicationConfig
 from .permutations import PermutationSet, construct_sigma, distinct_orders
 
 
@@ -51,7 +50,6 @@ class DppszResult:
 def dppsz(
     formula: Formula,
     perms,
-    cfg: ImplicationConfig | None = None,
     max_modify_calls: int | None = None,
     engine: PpszEngine | None = None,
     *,
@@ -62,13 +60,15 @@ def dppsz(
 
     `start` is an (amask, avals) state of the engine: the walks extend it,
     perms orders the variables it leaves free, and n is their number.
-    max_modify_calls cuts the search off mid-round (the caller treats a
-    cutoff as "nothing found here, move on"), so the full run is only
-    attempted when the budget allows. The counters are those of the scan;
+    Implications are looked up at the engine's depth, `engine.index.tau`;
+    the default engine takes the default tau. max_modify_calls cuts the
+    search off mid-round (the caller treats a cutoff as "nothing found
+    here, move on"), so the full run is only attempted when the budget
+    allows. The counters are those of the scan;
     the search behind them is `_first_hit`'s, and none is run when no
     solution extends the start state.
     """
-    engine = engine or PpszEngine(formula, cfg)
+    engine = engine or PpszEngine(formula)
     amask, avals = start
     n = formula.n - amask.bit_count()
     live = engine.index.live(amask, avals)
@@ -193,26 +193,25 @@ class SolveReport:
 
 def solve_unique(
     formula: Formula,
-    cfg: ImplicationConfig | None = None,
+    tau: int | None = None,
     independence: int | None = None,
 ) -> SolveReport:
     """The full deterministic pipeline for formulas expected to have few
     solutions: build the permutation set, then exhaust rounds. Sound on any
     input (a solution is returned only if it satisfies the formula; rounds
     simply run longer when solutions need many guesses)."""
-    cfg = cfg or ImplicationConfig()
     if formula.n == 0:
         result = dppsz(formula, ())
         meta = {"n": 0, "tau": 0, "independence": 0, "prime": 0, "tau_derived": True}
         return SolveReport(result.solution, result.round_found, 0, 0, meta)
     perms = _permutation_set(formula.variables, independence)
-    result = dppsz(formula, perms, cfg)
-    tau = cfg.resolve_tau(formula.n)
+    engine = PpszEngine(formula, tau)
+    result = dppsz(formula, perms, engine=engine)
     meta = {
         "n": formula.n,
         "k": formula.k,
-        "tau": tau,
-        "tau_derived": cfg.tau_is_derived,
+        "tau": engine.index.tau,
+        "tau_derived": tau is None,
         "independence": perms.independence,
         "prime": perms.prime,
         "sigma_size": len(perms),

@@ -1,10 +1,10 @@
+import inspect
 import math
 
 import pytest
 
 from ppszlab import suites
 from ppszlab.analysis import (
-    AnalysisConfig,
     binary_entropy,
     crossover_delta,
     fixpoint_k3,
@@ -14,6 +14,7 @@ from ppszlab.analysis import (
     r_value,
     runtime_exponent,
 )
+from ppszlab.cli import build_parser
 
 
 def test_lambda_three_closed_form():
@@ -195,7 +196,7 @@ def test_bound_argument_validation():
 
 
 def test_analysis_defaults():
-    cfg = AnalysisConfig()
-    assert cfg.tol == 1e-12
-    assert cfg.grid == 10_000
-    assert cfg.iterations == 30
+    assert inspect.signature(lambda_k).parameters["tol"].default == 1e-12
+    args = build_parser().parse_args(["constants"])
+    assert args.grid == 10_000
+    assert args.iterations == 30

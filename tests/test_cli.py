@@ -122,6 +122,28 @@ def test_solve_rejects_malformed_input(capsys, tmp_path):
     assert err.startswith("error:")
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (("solve", "CHAIN", "--slack", "inf"), "slack must be finite"),
+        (("solve", "CHAIN", "--slack", "1e400"), "slack must be finite"),
+        (("solve", "CHAIN", "--slack=-inf"), "slack must be finite"),
+        (("solve", "CHAIN", "--slack", "nan"), "slack must be finite"),
+        (("bench", "--count", "1", "--slack", "inf"), "slack must be finite"),
+        (("constants", "--competitor", "nan"), "competitor_base must exceed 1"),
+        (("tree", "CHAIN", "--var", "1", "--depth", "-1"), "depth must be nonnegative"),
+        (("tree", "CHAIN", "--var", "1", "--kwise", "0"), "tau must be at least 1"),
+    ],
+)
+def test_bad_numbers_fail_with_a_message(capsys, chain_file, argv, message):
+    argv = [chain_file if arg == "CHAIN" else arg for arg in argv]
+    code, out, err = run(capsys, *argv)
+    assert code == 1
+    assert err.startswith("error:") and message in err
+    assert "Traceback" not in err
+    assert out == ""
+
+
 def test_output_file_matches_stdout(capsys, tmp_path, chain_file):
     _, out, _ = run(capsys, "solve", chain_file)
     target = tmp_path / "result.json"

@@ -14,7 +14,6 @@ from ppszlab.engine import (
     success_probability_exact,
     success_probability_via_identity,
 )
-from ppszlab.implication import ImplicationConfig
 from ppszlab.instances import unique_kcnf, uniform_kcnf, with_free_variables
 from ppszlab.oracle import count_solutions, enumerate_solutions
 from ppszlab.permutations import construct_sigma
@@ -27,7 +26,7 @@ def F(*clauses, variables=None, k=None):
 
 
 def engine(formula, tau=None):
-    return PpszEngine(formula, ImplicationConfig(tau=tau))
+    return PpszEngine(formula, tau)
 
 
 def test_two_units_need_no_bits():
@@ -104,9 +103,9 @@ def test_exact_equals_identity_on_random_instances():
         assert 0 < exact <= 1
 
 
-def _exhaustive_probability(formula, orders, cfg=None):
+def _exhaustive_probability(formula, orders, tau=None):
     """Reference route: one full `_walk` per (order, bit vector) pair."""
-    eng = PpszEngine(formula, cfg)
+    eng = PpszEngine(formula, tau)
     n = formula.n
     successes = 0
     for sigma in orders:
@@ -143,11 +142,10 @@ def _differential_cases(rng):
 
 @pytest.mark.parametrize("tau", [1, 2, 3, 4])
 def test_guess_tree_count_matches_the_exhaustive_loop(tau):
-    cfg = ImplicationConfig(tau=tau)
     verdicts = set()
     for formula, orders in _differential_cases(random.Random(700 + tau)):
-        expected = _exhaustive_probability(formula, orders, cfg)
-        assert success_probability_exact(formula, orders, cfg) == expected
+        expected = _exhaustive_probability(formula, orders, tau)
+        assert success_probability_exact(formula, orders, tau) == expected
         verdicts.add(expected > 0)
     assert verdicts == {True, False}
 

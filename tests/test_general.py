@@ -14,7 +14,7 @@ from ppszlab.general import (
     default_slack,
     solve_general,
 )
-from ppszlab.implication import ImplicationConfig, ImplicationIndex
+from ppszlab.implication import ImplicationIndex
 from ppszlab.instances import planted_kcnf, uniform_kcnf, unique_kcnf
 from ppszlab.oracle import UnsatisfiableError, count_solutions
 
@@ -214,7 +214,7 @@ def test_restrictions_share_one_engine(monkeypatch, tau):
         ImplicationIndex, "__init__", counted("index", ImplicationIndex.__init__)
     )
     formula = uniform_kcnf(random.Random(1), 6, 40, 3)
-    result = solve_general(formula, ImplicationConfig(tau))
+    result = solve_general(formula, tau)
     assert not result.satisfiable and result.restrictions_tried == 3**6
     # default tau over 6..0 free variables takes the values 2 and 1, and
     # both are lookup depths of the one index
@@ -281,7 +281,7 @@ def test_clause_masks_are_built_only_for_size_three_sweeps(monkeypatch, tau):
     monkeypatch.setattr(ImplicationIndex, "_deep_sweep", counted_sweep)
     # satisfiable, so the searches reach the index (see above)
     formula = planted_kcnf(random.Random(1), 10, 42, 3)[0]
-    assert solve_general(formula, ImplicationConfig(tau)).satisfiable
+    assert solve_general(formula, tau).satisfiable
     if tau == 2:
         assert built == [] and swept == []
         return

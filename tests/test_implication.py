@@ -6,10 +6,10 @@ import pytest
 
 from ppszlab.cnf import Formula, restrict
 from ppszlab.implication import (
-    ImplicationConfig,
     ImplicationIndex,
     _implied_by_subset,
     default_tau,
+    resolve_tau,
     sub_cnf_solutions,
     tau_implied,
 )
@@ -21,24 +21,20 @@ def F(*clauses, variables=None):
     return Formula.from_clauses(clauses, variables=variables)
 
 
-def cfg(tau):
-    return ImplicationConfig(tau=tau)
-
-
 def test_two_clause_pin():
     formula = F((1, 2), (1, -2))
-    assert tau_implied(formula, 1, cfg(2)) == 1
-    assert tau_implied(formula, 1, cfg(1)) is None
+    assert tau_implied(formula, 1, 2) == 1
+    assert tau_implied(formula, 1, 1) is None
 
 
 def test_unit_clause_pins_at_tau_one():
-    assert tau_implied(F((1,)), 1, cfg(1)) == 1
-    assert tau_implied(F((-1,)), 1, cfg(1)) == -1
+    assert tau_implied(F((1,)), 1, 1) == 1
+    assert tau_implied(F((-1,)), 1, 1) == -1
 
 
 def test_unpinned_variable_yields_nothing():
     formula = F((1, 2), (1, -2))
-    assert tau_implied(formula, 2, cfg(2)) is None
+    assert tau_implied(formula, 2, 2) is None
 
 
 def test_queried_variable_must_exist():
@@ -53,11 +49,11 @@ def test_vacuous_subset_reports_positive_literal():
     # vacuously, and the tie goes to the positive literal, even for the
     # variable that only ever occurs negated.
     formula = F((-2,), (2,), (1, 2, -3))
-    assert tau_implied(formula, 1, cfg(3)) == 1
-    assert tau_implied(formula, 3, cfg(3)) == 3
-    assert tau_implied(formula, 1, cfg(2)) is None
+    assert tau_implied(formula, 1, 3) == 1
+    assert tau_implied(formula, 3, 3) == 3
+    assert tau_implied(formula, 1, 2) is None
     # the unit (-2) is scanned before any vacuous pair, so no tie for y
-    assert tau_implied(formula, 2, cfg(2)) == -2
+    assert tau_implied(formula, 2, 2) == -2
 
 
 def test_sub_cnf_solutions_spec_cases():
@@ -88,7 +84,7 @@ def test_soundness_against_the_oracle():
             continue
         implied = implied_literals(residual)
         for var in residual.variables:
-            lit = tau_implied(residual, var, cfg(3))
+            lit = tau_implied(residual, var, 3)
             if lit is not None:
                 checked += 1
                 assert lit in implied
@@ -103,11 +99,11 @@ def test_budget_monotonicity():
         solution = enumerate_solutions(formula).solutions[0]
         residual = restrict(formula, solution[: rng.randrange(1, 5)])
         for var in residual.variables:
-            narrow = tau_implied(residual, var, cfg(1))
+            narrow = tau_implied(residual, var, 1)
             if narrow is not None:
                 hits += 1
-                assert tau_implied(residual, var, cfg(2)) == narrow
-                assert tau_implied(residual, var, cfg(3)) == narrow
+                assert tau_implied(residual, var, 2) == narrow
+                assert tau_implied(residual, var, 3) == narrow
     assert hits > 10
 
 
@@ -116,7 +112,7 @@ def test_full_budget_decides_exactly_the_frozen_variables():
     for _ in range(25):
         formula = satisfiable_kcnf(rng, 5, 10, 3)
         implied = implied_literals(formula)
-        full = cfg(formula.num_clauses)
+        full = formula.num_clauses
         for var in formula.variables:
             lit = tau_implied(formula, var, full)
             if var in {abs(l) for l in implied}:
@@ -135,7 +131,7 @@ def test_relevance_pruning_never_changes_results():
         for var in formula.variables:
             hits = (_implied_by_subset(s, var) for s in subsets)
             first = next((lit for lit in hits if lit is not None), None)
-            assert first == tau_implied(formula, var, cfg(2))
+            assert first == tau_implied(formula, var, 2)
 
 
 def test_default_tau_schedule():
@@ -152,10 +148,9 @@ def test_default_tau_schedule():
 
 def test_config_validation():
     with pytest.raises(ValueError):
-        ImplicationConfig(tau=0).resolve_tau(5)
-    assert ImplicationConfig().tau_is_derived
-    assert not ImplicationConfig(tau=2).tau_is_derived
-    assert ImplicationConfig().resolve_tau(9) == 3
+        resolve_tau(0, 5)
+    assert resolve_tau(2, 9) == 2
+    assert resolve_tau(None, 9) == 3
 
 
 def _restriction_state(formula, rng, assigned_count):
@@ -176,13 +171,13 @@ def test_index_matches_the_reference_on_restrictions():
     rng = random.Random(41)
     for _ in range(12):
         formula = uniform_kcnf(rng, 6, 14, 3)
-        config = cfg(rng.choice((1, 2, 3)))
-        index = ImplicationIndex(formula, config)
+        tau = rng.choice((1, 2, 3))
+        index = ImplicationIndex(formula, tau)
         for _ in range(12):
             amask, avals, literals = _restriction_state(formula, rng, rng.randrange(0, 5))
             residual = restrict(formula, literals)
             for var in residual.variables:
-                want = tau_implied(residual, var, config)
+                want = tau_implied(residual, var, tau)
                 got = index.implied_literal(amask, avals, var)
                 assert got == (want or 0), (literals, var)
 
@@ -198,11 +193,10 @@ def test_index_enforces_its_size_limit():
 )
 def test_index_matches_the_reference_at_tau_four(k, n, m, assigned, seed):
     rng = random.Random(seed)
-    four = cfg(4)
     deep_hits = vacuous_states = unit_states = 0
     for _ in range(8):
         formula = uniform_kcnf(rng, n, m, k)
-        index = ImplicationIndex(formula, four)
+        index = ImplicationIndex(formula, 4)
         for _ in range(4):
             amask, avals, literals = _restriction_state(formula, rng, rng.choice(assigned))
             residual = restrict(formula, literals)
@@ -210,10 +204,10 @@ def test_index_matches_the_reference_at_tau_four(k, n, m, assigned, seed):
             vacuous_states += 0 in widths
             unit_states += 1 in widths
             for var in residual.variables:
-                want = tau_implied(residual, var, four)
+                want = tau_implied(residual, var, 4)
                 got = index.implied_literal(amask, avals, var)
                 assert got == (want or 0), (literals, var)
-                if want is not None and tau_implied(residual, var, cfg(2)) is None:
+                if want is not None and tau_implied(residual, var, 2) is None:
                     deep_hits += 1
     # the cases reach the size >= 3 kernel, empty clauses and units
     assert deep_hits > 0 and vacuous_states > 0 and unit_states > 0
@@ -223,8 +217,8 @@ def _first_hits(formula, x, taus):
     """(reference, index) answers at each tau, on the unrestricted state."""
     out = []
     for tau in taus:
-        want = tau_implied(formula, x, cfg(tau))
-        got = ImplicationIndex(formula, cfg(tau)).implied_literal(0, 0, x)
+        want = tau_implied(formula, x, tau)
+        got = ImplicationIndex(formula, tau).implied_literal(0, 0, x)
         out.append((want or 0, got))
     return out
 
@@ -267,7 +261,7 @@ def test_one_index_answers_every_depth(monkeypatch, limit):
         for taus in sequences:
             formula = uniform_kcnf(rng, n, 4 * n if k == 3 else 6 * n, k)
             shared = ImplicationIndex(formula)
-            fresh = {tau: ImplicationIndex(formula, cfg(tau)) for tau in taus}
+            fresh = {tau: ImplicationIndex(formula, tau) for tau in taus}
             sweeps = []
             sweep = shared._sweep
 
@@ -289,7 +283,7 @@ def test_one_index_answers_every_depth(monkeypatch, limit):
                         assert got == want, (literals, var, tau)
                         # the reference solves every subset: small residuals only
                         if n <= 7 and len(residual.clauses) <= 16:
-                            assert got == (tau_implied(residual, var, cfg(tau)) or 0)
+                            assert got == (tau_implied(residual, var, tau) or 0)
                         size = len(shared._result_cache)
                         if len(sweeps) > before:
                             # a sweep adds exactly one entry, or clears the
@@ -336,10 +330,10 @@ def test_shape_rules_match_the_reference_on_mixed_widths():
             for tau in rng.choice(sequences):
                 index.tau = tau
                 for var in residual.variables:
-                    want = tau_implied(residual, var, cfg(tau)) or 0
+                    want = tau_implied(residual, var, tau) or 0
                     assert index.implied_literal(amask, avals, var) == want, (literals, var, tau)
                     if want:
-                        size = next(s for s in (1, 2, 3, 4) if tau_implied(residual, var, cfg(s)))
+                        size = next(s for s in (1, 2, 3, 4) if tau_implied(residual, var, s))
                         kind = ("unit", "dead pair" if dead else "pair", "deep", "deep")[size - 1]
                         seen[kind] += 1
                     elif dead and tau >= 2:
@@ -373,14 +367,14 @@ def test_live_screen_matches_the_reference():
                     j = formula.variables.index(var)
                     ones = live & index._true_masks[j]
                     kind = "dead" if not live else "both" if ones and ones != live else "one"
-                    want = tau_implied(residual, var, cfg(tau)) or 0
+                    want = tau_implied(residual, var, tau) or 0
                     assert index.implied_literal(amask, avals, var) == want, (literals, var, tau)
                     seen[kind] += 1
                     if kind == "both" and tau >= 2 and var in mentioned:
                         # no subset of any size decides var
                         assert index._result_cache[amask, avals, j, tau] == 0
                         seen["both, screened"] += 1
-                    if kind == "one" and want and not tau_implied(residual, var, cfg(2)):
+                    if kind == "one" and want and not tau_implied(residual, var, 2):
                         seen["one, deep hit"] += 1
     assert all(seen[key] for key in ("dead", "both", "both, screened", "one", "one, deep hit")), seen
 
@@ -396,7 +390,7 @@ def test_shape_rules_match_the_reference_at_larger_n():
             residual = restrict(formula, literals)
             index.tau = tau
             for var in residual.variables:
-                want = tau_implied(residual, var, cfg(tau)) or 0
+                want = tau_implied(residual, var, tau) or 0
                 assert index.implied_literal(amask, avals, var) == want, (literals, var, tau)
                 hits += want != 0
     assert hits > 0

@@ -4,7 +4,7 @@ from itertools import combinations, product
 
 from ppszlab.cnf import Assignment, Formula, restrict
 from ppszlab.engine import PpszEngine
-from ppszlab.implication import ImplicationConfig, default_tau
+from ppszlab.implication import default_tau
 from ppszlab.instances import planted_kcnf, uniform_kcnf, unique_kcnf
 from ppszlab.oracle import count_solutions, enumerate_solutions
 from ppszlab.permutations import construct_sigma
@@ -97,7 +97,7 @@ def test_start_state_runs_match_the_restricted_formula():
                     literals = tuple(s * v for s, v in zip(signs, combo))
                     tau = default_tau(formula.n - size)
                     if tau not in engines:
-                        engines[tau] = PpszEngine(formula, ImplicationConfig(tau))
+                        engines[tau] = PpszEngine(formula, tau)
                     engine = engines[tau]
                     start = engine.start_state(literals)
                     free = [v for v in formula.variables if v not in combo]
@@ -151,9 +151,8 @@ def _scan_results(engine, perms, start):
 def _assert_matches_the_scan(formula, perms, start=(0, 0), tau=None):
     """dppsz against the scan at every budget from 1 to total + 1 and
     unbudgeted; returns the scan's round of the first hit and its position."""
-    cfg = ImplicationConfig(tau)
-    want, hit = _scan_results(PpszEngine(formula, cfg), perms, start)
-    engine = PpszEngine(formula, cfg)
+    want, hit = _scan_results(PpszEngine(formula, tau), perms, start)
+    engine = PpszEngine(formula, tau)
     total = want[-1].modify_calls
     for budget in range(1, total + 2):
         got = dppsz(formula, perms, max_modify_calls=budget, engine=engine, start=start)
@@ -204,7 +203,7 @@ def test_dppsz_matches_the_scan_from_start_states():
     for formula in formulas:
         for literals in ((1,), (-2, 5), (3, -4), (-1, -6)):
             tau = default_tau(formula.n - len(literals))
-            engine = PpszEngine(formula, ImplicationConfig(tau))
+            engine = PpszEngine(formula, tau)
             start = engine.start_state(literals)
             if start is None:
                 outcomes["skipped"] += 1
@@ -242,7 +241,7 @@ def test_engine_counts_only_the_replayed_walk():
     # dppsz's modify_calls is the scan's logical count; the engine's own
     # counter sees only the physical walk that replays the hit
     formula = F((1, 2), (-1, 2), (1, -2))
-    engine = PpszEngine(formula, ImplicationConfig(1))
+    engine = PpszEngine(formula, 1)
     result = dppsz(formula, [(1, 2), (2, 1)], engine=engine)
     assert result.solution.sorted_literals() == (1, 2)
     assert (result.modify_calls, engine.modify_calls) == (3, 1)
@@ -286,7 +285,7 @@ def test_solve_unique_end_to_end():
 
 def test_solve_unique_respects_explicit_knobs():
     formula = F((1, 2, 3), (-1, 2, 3), (1, -2, 3))
-    report = solve_unique(formula, ImplicationConfig(tau=3), independence=1)
+    report = solve_unique(formula, 3, independence=1)
     assert report.satisfiable
     assert report.metadata["tau"] == 3
     assert report.metadata["tau_derived"] is False
