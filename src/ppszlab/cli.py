@@ -317,6 +317,8 @@ def cmd_verify(args) -> int:
 
 
 def cmd_bench(args) -> int:
+    if args.count < 0:
+        raise ValueError("count must be nonnegative")
     rng = random.Random(args.seed)
     buffer = io.StringIO()
     columns = [

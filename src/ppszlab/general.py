@@ -9,8 +9,10 @@ get lonelier and the budget gets smaller. Instance n degenerates to testing
 complete assignments one by one, so the overall search is complete no
 matter how the budgets are set. No residue is built as a formula: a
 restriction is a start state on one engine over the whole formula, so all
-restrictions share its implication memo. The default tau follows the
-residual size; it is the index's lookup depth, set before each run.
+restrictions share its implication memo, and the 2^i polarity patterns of
+one variable subset share one permutation set over its free variables.
+The default tau follows the residual size; it is the index's lookup
+depth, set each time an instance takes its turn.
 
 construct_good_assignment is the analysis-side counterpart: it exhibits
 one particular fixing of ceil(log2 S) variables that leaves exactly one
@@ -35,8 +37,8 @@ from .oracle import (
     count_solutions,
     is_satisfiable,
 )
-from .permutations import construct_sigma
-from .unique import DppszResult, dppsz
+from .permutations import PermutationSet, construct_sigma
+from .unique import dppsz
 
 
 def default_slack(n: int) -> float:
@@ -143,7 +145,6 @@ class GeneralResult:
     dppsz_calls: int
     modify_calls: int
     cutoff_hits: int
-    mode: str
     metadata: dict = field(default_factory=dict)
 
     @property
@@ -151,69 +152,30 @@ class GeneralResult:
         return self.solution is not None
 
 
-class _Search:
-    """The counters the result reports, and one engine over the whole
-    formula; each restriction runs as a start state on it, with the index's
-    lookup depth set to the tau of the restriction's residual size."""
-
-    def __init__(
-        self,
-        formula: Formula,
-        tau: int | None,
-        independence: int | None,
-    ) -> None:
-        self.formula = formula
-        self.tau = tau
-        self.independence = independence
-        self.engine = PpszEngine(formula, tau)
-        # the permutation set of the last free-variable set: the 2^i
-        # polarity patterns of one variable subset come one after another
-        self.free: set[int] | None = None
-        self.perms = None
-        self.tried = 0
-        self.skipped = 0
-        self.calls = 0
-        self.modify = 0
-        self.cutoff_hits = 0
-
-    def attempt(self, literals: tuple[int, ...], cutoff: int) -> DppszResult | None:
-        """One restriction: None when it provably cannot extend to a
-        solution, otherwise the budgeted residual run."""
-        self.tried += 1
-        formula = self.formula
-        engine = self.engine
-        start = engine.start_state(literals)
-        if start is None:
-            self.skipped += 1
-            return None
-        engine.index.tau = resolve_tau(self.tau, formula.n - len(literals))
-        free = set(formula.variables).difference(map(abs, literals))
-        if free != self.free:
-            self.free = free
-            self.perms = construct_sigma(free, self.independence) if free else None
-        result = dppsz(formula, self.perms, max_modify_calls=cutoff, engine=engine, start=start)
-        self.calls += 1
-        self.modify += result.modify_calls
-        if result.cutoff_hit:
-            self.cutoff_hits += 1
-        return result
-
-    def merge(self, literals: tuple[int, ...], result: DppszResult) -> Assignment:
-        entries = tuple((lit, FIXED) for lit in literals) + result.solution.entries
-        merged = Assignment(entries)
-        if evaluate(self.formula, merged) is not Evaluation.SATISFIED:
-            raise AssertionError("residual solution does not extend to the formula")
-        return merged
+# A cutoff at or above dppsz's full scan of (2^(free+1) - 2) x |Sigma|
+# walks cuts nothing. The index caps n at 20, so |Sigma| <= 23^20 and the
+# scan stays below 2^112 walks: a slack above this clamp changes no
+# budget, and clamping it keeps cutoff_budget from building a 2^slack
+# integer.
+_SLACK_CLAMP = 128.0
 
 
-def _instance_restrictions(variables: tuple[int, ...], i: int) -> Iterator[tuple[int, ...]]:
+def _instance_restrictions(
+    variables: tuple[int, ...], i: int, independence: int | None
+) -> Iterator[tuple[tuple[int, ...], PermutationSet | None]]:
     """All ways to fix i variables: index-ordered subsets, then polarity
-    counters with the first chosen variable as the top bit, 1 = positive."""
+    counters with the first chosen variable as the top bit, 1 = positive.
+    Each comes with the permutation set over the variables it leaves free,
+    built once per subset and shared by its 2^i patterns (None when no
+    variable is left free)."""
     for combo in itertools.combinations(variables, i):
+        free = [v for v in variables if v not in combo]
+        perms = construct_sigma(free, independence) if free else None
         for bits in range(1 << i):
-            yield tuple(
+            literals = tuple(
                 v if (bits >> (i - 1 - j)) & 1 else -v for j, v in enumerate(combo)
             )
+            yield literals, perms
 
 
 def solve_general(
@@ -230,8 +192,9 @@ def solve_general(
     unbounded slice: instance i finishes before i+1 starts. The answer is
     the same either way, only the discovery order of satisfying
     assignments can differ. Each restriction runs as a start state on one
-    engine, at the lookup depth of its residual tau, so a solve builds one
-    implication index whatever the depths.
+    engine over the whole formula, at the lookup depth of its residual
+    tau, so a solve builds one implication index whatever the depths. A
+    restriction that falsifies a clause is skipped.
     """
     n = formula.n
     lam = lambda_k(max(formula.k, 3))
@@ -239,48 +202,48 @@ def solve_general(
         slack = default_slack(n)
     if not math.isfinite(slack):
         raise ValueError("slack must be finite")
-    search = _Search(formula, tau, independence)
-    mode = "sequential" if slice_budget is None else "slices"
     metadata = {
         "n": n,
         "k": formula.k,
         "lambda": lam,
         "slack": slack,
-        "mode": mode,
+        "mode": "sequential" if slice_budget is None else "slices",
     }
     if slice_budget is not None:
         if slice_budget < 1:
             raise ValueError("slice_budget must be positive")
         metadata["slice_budget"] = slice_budget
-
-    def finish(i: int | None, solution: Assignment | None) -> GeneralResult:
-        return GeneralResult(
-            solution,
-            i,
-            search.tried,
-            search.skipped,
-            search.calls,
-            search.modify,
-            search.cutoff_hits,
-            mode,
-            metadata,
-        )
-
-    cutoffs = [cutoff_budget(n - i, formula.k, slack) for i in range(n + 1)]
+    engine = PpszEngine(formula, tau)
+    tried = skipped = calls = modify = cutoff_hits = 0
+    cutoffs = [cutoff_budget(n - i, formula.k, min(slack, _SLACK_CLAMP)) for i in range(n + 1)]
     queue = deque(
-        (i, _instance_restrictions(formula.variables, i)) for i in range(n + 1)
+        (i, _instance_restrictions(formula.variables, i, independence)) for i in range(n + 1)
     )
     while queue:
         i, stream = queue.popleft()
+        # the residual size, and so its tau, is the same for the whole instance
+        engine.index.tau = resolve_tau(tau, n - i)
         spent = 0
-        for literals in stream:
-            result = search.attempt(literals, cutoffs[i])
-            if result is None:
+        for literals, perms in stream:
+            tried += 1
+            start = engine.start_state(literals)
+            if start is None:
+                skipped += 1
                 continue
+            result = dppsz(engine, perms, cutoffs[i], start=start)
+            calls += 1
+            modify += result.modify_calls
+            cutoff_hits += result.cutoff_hit
             if result.satisfiable:
-                return finish(i, search.merge(literals, result))
+                entries = tuple((lit, FIXED) for lit in literals) + result.solution.entries
+                merged = Assignment(entries)
+                if evaluate(formula, merged) is not Evaluation.SATISFIED:
+                    raise AssertionError("residual solution does not extend to the formula")
+                return GeneralResult(
+                    merged, i, tried, skipped, calls, modify, cutoff_hits, metadata
+                )
             spent += result.modify_calls
             if slice_budget is not None and spent >= slice_budget:
                 queue.append((i, stream))
                 break
-    return finish(None, None)
+    return GeneralResult(None, None, tried, skipped, calls, modify, cutoff_hits, metadata)

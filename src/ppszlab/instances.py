@@ -14,7 +14,9 @@ from .cnf import Clause, Formula, canonical_clause
 from .oracle import DEFAULT_ORACLE_LIMIT, count_solutions
 
 
-def _check_shape(n: int, k: int) -> None:
+def _check_shape(n: int, k: int, m: int = 0) -> None:
+    if m < 0:
+        raise ValueError("m must be nonnegative")
     if k < 1:
         raise ValueError("k must be positive")
     if n < k:
@@ -34,7 +36,7 @@ def _random_clause(rng: random.Random, n: int, k: int) -> Clause:
 
 def uniform_kcnf(rng: random.Random, n: int, m: int, k: int) -> Formula:
     """m distinct clauses of width exactly k, drawn uniformly."""
-    _check_shape(n, k)
+    _check_shape(n, k, m)
     if m > _distinct_capacity(n, k):
         raise ValueError(f"only {_distinct_capacity(n, k)} distinct clauses exist")
     clauses: set[Clause] = set()
@@ -60,7 +62,7 @@ def planted_kcnf(
     Clauses are drawn uniformly and redrawn when the plant falsifies
     them, so the result is uniform over plant-consistent m-sets.
     """
-    _check_shape(n, k)
+    _check_shape(n, k, m)
     if alpha is None:
         alpha = random_assignment(rng, n)
     values = {abs(lit): lit > 0 for lit in alpha}

@@ -120,7 +120,7 @@ def dppsz_round_suite(
         perms = construct_sigma(formula.variables, independence)
         engine = PpszEngine(formula, tau)
         solutions = enumerate_solutions(formula, limit)
-        result = dppsz(formula, perms, engine=engine)
+        result = dppsz(engine, perms)
         report.checked += 1
         if len(solutions) == 0:
             if result.round_found is not None:

@@ -48,29 +48,27 @@ class DppszResult:
 
 
 def dppsz(
-    formula: Formula,
+    engine: PpszEngine,
     perms,
     max_modify_calls: int | None = None,
-    engine: PpszEngine | None = None,
     *,
     start: tuple[int, int] = (0, 0),
 ) -> DppszResult:
-    """Run rounds 1..n; return the first solution found, scanning bit
-    vectors in lexicographic order and permutations in index order.
+    """Run rounds 1..n on the engine's formula; return the first solution
+    found, scanning bit vectors in lexicographic order and permutations in
+    index order.
 
     `start` is an (amask, avals) state of the engine: the walks extend it,
     perms orders the variables it leaves free, and n is their number.
-    Implications are looked up at the engine's depth, `engine.index.tau`;
-    the default engine takes the default tau. max_modify_calls cuts the
-    search off mid-round (the caller treats a cutoff as "nothing found
-    here, move on"), so the full run is only attempted when the budget
-    allows. The counters are those of the scan;
+    Implications are looked up at the engine's depth, `engine.index.tau`.
+    max_modify_calls cuts the search off mid-round (the caller treats a
+    cutoff as "nothing found here, move on"), so the full run is only
+    attempted when the budget allows. The counters are those of the scan;
     the search behind them is `_first_hit`'s, and none is run when no
     solution extends the start state.
     """
-    engine = engine or PpszEngine(formula)
     amask, avals = start
-    n = formula.n - amask.bit_count()
+    n = engine.formula.n - amask.bit_count()
     live = engine.index.live(amask, avals)
     if n == 0:
         # nothing to assign: the start state is a solution or nothing is
@@ -201,12 +199,12 @@ def solve_unique(
     input (a solution is returned only if it satisfies the formula; rounds
     simply run longer when solutions need many guesses)."""
     if formula.n == 0:
-        result = dppsz(formula, ())
+        result = dppsz(PpszEngine(formula), ())
         meta = {"n": 0, "tau": 0, "independence": 0, "prime": 0, "tau_derived": True}
         return SolveReport(result.solution, result.round_found, 0, 0, meta)
     perms = _permutation_set(formula.variables, independence)
     engine = PpszEngine(formula, tau)
-    result = dppsz(formula, perms, engine=engine)
+    result = dppsz(engine, perms)
     meta = {
         "n": formula.n,
         "k": formula.k,

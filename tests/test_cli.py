@@ -8,6 +8,7 @@ from ppszlab.cnf import parse_dimacs
 
 CHAIN = "p cnf 3 3\n1 0\n-1 2 0\n-2 3 0\n"
 UNSAT = "p cnf 2 4\n1 2 0\n1 -2 0\n-1 2 0\n-1 -2 0\n"
+EMPTY_CLAUSE = "p cnf 2 1\n0\n"
 
 
 @pytest.fixture
@@ -133,10 +134,18 @@ def test_solve_rejects_malformed_input(capsys, tmp_path):
         (("constants", "--competitor", "nan"), "competitor_base must exceed 1"),
         (("tree", "CHAIN", "--var", "1", "--depth", "-1"), "depth must be nonnegative"),
         (("tree", "CHAIN", "--var", "1", "--kwise", "0"), "tau must be at least 1"),
+        # every restriction of EMPTY is skipped, yet the order family is built
+        (("solve", "EMPTY", "--kwise", "0"), "independence must lie in [1, n]"),
+        (("gen", "--n", "3", "--m", "-1"), "m must be nonnegative"),
+        (("gen", "--kind", "planted", "--n", "3", "--m", "-1"), "m must be nonnegative"),
+        (("bench", "--count", "-1"), "count must be nonnegative"),
     ],
 )
-def test_bad_numbers_fail_with_a_message(capsys, chain_file, argv, message):
-    argv = [chain_file if arg == "CHAIN" else arg for arg in argv]
+def test_bad_numbers_fail_with_a_message(capsys, tmp_path, chain_file, argv, message):
+    empty = tmp_path / "empty-clause.cnf"
+    empty.write_text(EMPTY_CLAUSE)
+    files = {"CHAIN": chain_file, "EMPTY": str(empty)}
+    argv = [files.get(arg, arg) for arg in argv]
     code, out, err = run(capsys, *argv)
     assert code == 1
     assert err.startswith("error:") and message in err

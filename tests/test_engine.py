@@ -329,12 +329,14 @@ def test_solution_bitmap_matches_the_clause_loop():
 
 def test_an_empty_order_family_is_rejected():
     formula = F((1, 2), (-1, 2))
-    for route in (success_probability_exact, success_probability_via_identity, dppsz):
+    for route in (success_probability_exact, success_probability_via_identity):
         with pytest.raises(ValueError, match="at least one order"):
             route(formula, [])
+    with pytest.raises(ValueError, match="at least one order"):
+        dppsz(PpszEngine(formula), [])
     # with nothing to assign, dppsz answers before it reads the family
-    assert dppsz(F(), ()).round_found == 0
-    assert dppsz(F(()), ()).round_found is None
+    assert dppsz(PpszEngine(F()), ()).round_found == 0
+    assert dppsz(PpszEngine(F(())), ()).round_found is None
 
 
 def test_walk_result_satisfies_the_formula():

@@ -61,11 +61,24 @@ def test_cutoff_budget_rejects_negative_free_counts():
 
 
 def test_restriction_enumeration_order():
-    assert list(_instance_restrictions((1, 2, 3), 0)) == [()]
-    pairs = list(_instance_restrictions((1, 2, 3), 2))
-    assert pairs[:4] == [(-1, -2), (-1, 2), (1, -2), (1, 2)]
-    assert pairs[4] == (-1, -3)
-    assert len(pairs) == 12
+    assert [lits for lits, _ in _instance_restrictions((1, 2, 3), 0, None)] == [()]
+    pairs = list(_instance_restrictions((1, 2, 3), 2, None))
+    literals = [lits for lits, _ in pairs]
+    assert literals[:4] == [(-1, -2), (-1, 2), (1, -2), (1, 2)]
+    assert literals[4] == (-1, -3)
+    assert len(literals) == 12
+    # the four polarity patterns of one subset share one permutation set,
+    # and it orders exactly the variables the subset leaves free
+    assert len({id(perms) for _, perms in pairs}) == 3
+    for at in range(0, 12, 4):
+        perms = pairs[at][1]
+        assert all(other is perms for _, other in pairs[at : at + 4])
+        fixed = {abs(lit) for lit in literals[at]}
+        free = [v for v in (1, 2, 3) if v not in fixed]
+        assert list(perms.variables) == free
+        assert all(sorted(order) == free for order in perms)
+    # fixing every variable leaves none to order
+    assert {perms for _, perms in _instance_restrictions((1, 2, 3), 3, None)} == {None}
 
 
 def test_good_assignment_for_a_unique_solution_is_empty():
@@ -126,7 +139,7 @@ def test_solve_forced_chain_at_instance_zero():
     assert result.satisfiable
     assert result.instance_found == 0
     assert result.solution.sorted_literals() == (1, 2, 3)
-    assert result.mode == "sequential"
+    assert result.metadata["mode"] == "sequential"
     assert result.metadata["lambda"] == lambda_k(3)
     assert result.metadata["slack"] == 4.0
 
@@ -181,7 +194,7 @@ def test_slice_mode_agrees_with_sequential():
     unsat = F((1, 2), (1, -2), (-1, 2), (-1, -2))
     sliced = solve_general(unsat, slice_budget=3)
     assert not sliced.satisfiable
-    assert sliced.mode == "slices"
+    assert sliced.metadata["mode"] == "slices"
     assert sliced.metadata["slice_budget"] == 3
     sat = F((1,), (-1, 2), (-2, 3))
     found = solve_general(sat, slice_budget=2)
@@ -194,8 +207,28 @@ def test_slice_mode_agrees_with_sequential():
         sequential = solve_general(formula, slack=0.0)
         assert sequential.satisfiable is satisfiable
         whole = solve_general(formula, slack=0.0, slice_budget=sequential.modify_calls + 1)
-        assert whole.mode == "slices" and sequential.mode == "sequential"
-        assert replace(whole, mode="sequential", metadata=sequential.metadata) == sequential
+        assert whole.metadata["mode"] == "slices"
+        assert sequential.metadata["mode"] == "sequential"
+        assert replace(whole, metadata=sequential.metadata) == sequential
+
+
+def test_huge_slack_changes_no_budget(monkeypatch):
+    # any slack past the clamp already means no cutoff, so the budgets are
+    # built from the clamp and the reported slack stays the caller's
+    slacks = []
+
+    def watched(free, k, slack):
+        slacks.append(slack)
+        return cutoff_budget(free, k, slack)
+
+    monkeypatch.setattr(general, "cutoff_budget", watched)
+    rng = random.Random(83)
+    for formula in (uniform_kcnf(rng, 5, 30, 3), planted_kcnf(rng, 6, 24, 3)[0]):
+        huge = solve_general(formula, slack=1e8)
+        moderate = solve_general(formula, slack=300.0)
+        assert huge.metadata["slack"] == 1e8
+        assert replace(huge, metadata=moderate.metadata) == moderate
+    assert slacks and max(slacks) == general._SLACK_CLAMP
 
 
 @pytest.mark.parametrize("tau", [None, 3])

@@ -18,21 +18,21 @@ def F(*clauses, variables=None, k=None):
 def test_forced_chain_resolves_in_round_one():
     # x1 is a unit and then pins x2, so a single guess bit is never needed,
     # but rounds start at one
-    result = dppsz(F((1,), (-1, 2)), [(1, 2), (2, 1)])
+    result = dppsz(PpszEngine(F((1,), (-1, 2))), [(1, 2), (2, 1)])
     assert result.satisfiable
     assert result.round_found == 1
     assert result.solution.sorted_literals() == (1, 2)
 
 
 def test_negative_unit_resolves_in_round_one():
-    result = dppsz(F((-1,)), [(1,)])
+    result = dppsz(PpszEngine(F((-1,))), [(1,)])
     assert result.round_found == 1
     assert result.solution.sorted_literals() == (-1,)
 
 
 def test_unsatisfiable_input_survives_all_rounds():
     formula = F((1, 2), (1, -2), (-1, 2), (-1, -2))
-    result = dppsz(formula, [(1, 2), (2, 1)])
+    result = dppsz(PpszEngine(formula), [(1, 2), (2, 1)])
     assert not result.satisfiable
     assert result.round_found is None
     assert not result.cutoff_hit
@@ -51,7 +51,7 @@ def test_round_found_matches_the_best_replay():
         best = min(
             engine.replay(alpha, sigma).guessed for sigma in perms.materialized()
         )
-        result = dppsz(formula, perms, engine=engine)
+        result = dppsz(engine, perms)
         assert result.round_found == max(1, best)
 
 
@@ -59,17 +59,17 @@ def test_solutions_returned_are_real():
     rng = random.Random(53)
     for _ in range(6):
         formula, _ = unique_kcnf(rng, 5, 3)
-        result = dppsz(formula, construct_sigma(formula.variables))
+        result = dppsz(PpszEngine(formula), construct_sigma(formula.variables))
         assert result.satisfiable
         assert result.solution.sorted_literals() in enumerate_solutions(formula)
 
 
 def test_zero_variable_formulas():
-    sat = dppsz(F(), [])
+    sat = dppsz(PpszEngine(F()), [])
     assert sat.satisfiable
     assert sat.round_found == 0
     assert sat.solution.sorted_literals() == ()
-    unsat = dppsz(F((),), [])
+    unsat = dppsz(PpszEngine(F((),)), [])
     assert not unsat.satisfiable
     assert unsat.round_found is None
 
@@ -80,7 +80,7 @@ def _restricted_dppsz(formula, literals, cutoff):
     if residual.clauses[:1] == ((),):
         return None
     perms = construct_sigma(residual.variables) if residual.variables else None
-    return dppsz(residual, perms, max_modify_calls=cutoff)
+    return dppsz(PpszEngine(residual), perms, max_modify_calls=cutoff)
 
 
 def test_start_state_runs_match_the_restricted_formula():
@@ -108,9 +108,7 @@ def test_start_state_runs_match_the_restricted_formula():
                         if start is None:
                             outcomes["skipped"] += 1
                             continue
-                        got = dppsz(
-                            formula, perms, max_modify_calls=cutoff, engine=engine, start=start
-                        )
+                        got = dppsz(engine, perms, max_modify_calls=cutoff, start=start)
                         assert got == want, (literals, cutoff)
                         outcomes["found" if got.satisfiable else "cutoff" if got.cutoff_hit else "none"] += 1
                         outcomes["free=0"] += not free
@@ -155,9 +153,9 @@ def _assert_matches_the_scan(formula, perms, start=(0, 0), tau=None):
     engine = PpszEngine(formula, tau)
     total = want[-1].modify_calls
     for budget in range(1, total + 2):
-        got = dppsz(formula, perms, max_modify_calls=budget, engine=engine, start=start)
+        got = dppsz(engine, perms, max_modify_calls=budget, start=start)
         assert got == want[min(budget, len(want) - 1)], budget
-    assert dppsz(formula, perms, engine=engine, start=start) == want[-1]
+    assert dppsz(engine, perms, start=start) == want[-1]
     return want[-1].round_found, hit
 
 
@@ -232,7 +230,7 @@ def test_dppsz_from_a_dead_start_does_no_search():
         implied = engine.index.implied_literal
         engine.index.implied_literal = lambda *args: lookups.append(args) or implied(*args)
         for budget in (1, 5, len(want) - 2, None):
-            got = dppsz(formula, perms, max_modify_calls=budget, engine=engine, start=start)
+            got = dppsz(engine, perms, max_modify_calls=budget, start=start)
             assert got == want[-1 if budget is None else min(budget, len(want) - 1)], budget
         assert lookups == [] and engine.modify_calls == 0
 
@@ -242,18 +240,18 @@ def test_engine_counts_only_the_replayed_walk():
     # counter sees only the physical walk that replays the hit
     formula = F((1, 2), (-1, 2), (1, -2))
     engine = PpszEngine(formula, 1)
-    result = dppsz(formula, [(1, 2), (2, 1)], engine=engine)
+    result = dppsz(engine, [(1, 2), (2, 1)])
     assert result.solution.sorted_literals() == (1, 2)
     assert (result.modify_calls, engine.modify_calls) == (3, 1)
     unsat = F((1, 2), (1, -2), (-1, 2), (-1, -2))
     engine = PpszEngine(unsat)
-    result = dppsz(unsat, [(1, 2), (2, 1)], engine=engine)
+    result = dppsz(engine, [(1, 2), (2, 1)])
     assert (result.modify_calls, engine.modify_calls) == (12, 0)
 
 
 def test_budget_cutoff_is_reported():
     formula = F((1, 2), (1, -2), (-1, 2), (-1, -2))
-    result = dppsz(formula, [(1, 2), (2, 1)], max_modify_calls=3)
+    result = dppsz(PpszEngine(formula), [(1, 2), (2, 1)], max_modify_calls=3)
     assert result.cutoff_hit
     assert result.solution is None
     assert result.modify_calls == 3
@@ -262,7 +260,7 @@ def test_budget_cutoff_is_reported():
 def test_sigma_size_is_recorded():
     formula = F((1, 2))
     perms = construct_sigma(formula.variables)
-    result = dppsz(formula, perms)
+    result = dppsz(PpszEngine(formula), perms)
     assert result.sigma_size == len(perms)
 
 
