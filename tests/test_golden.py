@@ -3,7 +3,8 @@
 cases.json lists each case's argv and exit code; <name>.stdout holds the
 exact bytes the command printed. In argv, {chain} stands for a file with
 the three-clause chain formula and {golden} for this directory, so the
-solve cases read the formulas that the recorded gen cases printed.
+solve cases read the formulas that the recorded gen cases printed, or a
+checked-in DIMACS file such as units-n5-unsat.cnf.
 """
 
 import json
