@@ -72,11 +72,11 @@ class GuessProfile:
 class PpszEngine:
     """Shared machinery for running many Modify walks over one formula:
     one implication index (with its memo and the formula's solution mask,
-    which the walk's success test reads) and clause masks for start
-    states. `modify_calls` counts the physical `_walk` calls made on this
-    engine. A guess-tree search (`count_successes` or `dppsz`'s) is not a
-    walk and is not counted; `dppsz` reports the logical walk count of its
-    scan itself and does not read this one."""
+    which the walk's success test reads). `modify_calls` counts the
+    physical `_walk` calls made on this engine. A guess-tree search
+    (`count_successes` or `dppsz`'s) is not a walk and is not counted;
+    `dppsz` reports the logical walk count of its scan itself and does not
+    read this one."""
 
     def __init__(self, formula: Formula, tau: int | None = None):
         self.formula = formula
@@ -89,19 +89,7 @@ class PpszEngine:
             for i, v in enumerate(formula.variables)
         }
         self._full = (1 << formula.n) - 1
-        self._clause_masks = [(pos, neg) for _, _, pos, neg in self.index._clauses]
         self.modify_calls = 0
-
-    def start_state(self, literals: Sequence[int]) -> tuple[int, int] | None:
-        """The (amask, avals) state fixing the literals, or None when they
-        falsify a clause. Reads only the clause masks, so a restriction
-        that is skipped leaves nothing in the index's memo."""
-        amask = sum(self._bit[abs(lit)] for lit in literals)
-        avals = sum(self._bit[lit] for lit in literals if lit > 0)
-        for pos, neg in self._clause_masks:
-            if not ((pos | neg) & ~amask or pos & avals or neg & ~avals):
-                return None
-        return amask, avals
 
     def _walk(
         self,

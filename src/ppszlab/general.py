@@ -9,10 +9,12 @@ get lonelier and the budget gets smaller. Instance n degenerates to testing
 complete assignments one by one, so the overall search is complete no
 matter how the budgets are set. No residue is built as a formula: a
 restriction is a start state on one engine over the whole formula, so all
-restrictions share its implication memo, and the 2^i polarity patterns of
-one variable subset share one permutation set over its free variables.
-The default tau follows the residual size; it is the index's lookup
-depth, set each time an instance takes its turn.
+restrictions share its implication memo. A restriction that falsifies a
+clause is skipped, and one that no solution extends is counted, not
+searched, at the cost dppsz reports for a dead start. Only the others run
+dppsz, those of one variable subset on one permutation set over its free
+variables. The default tau follows the residual size; it is the index's
+lookup depth, set each time an instance takes its turn.
 
 construct_good_assignment is the analysis-side counterpart: it exhibits
 one particular fixing of ceil(log2 S) variables that leaves exactly one
@@ -37,8 +39,8 @@ from .oracle import (
     count_solutions,
     is_satisfiable,
 )
-from .permutations import PermutationSet, construct_sigma
-from .unique import dppsz
+from .permutations import construct_sigma, hash_family
+from .unique import DppszResult, dppsz, no_hit
 
 
 def default_slack(n: int) -> float:
@@ -160,22 +162,37 @@ class GeneralResult:
 _SLACK_CLAMP = 128.0
 
 
-def _instance_restrictions(
-    variables: tuple[int, ...], i: int, independence: int | None
-) -> Iterator[tuple[tuple[int, ...], PermutationSet | None]]:
-    """All ways to fix i variables: index-ordered subsets, then polarity
-    counters with the first chosen variable as the top bit, 1 = positive.
-    Each comes with the permutation set over the variables it leaves free,
-    built once per subset and shared by its 2^i patterns (None when no
-    variable is left free)."""
+def _instance_runs(
+    engine: PpszEngine, i: int, independence: int | None, cutoff: int
+) -> Iterator[tuple[tuple[int, ...], int, DppszResult | None]]:
+    """Every way to fix i variables, as (subset, avals, result): subsets
+    in index order, then polarity counters with the first chosen variable
+    as the top bit, 1 = positive. result is None when the restriction
+    falsifies a clause, no_hit's when no solution extends it, and else
+    dppsz's, on the subset's permutation set, built for its first search."""
+    variables = engine.formula.variables
+    bit_of = engine._bit
+    live_of = engine.index.live
+    free = len(variables) - i
+    dead = no_hit(free, len(hash_family(free, independence)) if free else 0, cutoff)
+    clauses = [(pos | neg, neg) for _, _, pos, neg in engine.index._clauses]
     for combo in itertools.combinations(variables, i):
-        free = [v for v in variables if v not in combo]
-        perms = construct_sigma(free, independence) if free else None
-        for bits in range(1 << i):
-            literals = tuple(
-                v if (bits >> (i - 1 - j)) & 1 else -v for j, v in enumerate(combo)
-            )
-            yield literals, perms
+        amask = sum(map(bit_of.__getitem__, combo))
+        # only a clause inside the subset can be falsified, by avals & vbits == neg
+        inside = [(vbits, neg) for vbits, neg in clauses if not vbits & ~amask]
+        patterns = [0]
+        for v in combo:
+            patterns = [w for p in patterns for w in (p, p | bit_of[v])]
+        perms = None
+        for avals in patterns:
+            if inside and any(avals & vbits == neg for vbits, neg in inside):
+                yield combo, avals, None
+            elif not live_of(amask, avals):
+                yield combo, avals, dead
+            else:
+                if perms is None and free:
+                    perms = construct_sigma([v for v in variables if v not in combo], independence)
+                yield combo, avals, dppsz(engine, perms, cutoff, start=(amask, avals))
 
 
 def solve_general(
@@ -194,7 +211,8 @@ def solve_general(
     assignments can differ. Each restriction runs as a start state on one
     engine over the whole formula, at the lookup depth of its residual
     tau, so a solve builds one implication index whatever the depths. A
-    restriction that falsifies a clause is skipped.
+    restriction that falsifies a clause is skipped, and one that no
+    solution extends is counted without a search.
     """
     n = formula.n
     lam = lambda_k(max(formula.k, 3))
@@ -216,27 +234,23 @@ def solve_general(
     engine = PpszEngine(formula, tau)
     tried = skipped = calls = modify = cutoff_hits = 0
     cutoffs = [cutoff_budget(n - i, formula.k, min(slack, _SLACK_CLAMP)) for i in range(n + 1)]
-    queue = deque(
-        (i, _instance_restrictions(formula.variables, i, independence)) for i in range(n + 1)
-    )
+    queue = deque((i, _instance_runs(engine, i, independence, cutoffs[i])) for i in range(n + 1))
     while queue:
         i, stream = queue.popleft()
         # the residual size, and so its tau, is the same for the whole instance
         engine.index.tau = resolve_tau(tau, n - i)
         spent = 0
-        for literals, perms in stream:
+        for combo, avals, result in stream:
             tried += 1
-            start = engine.start_state(literals)
-            if start is None:
+            if result is None:
                 skipped += 1
                 continue
-            result = dppsz(engine, perms, cutoffs[i], start=start)
             calls += 1
             modify += result.modify_calls
             cutoff_hits += result.cutoff_hit
             if result.satisfiable:
-                entries = tuple((lit, FIXED) for lit in literals) + result.solution.entries
-                merged = Assignment(entries)
+                fixed = tuple((v if avals & engine._bit[v] else -v, FIXED) for v in combo)
+                merged = Assignment(fixed + result.solution.entries)
                 if evaluate(formula, merged) is not Evaluation.SATISFIED:
                     raise AssertionError("residual solution does not extend to the formula")
                 return GeneralResult(

@@ -185,18 +185,21 @@ class PermutationSet:
         return tuple(tuple(variables[r] for r in ranks) for ranks in rank_perms)
 
 
+def hash_family(n: int, independence: int | None = None) -> HashFamily:
+    """The family behind construct_sigma's set over n variables, whose size
+    is the set's. The independence degree defaults to the same
+    floor(log2 n) (clamped to [1,4]) schedule the implication depth uses,
+    and is capped at n so the family stays well-formed on tiny inputs."""
+    k_wise = default_tau(n) if independence is None else independence
+    return HashFamily.build(n, min(k_wise, n))
+
+
 def construct_sigma(
     variables: Sequence[int], independence: int | None = None
 ) -> PermutationSet:
-    """The permutation set for a variable collection. The independence
-    degree defaults to the same floor(log2 n) (clamped to [1,4]) schedule
-    the implication depth uses, and is capped at n so the family stays
-    well-formed on tiny inputs."""
+    """The permutation set for a variable collection, one order per member
+    of hash_family(n, independence)."""
     var_tuple = tuple(sorted(set(int(v) for v in variables)))
     if not var_tuple:
         raise ValueError("cannot build permutations over zero variables")
-    n = len(var_tuple)
-    k_wise = default_tau(n) if independence is None else independence
-    k_wise = min(k_wise, n)
-    family = HashFamily.build(n, k_wise)
-    return PermutationSet(variables=var_tuple, family=family)
+    return PermutationSet(var_tuple, hash_family(len(var_tuple), independence))

@@ -76,8 +76,8 @@ def dppsz(
             return DppszResult(Assignment(), 0, (), 0, False, 0)
         return DppszResult(None, None, (), 0, False, 0)
     size, orders = distinct_orders(perms)
-    total = ((1 << (n + 1)) - 2) * size
-    budget = total if max_modify_calls is None else max(0, min(max_modify_calls, total))
+    miss = no_hit(n, size, max_modify_calls)
+    budget = miss.modify_calls  # a scan without a hit runs to the budget
     for round_no in range(1, n + 1):
         base = ((1 << round_no) - 2) * size
         if base >= budget or not live:
@@ -89,6 +89,16 @@ def dppsz(
             solution = Assignment(tuple((lit, prov) for _, lit, prov in profile.entries))
             counts = _round_counts(size, position + 1, round_no)
             return DppszResult(solution, round_no, counts, position + 1, False, size)
+    return miss
+
+
+def no_hit(n: int, size: int, max_modify_calls: int | None) -> DppszResult:
+    """What dppsz returns when no walk of its scan succeeds, as it does
+    from every start state that no solution extends: a caller that knows
+    the state is dead can take this instead. n and size are as in dppsz,
+    size 0 when n is 0; the full scan is (2^(n+1) - 2) x size walks."""
+    total = ((1 << (n + 1)) - 2) * size
+    budget = total if max_modify_calls is None else max(0, min(max_modify_calls, total))
     if budget < total:
         # the walk at position `budget` was the first one refused
         counts = _round_counts(size, budget, (budget // size + 2).bit_length() - 1)

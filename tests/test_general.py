@@ -1,5 +1,7 @@
+import itertools
 import math
 import random
+from collections import Counter, deque
 from dataclasses import replace
 
 import pytest
@@ -8,15 +10,17 @@ from ppszlab import cnf, general
 from ppszlab.analysis import lambda_k
 from ppszlab.cnf import Evaluation, Formula, evaluate, restrict
 from ppszlab.general import (
-    _instance_restrictions,
     construct_good_assignment,
     cutoff_budget,
     default_slack,
     solve_general,
 )
-from ppszlab.implication import ImplicationIndex
+from ppszlab.engine import PpszEngine
+from ppszlab.implication import ImplicationIndex, resolve_tau
 from ppszlab.instances import planted_kcnf, uniform_kcnf, unique_kcnf
 from ppszlab.oracle import UnsatisfiableError, count_solutions
+from ppszlab.permutations import construct_sigma
+from ppszlab.unique import dppsz, no_hit
 
 
 def F(*clauses, variables=None, k=None):
@@ -60,9 +64,29 @@ def test_cutoff_budget_rejects_negative_free_counts():
         cutoff_budget(-1, 3, 0.0)
 
 
-def test_restriction_enumeration_order():
-    assert [lits for lits, _ in _instance_restrictions((1, 2, 3), 0, None)] == [()]
-    pairs = list(_instance_restrictions((1, 2, 3), 2, None))
+def _runs(monkeypatch, formula, i):
+    """_instance_runs's (literals, perms) per restriction, each dppsz call
+    recorded and answered with no hit."""
+    runs = []
+
+    def recorded(engine, perms, cutoff, *, start):
+        runs.append(perms)
+        return no_hit(engine.formula.n - start[0].bit_count(), len(perms) if perms else 0, cutoff)
+
+    monkeypatch.setattr(general, "dppsz", recorded)
+    engine = PpszEngine(formula)
+    literals = [
+        tuple(v if avals & engine._bit[v] else -v for v in combo)
+        for combo, avals, _ in general._instance_runs(engine, i, None, 10)
+    ]
+    assert len(runs) == len(literals)  # every restriction is live
+    return list(zip(literals, runs))
+
+
+def test_restriction_enumeration_order(monkeypatch):
+    free_cube = F(variables=(1, 2, 3))
+    assert [lits for lits, _ in _runs(monkeypatch, free_cube, 0)] == [()]
+    pairs = _runs(monkeypatch, free_cube, 2)
     literals = [lits for lits, _ in pairs]
     assert literals[:4] == [(-1, -2), (-1, 2), (1, -2), (1, 2)]
     assert literals[4] == (-1, -3)
@@ -78,7 +102,7 @@ def test_restriction_enumeration_order():
         assert list(perms.variables) == free
         assert all(sorted(order) == free for order in perms)
     # fixing every variable leaves none to order
-    assert {perms for _, perms in _instance_restrictions((1, 2, 3), 3, None)} == {None}
+    assert {perms for _, perms in _runs(monkeypatch, free_cube, 3)} == {None}
 
 
 def test_good_assignment_for_a_unique_solution_is_empty():
@@ -342,3 +366,131 @@ def test_planted_sixteen_variables_solve_at_instance_one():
     result = solve_general(formula)
     assert result.satisfiable and result.instance_found == 1
     assert result.modify_calls == 51905
+
+
+def _start_state(engine, literals):
+    """The (amask, avals) state fixing the literals, or None when they
+    falsify a clause, by a loop over every clause. Reads no memo."""
+    amask = sum(engine._bit[abs(lit)] for lit in literals)
+    avals = sum(engine._bit[lit] for lit in literals if lit > 0)
+    for _, _, pos, neg in engine.index._clauses:
+        if not ((pos | neg) & ~amask or pos & avals or neg & ~avals):
+            return None
+    return amask, avals
+
+
+def _reference_solve(formula, tau, independence, slice_budget):
+    """The restriction loop with a search for every restriction: per
+    restriction, the clause loop, then dppsz on every one that falsifies
+    no clause. Returns the solution, its instance and the five counters."""
+    n = formula.n
+    slack = default_slack(n)
+    engine = PpszEngine(formula, tau)
+    cutoffs = [cutoff_budget(n - i, formula.k, slack) for i in range(n + 1)]
+
+    def restrictions(i):
+        for combo in itertools.combinations(formula.variables, i):
+            free = [v for v in formula.variables if v not in combo]
+            perms = construct_sigma(free, independence) if free else None
+            for bits in range(1 << i):
+                signs = [(bits >> (i - 1 - j)) & 1 for j in range(i)]
+                yield tuple(v if sign else -v for sign, v in zip(signs, combo)), perms
+
+    counts = [0] * 5  # tried, skipped, dppsz calls, modify calls, cutoff hits
+    queue = deque((i, restrictions(i)) for i in range(n + 1))
+    while queue:
+        i, stream = queue.popleft()
+        engine.index.tau = resolve_tau(tau, n - i)
+        spent = 0
+        for literals, perms in stream:
+            counts[0] += 1
+            start = _start_state(engine, literals)
+            if start is None:
+                counts[1] += 1
+                continue
+            result = dppsz(engine, perms, cutoffs[i], start=start)
+            counts[2] += 1
+            counts[3] += result.modify_calls
+            counts[4] += result.cutoff_hit
+            if result.satisfiable:
+                fixed = tuple((lit, cnf.FIXED) for lit in literals)
+                return cnf.Assignment(fixed + result.solution.entries), i, counts
+            spent += result.modify_calls
+            if slice_budget is not None and spent >= slice_budget:
+                queue.append((i, stream))
+                break
+    return None, None, counts
+
+
+def _random_formula(rng):
+    """n = 0..7 variables, some left unconstrained, and clauses of zero to
+    three literals, the empty clause rare."""
+    n = rng.randint(0, 7)
+    clauses = []
+    for _ in range(rng.randint(0, 4 * n + 1)):
+        width = rng.choice((1, 2, 2, 3, 3, 3)) if n and rng.random() > 0.02 else 0
+        chosen = rng.sample(range(1, n + 1), min(width, n))
+        clauses.append([v if rng.random() < 0.5 else -v for v in chosen])
+    return F(*clauses, variables=range(1, n + 1))
+
+
+def test_solve_general_matches_a_search_of_every_restriction():
+    rng = random.Random(20260)
+    outcomes = Counter()
+    for _ in range(200):
+        formula = _random_formula(rng)
+        tau = rng.choice((None, 1, 4))
+        independence = rng.choice((None, 1))
+        slice_budget = rng.choice((None, 1, 7, 50))
+        got = solve_general(formula, tau, independence, slice_budget=slice_budget)
+        want, instance, counts = _reference_solve(formula, tau, independence, slice_budget)
+        assert got.solution == want and got.instance_found == instance, formula
+        assert [
+            got.restrictions_tried, got.restrictions_skipped, got.dppsz_calls,
+            got.modify_calls, got.cutoff_hits,
+        ] == counts, formula
+        outcomes["sat" if want is not None else "unsat"] += 1
+        outcomes["found past instance 0"] += bool(instance)
+        outcomes["empty clause"] += () in formula.clauses
+        outcomes["skips"] += counts[1] > 0
+        outcomes["cutoffs"] += counts[4] > 0
+        outcomes["unconstrained"] += len({abs(l) for c in formula.clauses for l in c}) < formula.n
+    keys = ("sat", "unsat", "found past instance 0", "empty clause", "skips", "cutoffs", "unconstrained")
+    assert all(outcomes[key] for key in keys), outcomes
+
+
+def test_a_dead_restriction_runs_no_search(monkeypatch):
+    built, searched = [], []
+
+    def counted_sigma(variables, independence=None):
+        built.append(construct_sigma(variables, independence))
+        return built[-1]
+
+    def counted_dppsz(engine, perms, cutoff, *, start):
+        assert engine.index.live(*start)
+        searched.append(perms)
+        return dppsz(engine, perms, cutoff, start=start)
+
+    engines = []
+
+    def kept_engine(*args):
+        engines.append(PpszEngine(*args))
+        return engines[-1]
+
+    monkeypatch.setattr(general, "construct_sigma", counted_sigma)
+    monkeypatch.setattr(general, "dppsz", counted_dppsz)
+    monkeypatch.setattr(general, "PpszEngine", kept_engine)
+    result = solve_general(uniform_kcnf(random.Random(1), 6, 40, 3))
+    assert not result.satisfiable and result.dppsz_calls == 275
+    # the logical counters count every dead restriction; nothing ran
+    assert searched == [] and built == []
+    index = engines[0].index
+    assert index._state_cache == {} and index._result_cache == {}
+    # a starved satisfiable solve searches only live restrictions, each
+    # subset's on one set built for the first of them
+    formula = F((1, 2), (-1, 2), (1, -2), (3, 4, 5), (-3, -4), variables=range(1, 7))
+    result = solve_general(formula, slack=-100.0)
+    assert result.satisfiable and result.instance_found == 2
+    assert 0 < len(built) < len(searched) < result.dppsz_calls
+    assert len({perms.variables for perms in built}) == len(built)
+    assert all(any(perms is made for perms in searched) for made in built)

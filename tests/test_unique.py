@@ -8,7 +8,7 @@ from ppszlab.implication import default_tau
 from ppszlab.instances import planted_kcnf, uniform_kcnf, unique_kcnf
 from ppszlab.oracle import count_solutions, enumerate_solutions
 from ppszlab.permutations import construct_sigma
-from ppszlab.unique import DppszResult, dppsz, solve_unique
+from ppszlab.unique import DppszResult, dppsz, no_hit, solve_unique
 
 
 def F(*clauses, variables=None, k=None):
@@ -74,6 +74,17 @@ def test_zero_variable_formulas():
     assert unsat.round_found is None
 
 
+def start_state(engine, literals):
+    """The (amask, avals) state fixing the literals, or None when they
+    falsify a clause, by a loop over every clause. Reads no memo."""
+    amask = sum(engine._bit[abs(lit)] for lit in literals)
+    avals = sum(engine._bit[lit] for lit in literals if lit > 0)
+    for _, _, pos, neg in engine.index._clauses:
+        if not ((pos | neg) & ~amask or pos & avals or neg & ~avals):
+            return None
+    return amask, avals
+
+
 def _restricted_dppsz(formula, literals, cutoff):
     """The reference: dppsz on the residual formula with its own engine."""
     residual = restrict(formula, literals)
@@ -99,7 +110,7 @@ def test_start_state_runs_match_the_restricted_formula():
                     if tau not in engines:
                         engines[tau] = PpszEngine(formula, tau)
                     engine = engines[tau]
-                    start = engine.start_state(literals)
+                    start = start_state(engine, literals)
                     free = [v for v in formula.variables if v not in combo]
                     perms = construct_sigma(free) if free else None
                     for cutoff in (None, 7):
@@ -202,7 +213,7 @@ def test_dppsz_matches_the_scan_from_start_states():
         for literals in ((1,), (-2, 5), (3, -4), (-1, -6)):
             tau = default_tau(formula.n - len(literals))
             engine = PpszEngine(formula, tau)
-            start = engine.start_state(literals)
+            start = start_state(engine, literals)
             if start is None:
                 outcomes["skipped"] += 1
                 continue
@@ -220,7 +231,7 @@ def test_dppsz_from_a_dead_start_does_no_search():
     formula = F((1, 2), (1, -2, 3), (-1, 4), (-1, -4), (-3, 5), (-3, -5))
     for literals in ((), (3,), (-2, 4)):
         engine = PpszEngine(formula)
-        start = engine.start_state(literals)
+        start = start_state(engine, literals)
         assert start is not None and engine.index.live(*start) == 0
         free = [v for v in formula.variables if v not in map(abs, literals)]
         perms = construct_sigma(free)
@@ -232,6 +243,7 @@ def test_dppsz_from_a_dead_start_does_no_search():
         for budget in (1, 5, len(want) - 2, None):
             got = dppsz(engine, perms, max_modify_calls=budget, start=start)
             assert got == want[-1 if budget is None else min(budget, len(want) - 1)], budget
+            assert got == no_hit(len(free), len(perms), budget)
         assert lookups == [] and engine.modify_calls == 0
 
 
