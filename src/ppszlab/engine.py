@@ -315,13 +315,15 @@ def ppsz_randomized(
     seed: int = 0,
 ) -> TrialRecord:
     """One randomized trial: uniform order index, uniform bit vector of
-    length n. Fully reproducible from the seed."""
+    length n. Fully reproducible from the seed. The drawn order must list
+    each variable exactly once (ValueError otherwise)."""
     rng = random.Random(seed)
     sigma_index = rng.randrange(len(perms))
     n = formula.n
     beta_value = rng.getrandbits(n) if n else 0
     sigma = perms.permutation(sigma_index) if hasattr(perms, "permutation") else tuple(perms[sigma_index])
     engine = PpszEngine(formula, tau)
+    engine._check_order(sigma)
     avals, profile = engine._walk(sigma, beta_value, n, None)
     result = None
     if avals is not None:

@@ -18,17 +18,21 @@ bound proves cannot decide x. A subset J decides x only if J with
 x=0 or J with x=1 is unsatisfiable; that covers both J implying a literal
 over x and the vacuous case. A CNF whose clauses' 2^-width sum to less than
 one is satisfiable, since a uniformly random assignment falsifies each
-clause with probability 2^-width. Only non-deciding subsets are skipped and
-the order is kept, so the first hit, and with it every answer, is unchanged.
+clause with probability 2^-width. Only non-deciding subsets are skipped,
+and the canonical order is kept wherever the first hit could differ from
+another hit (below), so every answer is unchanged.
 
 Every sweep is first screened by the state's live set: the formula's
 solutions that extend the state. On a satisfiable residual the rule is
 sound, so every implied literal holds in every live solution. When the
 live solutions take both values of x, no subset of any size decides x.
-When they all take one value, that side of x is satisfiable under every
-subset, and the union bound tests the other side alone. A state with no
-live solution is swept in full, since its vacuous first hit must stay
-exact.
+When they all take one value v, that side of x is satisfiable under every
+subset, so no subset implies the other literal or is unsatisfiable. The
+answer is then v exactly when some subset refutes x = not v, and it does
+not matter which one comes first, so the search takes any refuting
+subset, trying the clauses the union bound weighs most first
+(ImplicationIndex._refute). Only a state with no live solution is swept
+in canonical order, since its vacuous first hit must stay exact.
 """
 
 from __future__ import annotations
@@ -222,16 +226,18 @@ class ImplicationIndex:
     positions packed in order), so "solutions of a sub-CNF under the
     state" is a chain of integer ANDs whose width shrinks as the state
     grows. A state's masks are built on its first size-3 sweep and kept
-    with it. The kernel cuts a branch as soon as the union bound shows
-    both x=0 and x=1 stay satisfiable under every completion of it (module
-    docstring). The cut drops only subsets that decide nothing, so the
-    first hit in canonical order is the same one the full sweep finds.
+    with it.
 
     Before sizes 2 and up, a sweep reads the state's live set (`live`),
-    summed up once per state by `_screen`: if the live solutions take both
-    values of x the answer is 0, and if they take one value the kernel's
-    union bound counts the other side only (module docstring). States
-    with no live solution skip the screen.
+    summed up once per state by `_screen`. If the live solutions take both
+    values of x the answer is 0. If they all take one value v, `_refute`
+    looks for any subset of 3..tau clauses with no solution at x = not v,
+    heaviest clauses first, and the answer is v when it finds one (module
+    docstring). A state with no live solution goes to `_deep_sweep`,
+    which searches in canonical order and cuts a branch as soon as the
+    union bound shows both x=0 and x=1 stay satisfiable under every
+    completion of it. That cut drops only subsets that decide nothing, so
+    its first hit is the one the full sweep finds, vacuous or not.
     """
 
     VARIABLE_LIMIT = 20  # the clause masks hold up to 2^n bits
@@ -424,18 +430,56 @@ class ImplicationIndex:
         if pm is None:
             pm = self._clause_masks(amask, avals, state)
         packed = xpos - (amask & (xbit - 1)).bit_count()
-        return self._deep_sweep(
-            pm,
-            state.var_masks,
-            state.residual,
-            var,
-            xbit,
-            self._true_masks[packed],
-            self._false_masks[packed],
-            sat0,
-            sat1,
-            min(tau, m),
-        )
+        xtrue = self._true_masks[packed]
+        xfalse = self._false_masks[packed]
+        hi = min(tau, m)
+        if sat0 or sat1:
+            # refute the side no live solution takes, packed to 2^f bits
+            space = (1 << (1 << (self._n - amask.bit_count()))) - 1
+            if sat1:
+                return self._refute(pm, state.residual, var, xfalse & space, hi)
+            return self._refute(pm, state.residual, -var, xtrue & space, hi)
+        return self._deep_sweep(pm, state.var_masks, state.residual, var, xbit, xtrue, xfalse, hi)
+
+    def _refute(self, pm: list[int], residual: list[Clause], lit: int, side: int, hi: int) -> int:
+        """lit if some set of at most hi residual clauses has no solution
+        with lit false, else 0; for a live state whose live solutions all
+        set lit true. There no subset implies -lit or is unsatisfiable, so
+        any refuting set gives the answer (module docstring).
+
+        A clause weighs 2^(K - width once lit is false), with K the largest
+        residual width, and the weights of a refuting set sum to at least
+        2^K. A clause holding -lit weighs 0 and is left out, since dropping
+        it from a refuting set leaves one. The rest are searched heaviest
+        first: with `left` clauses still to pick, a loop stops at the first
+        clause i where the prefix sum plus `left` times weight i stays below
+        2^K, since no later clause weighs more. `side` holds the
+        assignments with lit false, packed like the clause masks; a set
+        refutes lit when ANDing its masks into `side` leaves nothing.
+        """
+        top = 1 << max(map(len, residual))
+        weighted = []
+        for clause, mask in zip(residual, pm):
+            if lit in clause:
+                weighted.append((top >> (len(clause) - 1), mask))
+            elif -lit not in clause:
+                weighted.append((top >> len(clause), mask))
+        weighted.sort(key=lambda pair: pair[0], reverse=True)
+        w = [weight for weight, _ in weighted]
+        cm = [mask for _, mask in weighted]
+        m = len(w)
+
+        def dive(start: int, left: int, mask: int, p: int) -> bool:
+            rest = left - 1
+            for i in range(start, m):
+                if p + left * w[i] < top:
+                    return False
+                mi = mask & cm[i]
+                if not mi or rest and dive(i + 1, rest, mi, p + w[i]):
+                    return True
+            return False
+
+        return lit if dive(0, min(hi, m), side, 0) else 0
 
     def _deep_sweep(
         self,
@@ -446,13 +490,13 @@ class ImplicationIndex:
         xbit: int,
         xtrue: int,
         xfalse: int,
-        sat0: bool,
-        sat1: bool,
         hi: int,
     ) -> int:
         """Subsets of 3..hi clauses, depth first in canonical order, with
-        every branch cut that the union bound proves holds no hit. Returns
-        the literal of the first hit, or 0.
+        every branch cut that the union bound proves holds no hit, at a
+        state with no live solution: there either side of x may be
+        unsatisfiable and the first hit may be vacuous, so both sides are
+        bounded. Returns the literal of the first hit, or 0.
 
         Clause i weighs w0[i] on the x=0 side and w1[i] on the x=1 side:
         2^(K - width once x is fixed), or 0 where fixing x satisfies it,
@@ -480,10 +524,6 @@ class ImplicationIndex:
                 w = top >> len(clause)
                 w0.append(w)
                 w1.append(w)
-        if sat0:
-            w0 = [0] * m
-        if sat1:
-            w1 = [0] * m
         s0 = [0] * (m + 1)
         s1 = [0] * (m + 1)
         for i in range(m - 1, -1, -1):

@@ -255,6 +255,15 @@ def test_sigma_must_permute_the_variables():
             eng.modify(bad, ())
 
 
+@pytest.mark.parametrize("bad", [(1, 1, 2), (1, 2), (1, 2, 3, 4)])
+def test_randomized_trial_rejects_an_order_that_is_not_a_permutation(bad):
+    # unchecked, (1, 1, 2) walks variable 1 twice, never walks 3 and
+    # returns a profile of three guesses
+    formula = F((1, 2), (-1, 3))
+    with pytest.raises(ValueError, match="exactly the formula's variables"):
+        ppsz_randomized(formula, [bad])
+
+
 def test_enumeration_budget_is_enforced():
     formula = F((1, 2, 3), variables=tuple(range(1, 13)))
     with pytest.raises(EnumerationBudgetError):

@@ -323,19 +323,24 @@ def test_shared_memos_stay_within_their_limits(monkeypatch):
 def test_clause_masks_are_built_only_for_size_three_sweeps(monkeypatch, tau):
     built, swept = [], []
     clause_masks = ImplicationIndex._clause_masks
-    deep_sweep = ImplicationIndex._deep_sweep
 
     def counted_masks(self, amask, avals, state):
         masks = clause_masks(self, amask, avals, state)
         built.append(((amask, avals), masks))
         return masks
 
-    def counted_sweep(self, pm, *args):
-        swept.append(pm)
-        return deep_sweep(self, pm, *args)
+    def counted(kernel):
+        def sweep(self, pm, *args):
+            swept.append(pm)
+            return kernel(self, pm, *args)
+
+        return sweep
 
     monkeypatch.setattr(ImplicationIndex, "_clause_masks", counted_masks)
-    monkeypatch.setattr(ImplicationIndex, "_deep_sweep", counted_sweep)
+    # both size >= 3 kernels: one-sided live states and states with no
+    # live solution
+    for name in ("_refute", "_deep_sweep"):
+        monkeypatch.setattr(ImplicationIndex, name, counted(getattr(ImplicationIndex, name)))
     # satisfiable, so the searches reach the index (see above)
     formula = planted_kcnf(random.Random(1), 10, 42, 3)[0]
     assert solve_general(formula, tau).satisfiable

@@ -5,6 +5,7 @@ from itertools import combinations
 import pytest
 
 from ppszlab.cnf import Formula, restrict
+from ppszlab.engine import PpszEngine
 from ppszlab.implication import (
     ImplicationIndex,
     _implied_by_subset,
@@ -13,7 +14,7 @@ from ppszlab.implication import (
     sub_cnf_solutions,
     tau_implied,
 )
-from ppszlab.instances import satisfiable_kcnf, uniform_kcnf
+from ppszlab.instances import planted_kcnf, satisfiable_kcnf, uniform_kcnf
 from ppszlab.oracle import count_solutions, enumerate_solutions, implied_literals
 
 
@@ -346,8 +347,8 @@ def test_shape_rules_match_the_reference_on_mixed_widths():
 def test_live_screen_matches_the_reference():
     # a state's live set is every solution that extends it. A variable the
     # live solutions set both ways ends at the screen, one they all set
-    # one way has only the other side tested by the union bound, and a
-    # state with no live solution is swept in full; all must answer like
+    # one way is decided by refuting the other side, and a state with no
+    # live solution is swept in canonical order; all must answer like
     # tau_implied on the restriction at every depth
     rng = random.Random(67)
     seen = Counter()
@@ -416,3 +417,131 @@ def test_a_dead_state_decides_only_the_variables_its_clauses_mention():
     for x in (1, 2):
         assert _first_hits(formula, x, (1, 2, 4)) == [(0, 0), (x, x), (x, x)]
     assert _first_hits(formula, 5, (1, 2, 3, 4)) == [(0, 0)] * 4
+
+
+def _count_refutations(index, counts):
+    """Wrap index._refute so that counts tallies its hits and misses."""
+    refute = index._refute
+
+    def counted(*args):
+        lit = refute(*args)
+        counts["hit" if lit else "miss"] += 1
+        return lit
+
+    index._refute = counted
+
+
+def test_one_sided_states_match_the_reference_at_tau_four_and_larger_n():
+    # planted 3-CNF at n = 12..14 with all but six variables assigned,
+    # mostly as the plant has them: many states have live solutions that
+    # all set a variable one way, and there the size >= 3 answer comes from
+    # refuting the other side. Six free variables keep the reference fast.
+    rng = random.Random(73)
+    counts = Counter()
+    for n in (12, 13, 14):
+        formula, plant = planted_kcnf(rng, n, round(4.2 * n), 3)
+        index = ImplicationIndex(formula, 4)
+        _count_refutations(index, counts)
+        for _ in range(4):
+            amask = avals = 0
+            literals = []
+            for pos in rng.sample(range(n), n - 6):
+                lit = plant[pos] if rng.random() >= 0.1 else -plant[pos]
+                amask |= 1 << pos
+                avals |= (lit > 0) << pos
+                literals.append(lit)
+            residual = restrict(formula, literals)
+            for var in residual.variables:
+                want = tau_implied(residual, var, 4) or 0
+                assert index.implied_literal(amask, avals, var) == want, (literals, var)
+    assert counts["hit"] > 0 and counts["miss"] > 0, counts
+
+
+def _lex_refute(pm, residual, lit, side, hi):
+    """The reference for _refute: the canonical-order kernel on a
+    one-sided state. Subsets of 3..hi clauses in lexicographic order, the
+    union bound on the side with lit false only (clauses holding -lit
+    weigh 0, as the side with lit true is satisfiable), and lit at the
+    first subset with no solution on that side."""
+    m = len(pm)
+    top = 1 << max(map(len, residual))
+    w = [0 if -lit in clause else top >> (len(clause) - (lit in clause)) for clause in residual]
+    s = [0] * (m + 1)  # suffix maxima
+    for i in range(m - 1, -1, -1):
+        s[i] = max(w[i], s[i + 1])
+
+    def dive(start, left, mask, p):
+        if left == 1:
+            for i in range(start, m):
+                if p + s[i] < top:
+                    return False
+                if p + w[i] >= top and not mask & pm[i]:
+                    return True
+            return False
+        rest = left - 1
+        for i in range(start, m - rest):
+            if p + left * s[i] < top:
+                return False
+            q = p + w[i]
+            if q + rest * s[i + 1] >= top and dive(i + 1, rest, mask & pm[i], q):
+                return True
+        return False
+
+    return lit if any(dive(0, size, side, 0) for size in range(3, hi + 1)) else 0
+
+
+def test_refutation_matches_the_lex_kernel_on_planted_walks():
+    rng = random.Random(73)
+    counts = Counter()
+    for n in (10, 12, 14, 16):
+        for _ in range(4):
+            formula = planted_kcnf(rng, n, round(4.2 * n), 3)[0]
+            engine = PpszEngine(formula, 4)
+            refute = engine.index._refute
+
+            def checked(pm, residual, lit, side, hi, refute=refute):
+                got = refute(pm, residual, lit, side, hi)
+                assert got == _lex_refute(pm, residual, lit, side, hi), (residual, lit)
+                counts["hit" if got else "miss"] += 1
+                return got
+
+            engine.index._refute = checked
+            for _ in range(3):
+                sigma = list(formula.variables)
+                rng.shuffle(sigma)
+                engine.modify(sigma, [rng.getrandbits(1) for _ in range(n)])
+    assert counts["hit"] > 0 and counts["miss"] > 0, counts
+
+
+def _refuted_hits(formula, x, taus):
+    """(reference, index, refutation searches) at each tau, on the
+    unrestricted state."""
+    out = []
+    for tau in taus:
+        index = ImplicationIndex(formula, tau)
+        counts = Counter()
+        _count_refutations(index, counts)
+        got = index.implied_literal(0, 0, x)
+        out.append((tau_implied(formula, x, tau) or 0, got, counts.total()))
+    return out
+
+
+@pytest.mark.parametrize("sign", [1, -1])
+def test_one_sided_hit_whose_heaviest_clause_sorts_last(sign):
+    # every solution sets x = 5 to sign; with x the other way, (-2, -3) and
+    # (-2, 3) force -2, (2, -4) then forces -4, and (4) clashes. The
+    # deciding set needs all four clauses, and its heaviest, (4, x), comes
+    # last in canonical order; (1, x) weighs as much and decides nothing
+    x = 5 * sign
+    formula = F((-2, 3, x), (-2, -3, x), (2, -4), (4, x), (1, x))
+    assert formula.clauses[-1] == (4, x)
+    assert _refuted_hits(formula, 5, (2, 3, 4)) == [(0, 0, 0), (0, 0, 1), (x, x, 1)]
+
+
+@pytest.mark.parametrize("sign", [1, -1])
+def test_one_sided_set_whose_weights_sum_exactly_to_the_bound(sign):
+    # with x = 4 the other way the set leaves (1), (-1, 2), (-1, -2, 3),
+    # (-1, -2, -3): weights 4 + 2 + 1 + 1 = 8 = 2^3, which must not be cut
+    x = 4 * sign
+    formula = F((1, x), (-1, 2, x), (-1, -2, 3), (-1, -2, -3))
+    assert _refuted_hits(formula, 4, (2, 3, 4)) == [(0, 0, 0), (0, 0, 1), (x, x, 1)]
