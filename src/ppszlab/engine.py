@@ -315,8 +315,11 @@ def ppsz_randomized(
     seed: int = 0,
 ) -> TrialRecord:
     """One randomized trial: uniform order index, uniform bit vector of
-    length n. Fully reproducible from the seed. The drawn order must list
-    each variable exactly once (ValueError otherwise)."""
+    length n. Fully reproducible from the seed. The family must hold an
+    order, and the drawn order must list each variable exactly once
+    (ValueError otherwise)."""
+    if not len(perms):
+        raise ValueError("an order family needs at least one order")
     rng = random.Random(seed)
     sigma_index = rng.randrange(len(perms))
     n = formula.n

@@ -175,7 +175,7 @@ def _instance_runs(
     live_of = engine.index.live
     free = len(variables) - i
     dead = no_hit(free, len(hash_family(free, independence)) if free else 0, cutoff)
-    clauses = [(pos | neg, neg) for _, _, pos, neg in engine.index._clauses]
+    clauses = [(pos | neg, neg) for _, _, pos, neg, _ in engine.index._clauses]
     for combo in itertools.combinations(variables, i):
         amask = sum(map(bit_of.__getitem__, combo))
         # only a clause inside the subset can be falsified, by avals & vbits == neg

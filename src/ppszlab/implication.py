@@ -13,14 +13,16 @@ canonical clause order, lexicographically. The first implying subset wins.
 The index below memoizes each answer per restriction state, variable and
 depth. It decides subsets of one and two clauses from the clauses'
 literals alone: a unit clause, or one resolution step (class docstring).
-For subsets of three clauses or more it skips every subset the union
-bound proves cannot decide x. A subset J decides x only if J with
-x=0 or J with x=1 is unsatisfiable; that covers both J implying a literal
-over x and the vacuous case. A CNF whose clauses' 2^-width sum to less than
-one is satisfiable, since a uniformly random assignment falsifies each
-clause with probability 2^-width. Only non-deciding subsets are skipped,
-and the canonical order is kept wherever the first hit could differ from
-another hit (below), so every answer is unchanged.
+For subsets of three clauses or more it searches for small cores. A
+subset J decides x iff J mentions x and J with x=0 or J with x=1 is
+unsatisfiable; that covers both J implying a literal over x and the
+vacuous case. So J decides x iff it mentions x and holds a core: a
+minimally unsatisfiable set of its clauses once x is fixed. By Tarsi's
+lemma a minimally unsatisfiable CNF has more clauses than variables
+(Aharoni and Linial, JCTA 1986), so a core of at most tau clauses
+mentions at most tau - 1 variables besides x. The search cuts every set
+past that cap and tests each set with a truth table of at most
+2^(tau-1) rows, whatever the number of free variables.
 
 Every sweep is first screened by the state's live set: the formula's
 solutions that extend the state. On a satisfiable residual the rule is
@@ -28,15 +30,16 @@ sound, so every implied literal holds in every live solution. When the
 live solutions take both values of x, no subset of any size decides x.
 When they all take one value v, that side of x is satisfiable under every
 subset, so no subset implies the other literal or is unsatisfiable. The
-answer is then v exactly when some subset refutes x = not v, and it does
-not matter which one comes first, so the search takes any refuting
-subset, trying the clauses the union bound weighs most first
-(ImplicationIndex._refute). Only a state with no live solution is swept
-in canonical order, since its vacuous first hit must stay exact.
+answer is then v exactly when some core refutes x = not v, and it does
+not matter which one is found first (ImplicationIndex._one_sided). Only
+a state with no live solution needs every core on both sides, since its
+first hit in canonical order, vacuous or not, must stay exact
+(ImplicationIndex._dead_state).
 """
 
 from __future__ import annotations
 
+import heapq
 from itertools import combinations
 from typing import Iterable, Sequence
 
@@ -128,20 +131,18 @@ def _polarity_masks(n: int) -> list[int]:
 
 class _State:
     """One restriction state of an ImplicationIndex: its residual clauses
-    with the bits of each one's free variables, the bits of every variable
-    they mention, the literals of its unit clauses, its two-literal
-    clauses, whether it falsifies a clause, and once a sweep needs it the
-    live-set screen (ImplicationIndex._screen). The clause lists are in
-    the formula's order until _clause_masks builds the masks and puts them
-    in canonical order."""
+    in the formula's order, with each one's bits (the bits of its free
+    variables, and above them, shifted by n, the bits of its positive
+    literals), the bits of every variable they mention, the literals of
+    its unit clauses, its two-literal clauses, whether it falsifies a
+    clause, and once a sweep needs it the live-set screen
+    (ImplicationIndex._screen)."""
 
-    __slots__ = (
-        "residual", "var_masks", "reach", "units", "binaries", "dead", "masks", "screen", "bytes"
-    )
+    __slots__ = ("residual", "bits", "reach", "units", "binaries", "dead", "screen", "bytes")
 
     def __init__(self, residual: dict[Clause, int], reach: int):
         self.residual = list(residual)
-        self.var_masks = list(residual.values())
+        self.bits = list(residual.values())
         self.reach = reach
         units: list[int] = []
         binaries: list[Clause] = []
@@ -154,7 +155,6 @@ class _State:
         self.units = tuple(units)
         self.binaries = tuple(binaries)
         self.dead = () in residual
-        self.masks: list[int] | None = None
         self.screen: tuple[int, int] | None = None
         self.bytes = 0  # charged to the state memo
 
@@ -220,27 +220,21 @@ class ImplicationIndex:
       the pair. One pair cannot decide both literals, since it would then
       be unsatisfiable itself, so the first deciding pair over both
       polarities is the hit.
-    Sizes 3..tau share one depth-first kernel over clause masks: at each
-    state every residual clause becomes the set of assignments to the f
-    free variables that satisfy it (one integer with 2^f bits, the free
-    positions packed in order), so "solutions of a sub-CNF under the
-    state" is a chain of integer ANDs whose width shrinks as the state
-    grows. A state's masks are built on its first size-3 sweep and kept
-    with it.
+    Sizes 3..tau share one search for cores (`_cores`, module
+    docstring), which reads each residual clause's variable bits and
+    sign bits off the state and tests sets by truth tables over at most
+    tau - 1 variables.
 
     Before sizes 2 and up, a sweep reads the state's live set (`live`),
     summed up once per state by `_screen`. If the live solutions take both
-    values of x the answer is 0. If they all take one value v, `_refute`
-    looks for any subset of 3..tau clauses with no solution at x = not v,
-    heaviest clauses first, and the answer is v when it finds one (module
-    docstring). A state with no live solution goes to `_deep_sweep`,
-    which searches in canonical order and cuts a branch as soon as the
-    union bound shows both x=0 and x=1 stay satisfiable under every
-    completion of it. That cut drops only subsets that decide nothing, so
-    its first hit is the one the full sweep finds, vacuous or not.
+    values of x the answer is 0. If they all take one value v, `_one_sided`
+    looks for any core with x = not v, and the answer is v when it finds
+    one (module docstring). A state with no live solution goes to
+    `_dead_state`, which takes every core on both sides and from them the
+    first deciding subset in canonical order, vacuous or not.
     """
 
-    VARIABLE_LIMIT = 20  # the clause masks hold up to 2^n bits
+    VARIABLE_LIMIT = 20  # the live masks hold up to 2^n bits
     STATE_CACHE_BYTES = 4 << 20  # estimated size of the cached states
     RESULT_CACHE_LIMIT = 1 << 15  # (state, variable) answers
 
@@ -254,17 +248,18 @@ class ImplicationIndex:
             )
         self._n = n
         self._pos_of = {v: i for i, v in enumerate(formula.variables)}
-        # per clause: each literal with its variable's bit, and the bits of
-        # its positive and of its negative literals
+        # per clause: each literal with its variable's bit, the bits of its
+        # positive and of its negative literals, and its bits as a state
+        # keeps them (_State)
         clauses = []
         for clause in formula.clauses:
             lit_bits = tuple((lit, 1 << self._pos_of[abs(lit)]) for lit in clause)
             pos = sum(bit for lit, bit in lit_bits if lit > 0)
             neg = sum(bit for lit, bit in lit_bits if lit < 0)
-            clauses.append((clause, lit_bits, pos, neg))
+            clauses.append((clause, lit_bits, pos, neg, pos | neg | pos << n))
         self._clauses = clauses
         # masks for n variables; their low 2^f bits are the masks for f
-        # variables, which is how a state's packed clause masks read them
+        # variables, which is how a core's truth tables read them
         space = (1 << (1 << n)) - 1
         true_masks = _polarity_masks(n)
         self._true_masks = true_masks
@@ -306,52 +301,22 @@ class ImplicationIndex:
         if state is not None:
             return state
         falses = amask ^ avals
-        residual: dict[Clause, int] = {}  # residual clause -> its variables' bits
+        assigned = amask | amask << self._n  # the assigned variables' bits and sign bits
+        residual: dict[Clause, int] = {}  # residual clause -> its bits (see _State)
         reach = 0
-        for clause, lit_bits, pos, neg in self._clauses:
+        for clause, lit_bits, pos, neg, bits in self._clauses:
             if pos & avals or neg & falses:
                 continue  # satisfied
-            vbits = pos | neg
-            if vbits & amask:
+            if bits & amask:
                 clause = tuple([lit for lit, bit in lit_bits if not bit & amask])
-                vbits &= ~amask
-            residual[clause] = vbits
-            reach |= vbits
-        state = _State(residual, reach)
+                bits &= ~assigned
+            residual[clause] = bits
+            reach |= bits
+        state = _State(residual, reach & ~(-1 << self._n))
         # a state costs about 256 bytes of objects, and each residual
         # clause about 128 more
         self._charge(key, state, 256 + len(residual) * 128)
         return state
-
-    def _clause_masks(self, amask: int, avals: int, state: _State) -> list[int]:
-        """Each residual clause's satisfying assignments over the state's f
-        free variables (an integer of 2^f bits, the free positions packed
-        in order), built on the first size >= 3 sweep at the state. The
-        state's clause lists are put in restrict()'s canonical order, which
-        the masks follow."""
-        width = 1 << (self._n - amask.bit_count())
-        space = (1 << width) - 1
-        # each literal over a free variable: the assignments falsifying it,
-        # read at the variable's packed position
-        falsifier: dict[int, int] = {}
-        packed = 0
-        for var, j in self._pos_of.items():
-            if not (amask >> j) & 1:
-                falsifier[var] = self._false_masks[packed]
-                falsifier[-var] = self._true_masks[packed]
-                packed += 1
-        ordered = sorted(zip(state.residual, state.var_masks))
-        state.residual = [clause for clause, _ in ordered]
-        state.var_masks = [vbits for _, vbits in ordered]
-        masks = []
-        for clause in state.residual:
-            falsify = space  # the empty clause keeps it all and admits nothing
-            for lit in clause:
-                falsify &= falsifier[lit]
-            masks.append(space ^ falsify)
-        state.masks = masks
-        self._charge((amask, avals), state, len(masks) * (width // 8))
-        return masks
 
     def _screen(self, amask: int, avals: int, state: _State) -> tuple[int, int]:
         """The bits of the variables the residual mentions that some live
@@ -404,7 +369,7 @@ class ImplicationIndex:
         clauses at this state, or 0.
 
         Sizes 1 and 2 are read off the unit and two-literal clauses (class
-        docstring); only sizes 3 and up sweep clause masks."""
+        docstring); only sizes 3 and up search for cores."""
         state = self._survivors(amask, avals)
         # the first unit over var decides it; (-var,) sorts first
         if -var in state.units:
@@ -426,141 +391,154 @@ class ImplicationIndex:
         m = len(state.residual)
         if hit or tau < 3 or m < 3:
             return hit
-        pm = state.masks
-        if pm is None:
-            pm = self._clause_masks(amask, avals, state)
-        packed = xpos - (amask & (xbit - 1)).bit_count()
-        xtrue = self._true_masks[packed]
-        xfalse = self._false_masks[packed]
         hi = min(tau, m)
-        if sat0 or sat1:
-            # refute the side no live solution takes, packed to 2^f bits
-            space = (1 << (1 << (self._n - amask.bit_count()))) - 1
-            if sat1:
-                return self._refute(pm, state.residual, var, xfalse & space, hi)
-            return self._refute(pm, state.residual, -var, xtrue & space, hi)
-        return self._deep_sweep(pm, state.var_masks, state.residual, var, xbit, xtrue, xfalse, hi)
+        if sat1:
+            return self._one_sided(state, xbit, var, hi)
+        if sat0:
+            return self._one_sided(state, xbit, -var, hi)
+        return self._dead_state(state, xbit, var, hi)
 
-    def _refute(self, pm: list[int], residual: list[Clause], lit: int, side: int, hi: int) -> int:
+    def _one_sided(self, state: _State, xbit: int, lit: int, hi: int) -> int:
         """lit if some set of at most hi residual clauses has no solution
         with lit false, else 0; for a live state whose live solutions all
         set lit true. There no subset implies -lit or is unsatisfiable, so
-        any refuting set gives the answer (module docstring).
+        any refuting set gives the answer (module docstring)."""
+        return lit if self._cores(state, xbit, lit < 0, hi, True) else 0
 
-        A clause weighs 2^(K - width once lit is false), with K the largest
-        residual width, and the weights of a refuting set sum to at least
-        2^K. A clause holding -lit weighs 0 and is left out, since dropping
-        it from a refuting set leaves one. The rest are searched heaviest
-        first: with `left` clauses still to pick, a loop stops at the first
-        clause i where the prefix sum plus `left` times weight i stays below
-        2^K, since no later clause weighs more. `side` holds the
-        assignments with lit false, packed like the clause masks; a set
-        refutes lit when ANDing its masks into `side` leaves nothing.
+    def _dead_state(self, state: _State, xbit: int, var: int, hi: int) -> int:
+        """The literal over var that the first deciding subset of 3..hi
+        clauses, in canonical order, implies, or 0; for a state with no
+        live solution, where either side of var may be unsatisfiable and
+        the first hit may be vacuous.
+
+        A subset J decides var iff it mentions var and contains a core, a
+        set of clauses with no solution once var is fixed to 0 or to 1.
+        For one core C and a size s, the lex-least s-subset holding C is
+        C plus the s - |C| canonically smallest other clauses, all among
+        the s smallest. If neither C nor these fillers mention var, every
+        filler precedes the first clause over var, so swapping the largest
+        filler for that clause gives the lex-least one that mentions var;
+        with no filler there is none. The first hit at size s is the least
+        of these over every core of at most s clauses. J implies var if it
+        holds a core for var = 0, which covers the vacuous case, and -var
+        otherwise.
         """
-        top = 1 << max(map(len, residual))
-        weighted = []
-        for clause, mask in zip(residual, pm):
-            if lit in clause:
-                weighted.append((top >> (len(clause) - 1), mask))
-            elif -lit not in clause:
-                weighted.append((top >> len(clause), mask))
-        weighted.sort(key=lambda pair: pair[0], reverse=True)
-        w = [weight for weight, _ in weighted]
-        cm = [mask for _, mask in weighted]
-        m = len(w)
+        cores0 = self._cores(state, xbit, False, hi, False)
+        cores = cores0 + self._cores(state, xbit, True, hi, False)
+        if not cores:
+            return 0
+        residual = state.residual
+        bits = state.bits
+        canonical = residual.__getitem__
+        smallest = heapq.nsmallest(hi, range(len(residual)), key=canonical)
+        over_x = [i for i, clause_bits in enumerate(bits) if clause_bits & xbit]
+        first_over_x = min(over_x, key=canonical)
+        for size in range(3, hi + 1):
+            best = None
+            for core in cores:
+                need = size - len(core)
+                if need < 0:
+                    continue
+                fill = [i for i in smallest if i not in core][:need]
+                if not any(bits[i] & xbit for i in core + tuple(fill)):
+                    if not fill:
+                        continue
+                    fill[-1] = first_over_x
+                subset = sorted([residual[i] for i in core + tuple(fill)])
+                if best is None or subset < best:
+                    best = subset
+            if best is not None:
+                chosen = set(best)
+                if any(chosen.issuperset(map(canonical, core)) for core in cores0):
+                    return var
+                return -var
+        return 0
 
-        def dive(start: int, left: int, mask: int, p: int) -> bool:
-            rest = left - 1
-            for i in range(start, m):
-                if p + left * w[i] < top:
-                    return False
-                mi = mask & cm[i]
-                if not mi or rest and dive(i + 1, rest, mi, p + w[i]):
-                    return True
+    def _cores(
+        self, state: _State, xbit: int, value: bool, hi: int, one_sided: bool
+    ) -> list[tuple[int, ...]]:
+        """The sets of at most hi residual clauses, as index tuples, that
+        have no solution once x (the variable at xbit) is fixed to value,
+        and whose proper prefixes in search order all have one.
+
+        Every minimal unsatisfiable set C of clauses mentions at most
+        |C| - 1 variables (Tarsi's lemma), so no set mentioning more than
+        hi - 1 variables besides x lies inside a core of at most hi
+        clauses, and such branches are cut. Every prefix of a minimal core
+        is satisfiable and inside the cap, so each minimal core is among
+        the sets returned. A set is tested with a truth table over its
+        variables besides x, numbered in the order the search meets them:
+        an integer with one bit per assignment to them.
+
+        The search tries the clauses over x first, each group in index
+        order. A one-sided search, for a live state whose live solutions
+        all set x to not value, stops at the first set found; there a live
+        solution satisfies every clause without x, so every core holds a
+        clause over x, and each set starts with one.
+        """
+        satisfied = xbit if value else 0  # the sign bit of the literal x = value sets true
+        frame = min(hi - 1, (state.reach & ~xbit).bit_count())
+        # (index, variable bits besides x, sign bits) of the clauses that
+        # x = value leaves open within the cap, those over x and the others
+        over_x: list[tuple[int, int, int]] = []
+        others: list[tuple[int, int, int]] = []
+        shift = self._n
+        low = (1 << shift) - 1
+        for i, clause_bits in enumerate(state.bits):
+            vbits = clause_bits & low
+            signs = clause_bits >> shift
+            if vbits & xbit:
+                if signs & xbit == satisfied:
+                    continue
+                vbits ^= xbit
+                group = over_x
+            else:
+                group = others
+            if vbits.bit_count() <= frame:
+                group.append((i, vbits, signs))
+        clauses = over_x + others
+        starts = len(over_x) if one_sided else len(clauses)
+        space = (1 << (1 << frame)) - 1
+        true_at = [mask & space for mask in self._true_masks[:frame]]
+        false_at = [space ^ mask for mask in true_at]
+        found: list[tuple[int, ...]] = []
+
+        def dive(
+            cands: list[tuple[int, int, int]],
+            starts: int,
+            left: int,
+            union: int,
+            order: tuple[int, ...],
+            rows: int,
+            chosen: tuple[int, ...],
+        ) -> bool:
+            # cands: the clauses that may extend the chosen set within the
+            # cap, the first `starts` of them as its next member; rows: the
+            # assignments that satisfy every chosen clause
+            for k in range(starts):
+                i, vbits, signs = cands[k]
+                local = order
+                new = vbits & ~union
+                while new:
+                    bit = new & -new
+                    new ^= bit
+                    local += (bit,)
+                table = 0
+                for j, bit in enumerate(local):
+                    if vbits & bit:
+                        table |= true_at[j] if signs & bit else false_at[j]
+                kept = rows & table
+                if not kept:
+                    found.append(chosen + (i,))
+                    if one_sided:
+                        return True
+                elif left > 1:
+                    grown = union | vbits
+                    deeper = [c for c in cands[k + 1:] if (grown | c[1]).bit_count() <= frame]
+                    chosen_i = chosen + (i,)
+                    if deeper and dive(deeper, len(deeper), left - 1, grown, local, kept, chosen_i):
+                        return True
             return False
 
-        return lit if dive(0, min(hi, m), side, 0) else 0
-
-    def _deep_sweep(
-        self,
-        pm: list[int],
-        rv: list[int],
-        residual: list[Clause],
-        var: int,
-        xbit: int,
-        xtrue: int,
-        xfalse: int,
-        hi: int,
-    ) -> int:
-        """Subsets of 3..hi clauses, depth first in canonical order, with
-        every branch cut that the union bound proves holds no hit, at a
-        state with no live solution: there either side of x may be
-        unsatisfiable and the first hit may be vacuous, so both sides are
-        bounded. Returns the literal of the first hit, or 0.
-
-        Clause i weighs w0[i] on the x=0 side and w1[i] on the x=1 side:
-        2^(K - width once x is fixed), or 0 where fixing x satisfies it,
-        with K the largest residual width. A side whose weights sum below
-        2^K is satisfiable, and a subset with both sides satisfiable
-        decides nothing. With `left` clauses still to pick from i on, the
-        rest of the loop is cut when the prefix sum plus `left` times the
-        suffix maximum at i stays below 2^K on both sides (suffix maxima
-        never increase, so no later i passes either); clause i alone is
-        skipped when its own weight plus `left - 1` times the suffix
-        maximum after it stays below 2^K on both sides.
-        """
-        m = len(pm)
-        top = 1 << max(map(len, residual))
-        w0: list[int] = []
-        w1: list[int] = []
-        for clause in residual:
-            if var in clause:
-                w0.append(top >> (len(clause) - 1))
-                w1.append(0)
-            elif -var in clause:
-                w0.append(0)
-                w1.append(top >> (len(clause) - 1))
-            else:
-                w = top >> len(clause)
-                w0.append(w)
-                w1.append(w)
-        s0 = [0] * (m + 1)
-        s1 = [0] * (m + 1)
-        for i in range(m - 1, -1, -1):
-            s0[i] = max(w0[i], s0[i + 1])
-            s1[i] = max(w1[i], s1[i + 1])
-
-        def dive(start: int, left: int, mask: int, union: int, p0: int, p1: int) -> int:
-            if left == 1:
-                for i in range(start, m):
-                    if p0 + s0[i] < top and p1 + s1[i] < top:
-                        return 0  # no later clause can lift either side
-                    if p0 + w0[i] < top and p1 + w1[i] < top:
-                        continue
-                    mi = mask & pm[i]
-                    if mi == 0:
-                        if (union | rv[i]) & xbit:
-                            return var
-                    elif mi & xfalse == 0:
-                        return var
-                    elif mi & xtrue == 0:
-                        return -var
-                return 0
-            rest = left - 1
-            for i in range(start, m - rest):
-                if p0 + left * s0[i] < top and p1 + left * s1[i] < top:
-                    return 0
-                q0 = p0 + w0[i]
-                q1 = p1 + w1[i]
-                if q0 + rest * s0[i + 1] < top and q1 + rest * s1[i + 1] < top:
-                    continue  # no completion through clause i
-                hit = dive(i + 1, rest, mask & pm[i], union | rv[i], q0, q1)
-                if hit:
-                    return hit
-            return 0
-
-        for size in range(3, hi + 1):
-            hit = dive(0, size, -1, 0, 0, 0)
-            if hit:
-                return hit
-        return 0
+        dive(clauses, starts, hi, 0, (), space, ())
+        return found

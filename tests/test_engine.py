@@ -305,7 +305,7 @@ def start_state(engine, literals):
     falsify a clause, by a loop over every clause. Reads no memo."""
     amask = sum(engine._bit[abs(lit)] for lit in literals)
     avals = sum(engine._bit[lit] for lit in literals if lit > 0)
-    for _, _, pos, neg in engine.index._clauses:
+    for _, _, pos, neg, _ in engine.index._clauses:
         if not ((pos | neg) & ~amask or pos & avals or neg & ~avals):
             return None
     return amask, avals
@@ -354,6 +354,8 @@ def test_an_empty_order_family_is_rejected():
             route(formula, [])
     with pytest.raises(ValueError, match="at least one order"):
         dppsz(PpszEngine(formula), [])
+    with pytest.raises(ValueError, match="at least one order"):
+        ppsz_randomized(formula, [])
     # with nothing to assign, dppsz answers before it reads the family
     assert dppsz(PpszEngine(F()), ()).round_found == 0
     assert dppsz(PpszEngine(F(())), ()).round_found is None

@@ -320,37 +320,46 @@ def test_shared_memos_stay_within_their_limits(monkeypatch):
 
 
 @pytest.mark.parametrize("tau", [2, 3])
-def test_clause_masks_are_built_only_for_size_three_sweeps(monkeypatch, tau):
-    built, swept = [], []
-    clause_masks = ImplicationIndex._clause_masks
+def test_cores_are_searched_only_for_size_three_sweeps(monkeypatch, tau):
+    searches, routed, charges = [], [], []
+    cores = ImplicationIndex._cores
+    charge = ImplicationIndex._charge
 
-    def counted_masks(self, amask, avals, state):
-        masks = clause_masks(self, amask, avals, state)
-        built.append(((amask, avals), masks))
-        return masks
+    def counted_charge(self, key, state, cost):
+        charges.append((state, cost))
+        return charge(self, key, state, cost)
 
-    def counted(kernel):
-        def sweep(self, pm, *args):
-            swept.append(pm)
-            return kernel(self, pm, *args)
+    def counted_cores(self, state, *args):
+        searches.append(state)
+        return cores(self, state, *args)
+
+    def counted(route):
+        def sweep(self, state, *args):
+            routed.append(state)
+            return route(self, state, *args)
 
         return sweep
 
-    monkeypatch.setattr(ImplicationIndex, "_clause_masks", counted_masks)
-    # both size >= 3 kernels: one-sided live states and states with no
+    monkeypatch.setattr(ImplicationIndex, "_charge", counted_charge)
+    monkeypatch.setattr(ImplicationIndex, "_cores", counted_cores)
+    # both size >= 3 routes: one-sided live states and states with no
     # live solution
-    for name in ("_refute", "_deep_sweep"):
+    for name in ("_one_sided", "_dead_state"):
         monkeypatch.setattr(ImplicationIndex, name, counted(getattr(ImplicationIndex, name)))
     # satisfiable, so the searches reach the index (see above)
     formula = planted_kcnf(random.Random(1), 10, 42, 3)[0]
     assert solve_general(formula, tau).satisfiable
+    # the state memo is charged only for each state's clauses and its
+    # live-set screen: the search keeps no table with the state
+    assert charges
+    for state, cost in charges:
+        assert cost in (256 + 128 * len(state.residual), 64), cost
     if tau == 2:
-        assert built == [] and swept == []
+        assert searches == [] and routed == []
         return
-    # each state's masks are built once, right before its first deep sweep
-    assert 0 < len(built) < len(swept)
-    assert len({key for key, _ in built}) == len(built)
-    assert all(any(pm is masks for pm in swept) for _, masks in built)
+    # every search serves a size >= 3 route, and reads the routed state
+    assert 0 < len(routed) <= len(searches)
+    assert {id(state) for state in searches} == {id(state) for state in routed}
 
 
 def test_slice_budget_must_be_positive():
@@ -378,7 +387,7 @@ def _start_state(engine, literals):
     falsify a clause, by a loop over every clause. Reads no memo."""
     amask = sum(engine._bit[abs(lit)] for lit in literals)
     avals = sum(engine._bit[lit] for lit in literals if lit > 0)
-    for _, _, pos, neg in engine.index._clauses:
+    for _, _, pos, neg, _ in engine.index._clauses:
         if not ((pos | neg) & ~amask or pos & avals or neg & ~avals):
             return None
     return amask, avals

@@ -9,6 +9,7 @@ from ppszlab.engine import PpszEngine
 from ppszlab.implication import (
     ImplicationIndex,
     _implied_by_subset,
+    _polarity_masks,
     default_tau,
     resolve_tau,
     sub_cnf_solutions,
@@ -234,8 +235,9 @@ def test_full_two_cnf_beside_x_is_decided_at_size_four(sign):
 
 
 def test_tight_union_bound_still_decides_at_size_three():
-    # once x = 0 the weights are 1/2 + 1/4 + 1/4: the bound sits exactly at
-    # one, which must not cut the branch
+    # once x = 0 the set leaves (2), (-2, 3), (-2, -3): a core of three
+    # clauses over two variables besides x, as many as a core of three
+    # clauses may mention, which must not be cut
     formula = F((1, 2), (1, -2, 3), (1, -2, -3))
     assert _first_hits(formula, 1, (2, 3)) == [(0, 0), (1, 1)]
 
@@ -419,16 +421,17 @@ def test_a_dead_state_decides_only_the_variables_its_clauses_mention():
     assert _first_hits(formula, 5, (1, 2, 3, 4)) == [(0, 0)] * 4
 
 
-def _count_refutations(index, counts):
-    """Wrap index._refute so that counts tallies its hits and misses."""
-    refute = index._refute
+def _count_routes(index, counts):
+    """Wrap index._one_sided and index._dead_state so that counts tallies
+    the hits and misses of each route."""
+    for route in ("_one_sided", "_dead_state"):
 
-    def counted(*args):
-        lit = refute(*args)
-        counts["hit" if lit else "miss"] += 1
-        return lit
+        def counted(*args, kernel=getattr(index, route), route=route):
+            lit = kernel(*args)
+            counts[route, "hit" if lit else "miss"] += 1
+            return lit
 
-    index._refute = counted
+        setattr(index, route, counted)
 
 
 def test_one_sided_states_match_the_reference_at_tau_four_and_larger_n():
@@ -441,7 +444,7 @@ def test_one_sided_states_match_the_reference_at_tau_four_and_larger_n():
     for n in (12, 13, 14):
         formula, plant = planted_kcnf(rng, n, round(4.2 * n), 3)
         index = ImplicationIndex(formula, 4)
-        _count_refutations(index, counts)
+        _count_routes(index, counts)
         for _ in range(4):
             amask = avals = 0
             literals = []
@@ -454,15 +457,59 @@ def test_one_sided_states_match_the_reference_at_tau_four_and_larger_n():
             for var in residual.variables:
                 want = tau_implied(residual, var, 4) or 0
                 assert index.implied_literal(amask, avals, var) == want, (literals, var)
-    assert counts["hit"] > 0 and counts["miss"] > 0, counts
+    assert counts["_one_sided", "hit"] > 0 and counts["_one_sided", "miss"] > 0, counts
 
 
-def _lex_refute(pm, residual, lit, side, hi):
-    """The reference for _refute: the canonical-order kernel on a
-    one-sided state. Subsets of 3..hi clauses in lexicographic order, the
-    union bound on the side with lit false only (clauses holding -lit
-    weigh 0, as the side with lit true is satisfiable), and lit at the
-    first subset with no solution on that side."""
+def test_dead_states_match_the_reference_at_larger_n():
+    # states that no solution extends, with 6..8 free variables at
+    # n = 12..14: there the first deciding subset in canonical order sets
+    # the literal, and it may be vacuous. At three clauses per variable
+    # some of these states have no core of at most tau clauses.
+    rng = random.Random(2)
+    counts = Counter()
+    for n, tau, free in ((12, 5, 6), (13, 4, 7), (14, 3, 8), (12, 4, 8), (14, 5, 6)):
+        formula = uniform_kcnf(rng, n, 3 * n, 3)
+        index = ImplicationIndex(formula, tau)
+        _count_routes(index, counts)
+        states = 0
+        while states < 3:
+            amask, avals, literals = _restriction_state(formula, rng, n - free)
+            residual = restrict(formula, literals)
+            if index.live(amask, avals) or () in residual.clauses:
+                continue
+            states += 1
+            for var in residual.variables:
+                want = tau_implied(residual, var, tau) or 0
+                assert index.implied_literal(amask, avals, var) == want, (literals, var, tau)
+    assert counts["_dead_state", "hit"] > 0 and counts["_dead_state", "miss"] > 0, counts
+
+
+def _clause_masks(residual):
+    """Each clause's satisfying assignments over the variables the clauses
+    mention, in canonical order, and the assignments with each variable
+    true: assignment s sets the j-th smallest variable true iff bit j of s
+    is set, and a mask has bit s set for each assignment it holds."""
+    residual = sorted(residual)
+    variables = sorted({abs(lit) for clause in residual for lit in clause})
+    space = (1 << (1 << len(variables))) - 1
+    true = dict(zip(variables, _polarity_masks(len(variables))))
+    masks = []
+    for clause in residual:
+        satisfying = 0
+        for lit in clause:
+            satisfying |= true[lit] if lit > 0 else space ^ true[-lit]
+        masks.append(satisfying)
+    return residual, masks, true, space
+
+
+def _lex_refute(residual, lit, hi):
+    """The reference for a one-sided state: subsets of 3..hi clauses in
+    canonical order, the union bound on the side with lit false only
+    (clauses holding -lit weigh 0, as the side with lit true is
+    satisfiable), and lit at the first subset with no solution on that
+    side."""
+    residual, pm, true, space = _clause_masks(residual)
+    side = true[abs(lit)] if lit < 0 else space ^ true[lit]
     m = len(pm)
     top = 1 << max(map(len, residual))
     w = [0 if -lit in clause else top >> (len(clause) - (lit in clause)) for clause in residual]
@@ -490,6 +537,85 @@ def _lex_refute(pm, residual, lit, side, hi):
     return lit if any(dive(0, size, side, 0) for size in range(3, hi + 1)) else 0
 
 
+def _lex_dead_state(residual, var, hi):
+    """The reference for a state with no live solution: subsets of 3..hi
+    clauses depth first in canonical order, every branch cut that the
+    union bound on both sides of var proves holds no hit, and the literal
+    of the first hit."""
+    residual, pm, true, space = _clause_masks(residual)
+    xtrue = true[var]
+    xfalse = space ^ xtrue
+    m = len(pm)
+    top = 1 << max(map(len, residual))
+    w0, w1 = [], []
+    for clause in residual:
+        weight = top >> (len(clause) - (var in clause or -var in clause))
+        w0.append(0 if -var in clause else weight)
+        w1.append(0 if var in clause else weight)
+    s0 = [0] * (m + 1)
+    s1 = [0] * (m + 1)
+    for i in range(m - 1, -1, -1):
+        s0[i] = max(w0[i], s0[i + 1])
+        s1[i] = max(w1[i], s1[i + 1])
+    over_x = [var in clause or -var in clause for clause in residual]
+
+    def dive(start, left, mask, mentions, p0, p1):
+        if left == 1:
+            for i in range(start, m):
+                if p0 + s0[i] < top and p1 + s1[i] < top:
+                    return 0
+                if p0 + w0[i] < top and p1 + w1[i] < top:
+                    continue
+                mi = mask & pm[i]
+                if mi == 0:
+                    if mentions or over_x[i]:
+                        return var
+                elif mi & xfalse == 0:
+                    return var
+                elif mi & xtrue == 0:
+                    return -var
+            return 0
+        rest = left - 1
+        for i in range(start, m - rest):
+            if p0 + left * s0[i] < top and p1 + left * s1[i] < top:
+                return 0
+            q0 = p0 + w0[i]
+            q1 = p1 + w1[i]
+            if q0 + rest * s0[i + 1] < top and q1 + rest * s1[i + 1] < top:
+                continue
+            hit = dive(i + 1, rest, mask & pm[i], mentions or over_x[i], q0, q1)
+            if hit:
+                return hit
+        return 0
+
+    for size in range(3, hi + 1):
+        hit = dive(0, size, space, False, 0, 0)
+        if hit:
+            return hit
+    return 0
+
+
+def _check_routes(index, counts):
+    """Hold index._one_sided and index._dead_state to the canonical-order
+    kernels on every call, tallying hits and misses per route."""
+    one_sided, dead_state = index._one_sided, index._dead_state
+
+    def checked_one_sided(state, xbit, lit, hi):
+        got = one_sided(state, xbit, lit, hi)
+        assert got == _lex_refute(state.residual, lit, hi), (state.residual, lit, hi)
+        counts["_one_sided", "hit" if got else "miss"] += 1
+        return got
+
+    def checked_dead_state(state, xbit, var, hi):
+        got = dead_state(state, xbit, var, hi)
+        assert got == _lex_dead_state(state.residual, var, hi), (state.residual, var, hi)
+        counts["_dead_state", "hit" if got else "miss"] += 1
+        return got
+
+    index._one_sided = checked_one_sided
+    index._dead_state = checked_dead_state
+
+
 def test_refutation_matches_the_lex_kernel_on_planted_walks():
     rng = random.Random(73)
     counts = Counter()
@@ -497,30 +623,47 @@ def test_refutation_matches_the_lex_kernel_on_planted_walks():
         for _ in range(4):
             formula = planted_kcnf(rng, n, round(4.2 * n), 3)[0]
             engine = PpszEngine(formula, 4)
-            refute = engine.index._refute
-
-            def checked(pm, residual, lit, side, hi, refute=refute):
-                got = refute(pm, residual, lit, side, hi)
-                assert got == _lex_refute(pm, residual, lit, side, hi), (residual, lit)
-                counts["hit" if got else "miss"] += 1
-                return got
-
-            engine.index._refute = checked
+            _check_routes(engine.index, counts)
             for _ in range(3):
                 sigma = list(formula.variables)
                 rng.shuffle(sigma)
                 engine.modify(sigma, [rng.getrandbits(1) for _ in range(n)])
-    assert counts["hit"] > 0 and counts["miss"] > 0, counts
+    assert counts["_one_sided", "hit"] > 0 and counts["_one_sided", "miss"] > 0, counts
 
 
-def _refuted_hits(formula, x, taus):
-    """(reference, index, refutation searches) at each tau, on the
+def test_both_routes_match_the_lex_kernels_on_seeded_walks():
+    # planted and uniform 3-CNF at n = 8..18 and tau = 3, 4, 5: a walk
+    # visits one-sided live states, and once it has left every solution,
+    # states with no live solution
+    rng = random.Random(83)
+    counts = Counter()
+    for n, tau in ((8, 5), (10, 4), (12, 3), (12, 5), (14, 4), (16, 3), (18, 4)):
+        for planted in (True, False):
+            if planted:
+                formula = planted_kcnf(rng, n, round(4.2 * n), 3)[0]
+            else:
+                formula = uniform_kcnf(rng, n, round(3.5 * n), 3)
+            engine = PpszEngine(formula, tau)
+            _check_routes(engine.index, counts)
+            for _ in range(2):
+                sigma = list(formula.variables)
+                rng.shuffle(sigma)
+                engine.modify(sigma, [rng.getrandbits(1) for _ in range(n)])
+    assert all(
+        counts[route, outcome] > 0
+        for route in ("_one_sided", "_dead_state")
+        for outcome in ("hit", "miss")
+    ), counts
+
+
+def _routed_hits(formula, x, taus):
+    """(reference, index, one-sided searches) at each tau, on the
     unrestricted state."""
     out = []
     for tau in taus:
         index = ImplicationIndex(formula, tau)
         counts = Counter()
-        _count_refutations(index, counts)
+        _count_routes(index, counts)
         got = index.implied_literal(0, 0, x)
         out.append((tau_implied(formula, x, tau) or 0, got, counts.total()))
     return out
@@ -530,18 +673,19 @@ def _refuted_hits(formula, x, taus):
 def test_one_sided_hit_whose_heaviest_clause_sorts_last(sign):
     # every solution sets x = 5 to sign; with x the other way, (-2, -3) and
     # (-2, 3) force -2, (2, -4) then forces -4, and (4) clashes. The
-    # deciding set needs all four clauses, and its heaviest, (4, x), comes
-    # last in canonical order; (1, x) weighs as much and decides nothing
+    # deciding set needs all four clauses, and (4, x) comes last in
+    # canonical order, after (1, x), which decides nothing
     x = 5 * sign
     formula = F((-2, 3, x), (-2, -3, x), (2, -4), (4, x), (1, x))
     assert formula.clauses[-1] == (4, x)
-    assert _refuted_hits(formula, 5, (2, 3, 4)) == [(0, 0, 0), (0, 0, 1), (x, x, 1)]
+    assert _routed_hits(formula, 5, (2, 3, 4)) == [(0, 0, 0), (0, 0, 1), (x, x, 1)]
 
 
 @pytest.mark.parametrize("sign", [1, -1])
 def test_one_sided_set_whose_weights_sum_exactly_to_the_bound(sign):
     # with x = 4 the other way the set leaves (1), (-1, 2), (-1, -2, 3),
-    # (-1, -2, -3): weights 4 + 2 + 1 + 1 = 8 = 2^3, which must not be cut
+    # (-1, -2, -3): four clauses over three variables besides x, as many
+    # as a core of four clauses may mention, which must not be cut
     x = 4 * sign
     formula = F((1, x), (-1, 2, x), (-1, -2, 3), (-1, -2, -3))
-    assert _refuted_hits(formula, 4, (2, 3, 4)) == [(0, 0, 0), (0, 0, 1), (x, x, 1)]
+    assert _routed_hits(formula, 4, (2, 3, 4)) == [(0, 0, 0), (0, 0, 1), (x, x, 1)]

@@ -79,7 +79,7 @@ def start_state(engine, literals):
     falsify a clause, by a loop over every clause. Reads no memo."""
     amask = sum(engine._bit[abs(lit)] for lit in literals)
     avals = sum(engine._bit[lit] for lit in literals if lit > 0)
-    for _, _, pos, neg in engine.index._clauses:
+    for _, _, pos, neg, _ in engine.index._clauses:
         if not ((pos | neg) & ~amask or pos & avals or neg & ~avals):
             return None
     return amask, avals
