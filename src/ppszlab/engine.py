@@ -24,7 +24,8 @@ Both guess-tree searches, this count and `dppsz`'s round search, take
 their steps in `PpszEngine._descend`, which runs a node down its 0-branches
 and hands the 1-branches it passes back to the caller. Both read their
 orders off one table, `permutations.distinct_orders`: each distinct order
-once, with its multiplicity.
+once, with its multiplicity, as a rank order that `_descend` reads in
+place through one (variable, bit) cell per rank.
 
 A guess-tree search visits only the branches that some solution extends.
 A node's live set, the solutions that extend its state, is the only place
@@ -129,24 +130,25 @@ class PpszEngine:
             return avals, profile
         return None, profile
 
-    def _descend(self, sigma: Sequence[int], node: tuple, live: int, pending: list, limit: int) -> int:
+    def _descend(
+        self, ranks: Sequence[int], cells: list, node: tuple, live: int, pending: list, limit: int
+    ) -> int:
         """Run a guess-tree node down its 0-branches to a leaf; return the
         leaf's guess count if its walk succeeds and -1 otherwise.
 
-        node is (position in sigma, amask, avals, guesses used, guessed-bit
-        prefix), and live is its live set, which must not be empty. Each
-        step takes `_walk`'s decision: a forced literal goes straight on,
-        and a guess past `limit` bits ends the walk as exhausted. A guess
-        appends its 1-branch, as a node, to `pending` if a live solution
-        sets the variable to 1, and goes on with 0 while one sets it to 0.
+        The order is `ranks` read through `cells`, a (variable, bit) pair per
+        rank. node is (position in ranks, amask, avals, guesses used,
+        guessed-bit prefix), and live is its live set, not empty. Each step
+        takes `_walk`'s decision: a forced literal goes straight on, and a
+        guess past `limit` bits ends the walk. A guess appends its 1-branch,
+        as a node, to `pending` if a live solution sets the variable to 1,
+        and goes on with 0 while one sets it to 0.
         """
         implied = self.index.implied_literal
-        bit_of = self._bit
         halves = self._halves
         position, amask, avals, used, prefix = node
-        for position in range(position, len(sigma)):
-            var = sigma[position]
-            bit = bit_of[var]
+        for position in range(position, len(ranks)):
+            var, bit = cells[ranks[position]]
             lit = implied(amask, avals, var)
             amask |= bit
             if lit:
@@ -179,7 +181,10 @@ class PpszEngine:
         a reference cycle that keeps the index and its memo alive until
         the cyclic collector runs.
         """
-        self._check_order(sigma)
+        return self._count(range(len(sigma)), self._check_order(sigma))
+
+    def _count(self, ranks: Sequence[int], cells: list) -> int:
+        """count_successes for the order `ranks` read through `cells`."""
         n = self.formula.n
         live_of = self.index.live
         successes = 0
@@ -188,15 +193,19 @@ class PpszEngine:
             node = pending.pop()
             live = live_of(node[1], node[2])  # empty only at an unsatisfiable root
             if live:
-                used = self._descend(sigma, node, live, pending, n)
+                used = self._descend(ranks, cells, node, live, pending, n)
                 if used >= 0:
                     successes += 1 << (n - used)
         return successes
 
-    def _check_order(self, sigma: Sequence[int]) -> None:
-        """Raise ValueError unless sigma lists each variable exactly once."""
-        if len(sigma) != len(self._bit) or self._bit.keys() != set(sigma):
-            raise ValueError("sigma must order exactly the formula's variables")
+    def _check_order(self, sigma: Sequence[int], amask: int = 0) -> list[tuple[int, int]]:
+        """The (variable, bit) pair of each step of sigma; ValueError unless
+        sigma lists each variable free in amask exactly once."""
+        bit_of = self._bit
+        if sorted(sigma) != [v for v in self.formula.variables if not amask & bit_of[v]]:
+            free = " that the start state leaves free" if amask else ""
+            raise ValueError(f"sigma must order exactly the formula's variables{free}")
+        return [(v, bit_of[v]) for v in sigma]
 
     def modify(
         self, sigma: Sequence[int], bits: Sequence[int]
@@ -215,10 +224,12 @@ class PpszEngine:
         return Assignment(tuple((lit, prov) for _, lit, prov in profile.entries)), profile
 
     def replay(self, alpha: Mapping[int, bool] | Iterable[int], sigma: Sequence[int]) -> GuessProfile:
-        """Walk sigma with guesses read off a reference solution. The walk
-        necessarily reproduces that solution; what matters is its profile."""
+        """Walk sigma (each variable once, else ValueError) with guesses read
+        off a reference solution; the walk reproduces it, for its profile."""
+        sigma = tuple(sigma)
+        self._check_order(sigma)
         alpha_map = alpha if isinstance(alpha, Mapping) else _as_value_map(alpha)
-        avals, profile = self._walk(tuple(sigma), None, 0, alpha_map)
+        avals, profile = self._walk(sigma, None, 0, alpha_map)
         if avals is None:
             raise ValueError("replay reference is not a solution of the formula")
         return profile
@@ -243,7 +254,7 @@ def success_probability_exact(
     counts (order, bit vector) pairs, |perms| x 2^n, not physical walks.
     An order that skips or repeats a variable raises ValueError.
     """
-    size, orders = distinct_orders(perms)
+    size, variables, orders = distinct_orders(perms)
     n = formula.n
     total = size << n
     if total > max_evaluations:
@@ -251,9 +262,8 @@ def success_probability_exact(
             f"{size} orders x 2^{n} bit vectors exceed the budget of {max_evaluations}"
         )
     engine = PpszEngine(formula, tau)
-    successes = sum(
-        multiplicity * engine.count_successes(sigma) for sigma, multiplicity in orders.values()
-    )
+    cells = engine._check_order(variables)
+    successes = sum(count * engine._count(ranks, cells) for ranks, count in orders.values())
     return Fraction(successes, total)
 
 
@@ -268,15 +278,15 @@ def success_probability_via_identity(
     multiplicity. Exact rationals; must agree with the guess-tree route to
     the last bit. An order that skips or repeats a variable raises
     ValueError."""
-    size, orders = distinct_orders(perms)
+    size, variables, orders = distinct_orders(perms)
     n = formula.n
     engine = PpszEngine(formula, tau)
-    for sigma, _ in orders.values():
-        engine._check_order(sigma)
+    cells = engine._check_order(variables)
+    sigmas = [(tuple(variables[r] for r in ranks), count) for ranks, count in orders.values()]
     numerator = 0
     for solution in enumerate_solutions(formula):
         alpha = _as_value_map(solution)
-        for sigma, multiplicity in orders.values():
+        for sigma, multiplicity in sigmas:
             _, profile = engine._walk(sigma, None, 0, alpha)
             numerator += multiplicity << (n - profile.guessed)
     return Fraction(numerator, size << n)

@@ -8,16 +8,19 @@ ascending placement order, ties broken by variable index. Evaluating a
 random member at up to K distinct points is exactly uniform, which is all
 the processing-order analysis needs, and the whole set has only p^K
 members instead of n! so it can be enumerated outright.
+
+A member's order depends only on n and K, so the searches read rank
+orders, permutations of range(n) where rank r stands for the set's r-th
+variable, off one table per (n, K) that every set of that size shares.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
-from collections import Counter
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from itertools import product
-from typing import Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .implication import default_tau
 
@@ -59,11 +62,8 @@ class HashFamily:
     def coefficients(self, member: int) -> tuple[int, ...]:
         if not 0 <= member < len(self):
             raise IndexError(f"member {member} outside family of size {len(self)}")
-        coeffs = []
-        for i in range(self.degree):
-            power = self.prime ** (self.degree - 1 - i)
-            coeffs.append((member // power) % self.prime)
-        return tuple(coeffs)
+        prime, degree = self.prime, self.degree
+        return tuple(member // prime ** (degree - 1 - i) % prime for i in range(degree))
 
     def evaluate(self, member: int, point: int) -> int:
         """h_member(point) in GF(p); points 1..n are the valid inputs."""
@@ -75,61 +75,66 @@ class HashFamily:
         return value
 
 
-@lru_cache(maxsize=64)
-def _rank_permutations(n: int, independence: int) -> tuple[tuple[int, ...], ...]:
-    """All placements-induced permutations of range(n), one per family
-    member, in member order. Shared across equal-sized variable sets."""
-    family = HashFamily.build(n, independence)
-    if len(family) * max(n, 1) > MATERIALIZE_LIMIT * 8:
+def _check_budget(family: HashFamily) -> None:
+    size, n = len(family), family.domain_size
+    if size * n > MATERIALIZE_LIMIT * 8:
         raise PermutationBudgetError(
-            f"{len(family)} permutations of {n} variables exceed the materialization budget"
+            f"{size} permutations of {n} variables exceed the materialization budget"
         )
+
+
+def _rank_orders(family: HashFamily) -> Iterator[tuple[int, ...]]:
+    """Each member's rank order, in member order, within the budget."""
+    _check_budget(family)
     # Members come in coefficient order, the constant term c fastest, so
     # the p members sharing the higher terms are consecutive. Those terms
     # place rank r at t(r); the member adds c, which rotates the stable
     # order by t: ranks with t(r) >= p - c wrap around to the front.
-    prime = family.prime
+    n, prime, independence = family.domain_size, family.prime, family.degree
     powers = [[pow(x, d, prime) for x in range(1, n + 1)] for d in range(independence - 1, 0, -1)]
-    perms = []
     for high in product(range(prime), repeat=independence - 1):
         tail = [sum(c * column[r] for c, column in zip(high, powers)) % prime for r in range(n)]
         order = sorted(range(n), key=tail.__getitem__)
         placed = [tail[r] for r in order]
         for c in range(prime):
             split = bisect_left(placed, prime - c)
-            perms.append(tuple(order[split:] + order[:split]))
-    return tuple(perms)
+            yield tuple(order[split:] + order[:split])
 
 
 @lru_cache(maxsize=64)
-def _distinct_rank_orders(n: int, independence: int) -> tuple[tuple[int, tuple[int, ...], int], ...]:
-    """Each distinct order of _rank_permutations(n, independence) once,
-    as (first member, order, multiplicity), in member order."""
-    table = _first_copies(_rank_permutations(n, independence))
-    return tuple((first, order, count) for first, (order, count) in table.items())
+def _distinct_rank_orders(family: HashFamily) -> dict[int, tuple[tuple[int, ...], int]]:
+    """distinct_orders' table for every set ordered by the family, one per
+    (n, K). Read only."""
+    return _first_copies(_rank_orders(family))
 
 
-def _first_copies(orders: Sequence[tuple[int, ...]]) -> dict[int, tuple[tuple[int, ...], int]]:
-    firsts: dict[tuple[int, ...], int] = {}
+def _first_copies(orders: Iterable[tuple[int, ...]]) -> dict[int, tuple[tuple[int, ...], int]]:
+    """distinct_orders' table of the orders, from one pass over them."""
+    seen: dict[tuple[int, ...], list[int]] = {}
     for index, order in enumerate(orders):
-        firsts.setdefault(order, index)
-    counts = Counter(orders)
-    return {index: (order, counts[order]) for order, index in firsts.items()}
+        seen.setdefault(order, [index, 0])[1] += 1
+    return {first: (order, count) for order, (first, count) in seen.items()}
 
 
-def distinct_orders(perms) -> tuple[int, dict[int, tuple[tuple[int, ...], int]]]:
-    """The number of orders in perms, and each distinct order once with
-    its multiplicity, keyed by the index of its first copy, in index
-    order. perms is a PermutationSet or any iterable of orders; a set
-    keeps its own table, read off one shared per (n, K). This is the one
-    place where repeated orders are merged, and the one reader of order
-    families: a family with no order raises ValueError."""
+def distinct_orders(perms) -> tuple[int, tuple[int, ...], dict[int, tuple[tuple[int, ...], int]]]:
+    """The number of orders in perms, the variables they order (ascending),
+    and each distinct order once as a rank order (rank r is variables[r])
+    with its multiplicity, keyed by the index of its first copy, in index
+    order. A PermutationSet's table is the one shared per (n, K), read
+    only; any other iterable of orders is ranked once through the same
+    dedupe. This is the one reader of order families: one with no order,
+    or whose orders do not all list the same variables once, raises
+    ValueError."""
     if isinstance(perms, PermutationSet):
-        return len(perms), perms.distinct
+        return len(perms), perms.variables, _distinct_rank_orders(perms.family)
     orders = [tuple(order) for order in perms]
     if not orders:
         raise ValueError("an order family needs at least one order")
-    return len(orders), _first_copies(orders)
+    variables = tuple(sorted(set(orders[0])))
+    if any(tuple(sorted(order)) != variables for order in orders):
+        raise ValueError("each order must list exactly the formula's variables, once each")
+    rank = {v: r for r, v in enumerate(variables)}.__getitem__
+    return len(orders), variables, _first_copies(tuple(map(rank, order)) for order in orders)
 
 
 @dataclass(frozen=True)
@@ -154,35 +159,22 @@ class PermutationSet:
 
     def placements(self, member: int) -> tuple[int, ...]:
         """Placement of each variable (in variable order) under one member."""
-        return tuple(
-            self.family.evaluate(member, rank + 1) for rank in range(len(self.variables))
-        )
+        return tuple(self.family.evaluate(member, point) for point in range(1, len(self.variables) + 1))
 
     def permutation(self, member: int) -> tuple[int, ...]:
-        if not 0 <= member < len(self):
-            raise IndexError(f"member {member} outside set of size {len(self)}")
-        ranks = _rank_permutations(len(self.variables), self.family.degree)[member]
-        variables = self.variables
-        return tuple(variables[r] for r in ranks)
+        """The member's order: the variables stably sorted by placement."""
+        placements = self.placements(member)
+        ranks = sorted(range(len(placements)), key=placements.__getitem__)
+        return tuple(self.variables[r] for r in ranks)
 
     def __iter__(self) -> Iterator[tuple[int, ...]]:
         for member in range(len(self)):
             yield self.permutation(member)
 
-    @cached_property
-    def distinct(self) -> dict[int, tuple[tuple[int, ...], int]]:
-        """Each distinct order once with its multiplicity, keyed by its
-        first member, in member order; built on first use and kept with
-        the set. Read only."""
-        table = _distinct_rank_orders(len(self.variables), self.family.degree)
-        at = self.variables.__getitem__
-        return {first: (tuple(map(at, ranks)), count) for first, ranks, count in table}
-
     def materialized(self) -> tuple[tuple[int, ...], ...]:
-        """The full tuple of permutations, for hot loops."""
-        rank_perms = _rank_permutations(len(self.variables), self.family.degree)
-        variables = self.variables
-        return tuple(tuple(variables[r] for r in ranks) for ranks in rank_perms)
+        """Every member's order; PermutationBudgetError past the budget."""
+        _check_budget(self.family)
+        return tuple(self)
 
 
 def hash_family(n: int, independence: int | None = None) -> HashFamily:

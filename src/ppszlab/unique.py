@@ -13,9 +13,10 @@ each bit vector with each order in index order, one walk per (vector,
 order) pair. That scan is not run. Each distinct order's guess tree is
 searched once per round, in scan-position order, by the descent the exact
 probability count uses (`PpszEngine._descend`), and the counters are
-derived from the position of the first hit or of the budget cutoff. Only
-the returned solution is replayed as a physical walk, so an engine's own
-`modify_calls` counts far fewer walks than `DppszResult.modify_calls`.
+derived from the position of the first hit or of the budget cutoff. The
+orders are read in place as rank orders; only the returned solution is
+mapped back to variables and replayed as a physical walk, so an engine's
+own `modify_calls` counts far fewer walks than `DppszResult.modify_calls`.
 
 The search visits only the branches that some solution extends: only they
 can hold a successful walk, so the first hit, and every counter derived
@@ -26,11 +27,10 @@ search at all.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache
 
 from .cnf import Assignment, Formula
 from .engine import PpszEngine
-from .permutations import PermutationSet, construct_sigma, distinct_orders
+from .permutations import construct_sigma, distinct_orders
 
 
 @dataclass(frozen=True)
@@ -59,8 +59,8 @@ def dppsz(
     index order.
 
     `start` is an (amask, avals) state of the engine: the walks extend it,
-    perms orders the variables it leaves free, and n is their number.
-    Implications are looked up at the engine's depth, `engine.index.tau`.
+    perms orders exactly the variables it leaves free (else ValueError),
+    and n is their number. Implications are looked up at `engine.index.tau`.
     max_modify_calls cuts the search off mid-round (the caller treats a
     cutoff as "nothing found here, move on"), so the full run is only
     attempted when the budget allows. The counters are those of the scan;
@@ -75,16 +75,18 @@ def dppsz(
         if live:
             return DppszResult(Assignment(), 0, (), 0, False, 0)
         return DppszResult(None, None, (), 0, False, 0)
-    size, orders = distinct_orders(perms)
+    size, variables, orders = distinct_orders(perms)
+    cells = engine._check_order(variables, amask)
     miss = no_hit(n, size, max_modify_calls)
     budget = miss.modify_calls  # a scan without a hit runs to the budget
     for round_no in range(1, n + 1):
         base = ((1 << round_no) - 2) * size
         if base >= budget or not live:
             break
-        hit = _first_hit(engine, orders, size, round_no, base, budget, start, live)
+        hit = _first_hit(engine, orders, cells, size, round_no, base, budget, start, live)
         if hit is not None:
-            position, sigma, value = hit
+            position, ranks, value = hit
+            sigma = tuple(cells[r][0] for r in ranks)
             _, profile = engine._walk(sigma, value, round_no, None, amask, avals)
             solution = Assignment(tuple((lit, prov) for _, lit, prov in profile.entries))
             counts = _round_counts(size, position + 1, round_no)
@@ -117,6 +119,7 @@ def _round_counts(size: int, calls: int, rounds: int) -> tuple[int, ...]:
 def _first_hit(
     engine: PpszEngine,
     orders: dict[int, tuple[tuple[int, ...], int]],
+    cells: list,
     size: int,
     round_no: int,
     base: int,
@@ -124,11 +127,12 @@ def _first_hit(
     start: tuple[int, int],
     live: int,
 ) -> tuple[int, tuple[int, ...], int] | None:
-    """The scan position, order and value of round round_no's first
+    """The scan position, rank order and value of round round_no's first
     successful walk below budget, or None.
 
     Each distinct order's guess tree, cut at round_no guesses, is searched
-    by `engine._descend`, bit 0 first, from a stack of pending 1-branches.
+    by `engine._descend` through `cells`, bit 0 first, from a stack of
+    pending 1-branches.
     A node after `used` guesses with guessed-bit prefix p covers the
     values from lo = p << (round_no - used), so its smallest scan position,
     its key, is base + lo x size + the order's first index; a later copy of
@@ -156,7 +160,7 @@ def _first_hit(
         if key >= budget:
             return None
         first = (key - base) % size
-        sigma = orders[first][0]
+        ranks = orders[first][0]
         stack = stacks.get(first)
         if stack is None:
             stack = stacks[first] = []
@@ -164,23 +168,14 @@ def _first_hit(
         else:
             node = stack.pop()
             node_live = live_of(node[1], node[2])
-        if descend(sigma, node, node_live, stack, round_no) >= 0:
-            return key, sigma, (key - base) // size
+        if descend(ranks, cells, node, node_live, stack, round_no) >= 0:
+            return key, ranks, (key - base) // size
         if stack:
             _, _, _, used, prefix = stack[-1]
             heapreplace(heap, base + (prefix << (round_no - used)) * size + first)
         else:
             heappop(heap)
     return None
-
-
-@lru_cache(maxsize=1)
-def _permutation_set(variables: tuple[int, ...], independence: int | None) -> PermutationSet:
-    """construct_sigma's set, kept for the next solve over the same
-    variables and independence, so that its distinct-order table is
-    remapped onto the variables once. One set is kept: at n = 16 the table
-    holds 52,992 orders."""
-    return construct_sigma(variables, independence)
 
 
 @dataclass(frozen=True)
@@ -212,7 +207,7 @@ def solve_unique(
         result = dppsz(PpszEngine(formula), ())
         meta = {"n": 0, "tau": 0, "independence": 0, "prime": 0, "tau_derived": True}
         return SolveReport(result.solution, result.round_found, 0, 0, meta)
-    perms = _permutation_set(formula.variables, independence)
+    perms = construct_sigma(formula.variables, independence)
     engine = PpszEngine(formula, tau)
     result = dppsz(engine, perms)
     meta = {

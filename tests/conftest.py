@@ -3,6 +3,26 @@ import pytest
 _lines: list[str] = []
 
 
+def _start_state(engine, literals):
+    """The (amask, avals) state of the engine fixing the literals, or None
+    when they falsify a clause of its formula, by a loop over every
+    clause. Reads no memo."""
+    amask = sum(engine._bit[abs(lit)] for lit in literals)
+    avals = sum(engine._bit[lit] for lit in literals if lit > 0)
+    fixed = set(literals)
+    for clause in engine.formula.clauses:
+        if all(-lit in fixed for lit in clause):
+            return None
+    return amask, avals
+
+
+@pytest.fixture
+def start_state():
+    """The reference start state of a restriction: start_state(engine,
+    literals) is (amask, avals), or None when the literals falsify a clause."""
+    return _start_state
+
+
 @pytest.fixture
 def acceptance():
     """Collector for the one-line verdicts of the acceptance tests."""

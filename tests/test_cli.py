@@ -5,6 +5,7 @@ import pytest
 
 from ppszlab.cli import main
 from ppszlab.cnf import parse_dimacs
+from ppszlab.permutations import PermutationBudgetError, construct_sigma
 
 CHAIN = "p cnf 3 3\n1 0\n-1 2 0\n-2 3 0\n"
 UNSAT = "p cnf 2 4\n1 2 0\n1 -2 0\n-1 2 0\n-1 -2 0\n"
@@ -214,6 +215,21 @@ def test_perm_errors(capsys):
     assert code == 1 and err.startswith("error:")
     code, _, err = run(capsys, "perm", "--n", "11", "--kwise", "4", "--all")
     assert code == 1 and "too large" in err
+
+
+def test_perm_prints_one_member_of_a_family_past_the_budget(capsys):
+    # 29^4 orders of 24 variables exceed the materialization budget: one
+    # member is still computed from its placements, but no listing is made
+    code, out, _ = run(capsys, "perm", "--n", "24", "--member", "5")
+    assert code == 0
+    payload = assert_canonical(out)
+    assert (payload["prime"], payload["independence"], payload["size"]) == (29, 4, 29**4)
+    placements = payload["placements"]
+    assert payload["permutation"] == sorted(range(1, 25), key=lambda v: (placements[v - 1], v))
+    code, _, err = run(capsys, "perm", "--n", "24", "--all")
+    assert code == 1 and "too large" in err
+    with pytest.raises(PermutationBudgetError):
+        construct_sigma(range(1, 25)).materialized()
 
 
 def test_tree_command(capsys, chain_file):

@@ -241,6 +241,16 @@ def test_replay_rejects_a_non_solution():
         eng.replay({1: False, 2: True}, (1, 2))
 
 
+@pytest.mark.parametrize("sigma", [(1, 1, 2, 3), (1, 2, 4), (1, 2)])
+def test_replay_rejects_an_order_that_is_not_a_permutation(sigma):
+    # unchecked, (1, 1, 2, 3) profiled variable 1 twice, (1, 2, 4) raised
+    # KeyError and (1, 2) called the solution a non-solution
+    eng = engine(F((1, 2), (-1, 3)))
+    with pytest.raises(ValueError, match="exactly the formula's variables"):
+        eng.replay([1, 2, 3], sigma)
+    assert [v for v, _, _ in eng.replay([1, 2, 3], (3, 1, 2)).entries] == [3, 1, 2]
+
+
 def test_replay_accepts_literal_iterables():
     eng = engine(F((1, 2), (-1, 2)))
     by_map = eng.replay({1: False, 2: True}, (1, 2))
@@ -300,18 +310,7 @@ def test_plain_bit_sequences_are_accepted():
     assert assignment.sorted_literals() == (1, -2)
 
 
-def start_state(engine, literals):
-    """The (amask, avals) state fixing the literals, or None when they
-    falsify a clause, by a loop over every clause. Reads no memo."""
-    amask = sum(engine._bit[abs(lit)] for lit in literals)
-    avals = sum(engine._bit[lit] for lit in literals if lit > 0)
-    for _, _, pos, neg, _ in engine.index._clauses:
-        if not ((pos | neg) & ~amask or pos & avals or neg & ~avals):
-            return None
-    return amask, avals
-
-
-def test_start_state_leaves_the_memo_empty():
+def test_start_state_leaves_the_memo_empty(start_state):
     engine = PpszEngine(F((1, 2), (-1, 3), (-3,)))
     assert start_state(engine, ()) == (0, 0)
     assert start_state(engine, (-1, 2)) == (0b11, 0b10)

@@ -382,18 +382,7 @@ def test_planted_sixteen_variables_solve_at_instance_one():
     assert result.modify_calls == 51905
 
 
-def _start_state(engine, literals):
-    """The (amask, avals) state fixing the literals, or None when they
-    falsify a clause, by a loop over every clause. Reads no memo."""
-    amask = sum(engine._bit[abs(lit)] for lit in literals)
-    avals = sum(engine._bit[lit] for lit in literals if lit > 0)
-    for _, _, pos, neg, _ in engine.index._clauses:
-        if not ((pos | neg) & ~amask or pos & avals or neg & ~avals):
-            return None
-    return amask, avals
-
-
-def _reference_solve(formula, tau, independence, slice_budget):
+def _reference_solve(formula, tau, independence, slice_budget, start_state):
     """The restriction loop with a search for every restriction: per
     restriction, the clause loop, then dppsz on every one that falsifies
     no clause. Returns the solution, its instance and the five counters."""
@@ -418,7 +407,7 @@ def _reference_solve(formula, tau, independence, slice_budget):
         spent = 0
         for literals, perms in stream:
             counts[0] += 1
-            start = _start_state(engine, literals)
+            start = start_state(engine, literals)
             if start is None:
                 counts[1] += 1
                 continue
@@ -448,7 +437,7 @@ def _random_formula(rng):
     return F(*clauses, variables=range(1, n + 1))
 
 
-def test_solve_general_matches_a_search_of_every_restriction():
+def test_solve_general_matches_a_search_of_every_restriction(start_state):
     rng = random.Random(20260)
     outcomes = Counter()
     for _ in range(200):
@@ -457,7 +446,7 @@ def test_solve_general_matches_a_search_of_every_restriction():
         independence = rng.choice((None, 1))
         slice_budget = rng.choice((None, 1, 7, 50))
         got = solve_general(formula, tau, independence, slice_budget=slice_budget)
-        want, instance, counts = _reference_solve(formula, tau, independence, slice_budget)
+        want, instance, counts = _reference_solve(formula, tau, independence, slice_budget, start_state)
         assert got.solution == want and got.instance_found == instance, formula
         assert [
             got.restrictions_tried, got.restrictions_skipped, got.dppsz_calls,

@@ -36,6 +36,9 @@ def test_family_validates_inputs():
         HashFamily.build(3, 4)
     with pytest.raises(IndexError):
         HashFamily.build(3, 2).coefficients(9)
+    for member in (-1, 9):
+        with pytest.raises(IndexError):
+            construct_sigma((1, 2, 3), 2).permutation(member)
 
 
 def test_coefficients_enumerate_lexicographically():
@@ -141,28 +144,70 @@ def test_distinct_orders_list_each_order_once_at_its_first_index():
     for n, k in ((2, 1), (5, 2), (6, 3)):
         perms = construct_sigma(range(3, 3 + n), k)
         listed = perms.materialized()
-        size, table = distinct_orders(perms)
-        assert size == len(listed)
-        assert [order for order, _ in table.values()] == list(dict.fromkeys(listed))
-        assert list(table) == [listed.index(order) for order, _ in table.values()]
-        assert dict(table.values()) == Counter(listed)
+        size, variables, table = distinct_orders(perms)
+        assert size == len(listed) and variables == perms.variables
+        # the table holds rank orders: rank r stands for variables[r]
+        orders = [tuple(variables[r] for r in ranks) for ranks, _ in table.values()]
+        assert orders == list(dict.fromkeys(listed))
+        assert list(table) == [listed.index(order) for order in orders]
+        assert dict(zip(orders, (count for _, count in table.values()))) == Counter(listed)
         assert sum(count for _, count in table.values()) == size
         # a plain order list goes through the same table
-        assert distinct_orders(list(listed)) == (size, table)
+        assert distinct_orders(list(listed)) == (size, variables, table)
     with pytest.raises(ValueError, match="at least one order"):
         distinct_orders([])
     listed = [(2, 1, 3), (1, 2, 3), (2, 1, 3), [3, 2, 1], (1, 2, 3), (2, 1, 3)]
-    size, table = distinct_orders(listed)
-    assert size == 6
-    assert table == {0: ((2, 1, 3), 3), 1: ((1, 2, 3), 2), 3: ((3, 2, 1), 1)}
-    assert dict(table.values()) == Counter(map(tuple, listed))
+    size, variables, table = distinct_orders(listed)
+    assert size == 6 and variables == (1, 2, 3)
+    assert table == {0: ((1, 0, 2), 3), 1: ((0, 1, 2), 2), 3: ((2, 1, 0), 1)}
     assert sum(count for _, count in table.values()) == size
+    # every order must list one and the same variable set, each variable once
+    for mixed in ([(1, 2), (1, 3)], [(1, 2), (2, 1, 3)], [(1, 1, 2), (1, 2)], [(1, 2), (2, 2)]):
+        with pytest.raises(ValueError, match="exactly the formula's variables"):
+            distinct_orders(mixed)
+
+
+def test_one_table_serves_every_variable_set_of_a_size():
+    # no per-set copy: sets of one size share the (n, K) table object
+    a = construct_sigma((1, 2, 3, 4, 5), 2)
+    b = construct_sigma((2, 6, 7, 10, 11), 2)
+    assert distinct_orders(a)[2] is distinct_orders(b)[2]
+    assert distinct_orders(a)[1:] != distinct_orders(b)[1:]
+
+
+def _reference_rank_orders(perms):
+    """Each member's rank order by the definition: ranks stably sorted by
+    their placement, ties broken by rank."""
+    for member in range(len(perms)):
+        placements = perms.placements(member)
+        yield tuple(sorted(range(len(placements)), key=lambda r: (placements[r], r)))
+
+
+def test_the_one_pass_table_matches_the_definition():
+    # every member at n <= 9 with K <= 4, and the randomized-tau4 family
+    cases = [(n, k) for n in range(1, 10) for k in range(1, min(n, 4) + 1)] + [(11, 3)]
+    for n, k in cases:
+        perms = construct_sigma(range(1, n + 1), k)
+        reference = list(_reference_rank_orders(perms))
+        firsts = {}
+        for member, ranks in enumerate(reference):
+            firsts.setdefault(ranks, member)
+        want = {firsts[ranks]: (ranks, count) for ranks, count in Counter(reference).items()}
+        assert distinct_orders(perms) == (len(perms), perms.variables, want), (n, k)
+        assert perms.materialized() == tuple(
+            tuple(r + 1 for r in ranks) for ranks in reference
+        ), (n, k)
 
 
 def test_materialization_budget():
     wide = construct_sigma(tuple(range(1, 41)), independence=4)
     with pytest.raises(PermutationBudgetError):
         wide.materialized()
+    with pytest.raises(PermutationBudgetError):
+        distinct_orders(wide)
+    # one member is computed from its placements, whatever the set's size
+    placements = wide.placements(5)
+    assert wide.permutation(5) == tuple(sorted(wide.variables, key=lambda v: (placements[v - 1], v)))
 
 
 def test_construct_sigma_rejects_empty_sets():

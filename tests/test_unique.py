@@ -2,6 +2,8 @@ import random
 from collections import Counter
 from itertools import combinations, product
 
+import pytest
+
 from ppszlab.cnf import Assignment, Formula, restrict
 from ppszlab.engine import PpszEngine
 from ppszlab.implication import default_tau
@@ -74,17 +76,6 @@ def test_zero_variable_formulas():
     assert unsat.round_found is None
 
 
-def start_state(engine, literals):
-    """The (amask, avals) state fixing the literals, or None when they
-    falsify a clause, by a loop over every clause. Reads no memo."""
-    amask = sum(engine._bit[abs(lit)] for lit in literals)
-    avals = sum(engine._bit[lit] for lit in literals if lit > 0)
-    for _, _, pos, neg, _ in engine.index._clauses:
-        if not ((pos | neg) & ~amask or pos & avals or neg & ~avals):
-            return None
-    return amask, avals
-
-
 def _restricted_dppsz(formula, literals, cutoff):
     """The reference: dppsz on the residual formula with its own engine."""
     residual = restrict(formula, literals)
@@ -94,7 +85,7 @@ def _restricted_dppsz(formula, literals, cutoff):
     return dppsz(PpszEngine(residual), perms, max_modify_calls=cutoff)
 
 
-def test_start_state_runs_match_the_restricted_formula():
+def test_start_state_runs_match_the_restricted_formula(start_state):
     rng = random.Random(59)
     formulas = [uniform_kcnf(rng, 5, 22, 3), uniform_kcnf(rng, 5, 8, 3)]
     formulas += [planted_kcnf(rng, 6, 20, 3)[0], planted_kcnf(rng, 6, 9, 2)[0]]
@@ -202,7 +193,7 @@ def test_dppsz_matches_the_value_major_scan():
     assert all(outcomes[key] for key in keys), outcomes
 
 
-def test_dppsz_matches_the_scan_from_start_states():
+def test_dppsz_matches_the_scan_from_start_states(start_state):
     rng = random.Random(67)
     formulas = [uniform_kcnf(rng, 6, 30, 3), planted_kcnf(rng, 6, 12, 2)[0]]
     # many solutions, and a start state no solution extends although it
@@ -225,7 +216,7 @@ def test_dppsz_matches_the_scan_from_start_states():
     assert all(outcomes[key] for key in ("sat", "unsat", "dead start", "many solutions")), outcomes
 
 
-def test_dppsz_from_a_dead_start_does_no_search():
+def test_dppsz_from_a_dead_start_does_no_search(start_state):
     # no solution extends these starts, though they falsify no clause: the
     # scan's result follows from the budget, and the index is never asked
     formula = F((1, 2), (1, -2, 3), (-1, 4), (-1, -4), (-3, 5), (-3, -5))
@@ -245,6 +236,19 @@ def test_dppsz_from_a_dead_start_does_no_search():
             assert got == want[-1 if budget is None else min(budget, len(want) - 1)], budget
             assert got == no_hit(len(free), len(perms), budget)
         assert lookups == [] and engine.modify_calls == 0
+
+
+@pytest.mark.parametrize("orders", [[(1, 2, 3)], [(3,)], [(2, 4)]])
+def test_dppsz_rejects_orders_of_other_variables_than_the_free_ones(orders):
+    # start fixes 1; unchecked, (1, 2, 3) guessed 1 again in a "solution",
+    # (3,) called the satisfiable residual unsatisfiable, (2, 4) raised
+    # KeyError
+    engine = PpszEngine(F((1, 2), (-1, 3), (2, 3)))
+    start = (engine._bit[1], engine._bit[1])
+    with pytest.raises(ValueError, match="exactly the formula's variables that the start state leaves free"):
+        dppsz(engine, orders, start=start)
+    result = dppsz(engine, [(3, 2)], start=start)
+    assert result.solution.sorted_literals() in ((2, 3), (-2, 3))
 
 
 def test_engine_counts_only_the_replayed_walk():
