@@ -36,6 +36,19 @@ So a leaf needs no satisfaction test: its total state has a nonempty live
 set, and is therefore a solution. The walk itself (`modify`, `replay`,
 the randomized trial) is not pruned, because it reports the profile of a
 failed walk too.
+
+The two probability routes share one engine per (formula, tau): the last
+one either route built, held in a one-slot cache. Run back to back on one
+formula, as the identity check does, the second route reads every implied
+literal from the memo the first one filled (while the memo stays under
+its limit). The identity route's walk
+along a solution alpha under an order is one root-to-leaf path of that
+order's guess tree, since alpha stays live at every prefix and every
+forced literal agrees with it. A memoized answer is a function of the
+state, the variable and tau alone, so the identity route stays an
+independent check of the guess-tree accounting: it replays each walk
+through `_walk`, not through `_descend`, and adds up its own numerator.
+Every other caller builds its own engine.
 """
 
 from __future__ import annotations
@@ -43,6 +56,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from typing import Iterable, Mapping, Sequence
 
 from .cnf import FORCED, GUESSED, Assignment, Formula
@@ -239,6 +253,14 @@ def _as_value_map(literals: Iterable[int]) -> dict[int, bool]:
     return {abs(lit): lit > 0 for lit in literals}
 
 
+@lru_cache(maxsize=1)
+def _probability_engine(formula: Formula, tau: int | None) -> PpszEngine:
+    """The engine both probability routes use for (formula, tau). The slot
+    holds one engine, so its memo lives until a route is run on another
+    formula or tau."""
+    return PpszEngine(formula, tau)
+
+
 def success_probability_exact(
     formula: Formula,
     perms,
@@ -251,8 +273,10 @@ def success_probability_exact(
     Each distinct order of the table `distinct_orders` reads off perms is
     counted once (`count_successes`), which accounts for all 2^n bit
     vectors at once, and weighted by its multiplicity. The budget still
-    counts (order, bit vector) pairs, |perms| x 2^n, not physical walks.
-    An order that skips or repeats a variable raises ValueError.
+    counts (order, bit vector) pairs, |perms| x 2^n, not physical walks,
+    and is checked before an engine is built. The engine is the one both
+    routes share for (formula, tau) (module docstring). An order that
+    skips or repeats a variable raises ValueError.
     """
     size, variables, orders = distinct_orders(perms)
     n = formula.n
@@ -261,7 +285,7 @@ def success_probability_exact(
         raise EnumerationBudgetError(
             f"{size} orders x 2^{n} bit vectors exceed the budget of {max_evaluations}"
         )
-    engine = PpszEngine(formula, tau)
+    engine = _probability_engine(formula, tau)
     cells = engine._check_order(variables)
     successes = sum(count * engine._count(ranks, cells) for ranks, count in orders.values())
     return Fraction(successes, total)
@@ -277,10 +301,16 @@ def success_probability_via_identity(
     order of the same table replayed once and weighted by its
     multiplicity. Exact rationals; must agree with the guess-tree route to
     the last bit. An order that skips or repeats a variable raises
-    ValueError."""
+    ValueError.
+
+    The engine, and so its memo of implied literals, is the one the
+    guess-tree route uses for (formula, tau) (module docstring). The
+    check stays independent: each replay is a `_walk` with the solution's
+    values as guesses, so its guess count comes from the solver's own
+    step loop, not from the guess-tree descent it is compared with."""
     size, variables, orders = distinct_orders(perms)
     n = formula.n
-    engine = PpszEngine(formula, tau)
+    engine = _probability_engine(formula, tau)
     cells = engine._check_order(variables)
     sigmas = [(tuple(variables[r] for r in ranks), count) for ranks, count in orders.values()]
     numerator = 0

@@ -39,7 +39,6 @@ first hit in canonical order, vacuous or not, must stay exact
 
 from __future__ import annotations
 
-import heapq
 from itertools import combinations
 from typing import Iterable, Sequence
 
@@ -430,7 +429,7 @@ class ImplicationIndex:
         residual = state.residual
         bits = state.bits
         canonical = residual.__getitem__
-        smallest = heapq.nsmallest(hi, range(len(residual)), key=canonical)
+        smallest = sorted(range(len(residual)), key=canonical)[:hi]
         over_x = [i for i, clause_bits in enumerate(bits) if clause_bits & xbit]
         first_over_x = min(over_x, key=canonical)
         for size in range(3, hi + 1):

@@ -69,10 +69,16 @@ class HashFamily:
         """h_member(point) in GF(p); points 1..n are the valid inputs."""
         if not 1 <= point <= self.domain_size:
             raise ValueError(f"point {point} outside domain 1..{self.domain_size}")
-        value = 0
-        for c in self.coefficients(member):  # Horner, highest-degree first
-            value = (value * point + c) % self.prime
-        return value
+        return _horner(self.coefficients(member), point, self.prime)
+
+
+def _horner(coefficients: tuple[int, ...], point: int, prime: int) -> int:
+    """The polynomial with these coefficients, highest degree first, at
+    point, in GF(prime)."""
+    value = 0
+    for c in coefficients:
+        value = (value * point + c) % prime
+    return value
 
 
 def _check_budget(family: HashFamily) -> None:
@@ -158,8 +164,10 @@ class PermutationSet:
         return self.family.degree
 
     def placements(self, member: int) -> tuple[int, ...]:
-        """Placement of each variable (in variable order) under one member."""
-        return tuple(self.family.evaluate(member, point) for point in range(1, len(self.variables) + 1))
+        """Placement of each variable (in variable order) under one member:
+        HashFamily.evaluate at each point, the member decomposed once."""
+        coefficients, prime = self.family.coefficients(member), self.family.prime
+        return tuple(_horner(coefficients, point, prime) for point in range(1, len(self.variables) + 1))
 
     def permutation(self, member: int) -> tuple[int, ...]:
         """The member's order: the variables stably sorted by placement."""

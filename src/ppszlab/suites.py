@@ -126,11 +126,8 @@ def dppsz_round_suite(
             if result.round_found is not None:
                 report.failures.append(f"instance {idx}: round on unsatisfiable input")
             continue
-        best = min(
-            engine.replay(alpha, sigma).guessed
-            for alpha in solutions
-            for sigma in perms.materialized()
-        )
+        orders = perms.materialized()
+        best = min(engine.replay(alpha, sigma).guessed for alpha in solutions for sigma in orders)
         expected = max(1, best)
         if result.round_found != expected:
             report.failures.append(

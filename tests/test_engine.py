@@ -10,10 +10,12 @@ from ppszlab.cnf import Evaluation, Formula
 from ppszlab.engine import (
     EnumerationBudgetError,
     PpszEngine,
+    _probability_engine,
     ppsz_randomized,
     success_probability_exact,
     success_probability_via_identity,
 )
+from ppszlab.implication import ImplicationIndex
 from ppszlab.instances import unique_kcnf, uniform_kcnf, with_free_variables
 from ppszlab.oracle import count_solutions, enumerate_solutions
 from ppszlab.permutations import construct_sigma
@@ -142,12 +144,79 @@ def _differential_cases(rng):
 
 @pytest.mark.parametrize("tau", [1, 2, 3, 4])
 def test_guess_tree_count_matches_the_exhaustive_loop(tau):
+    # both routes, each one first on every other formula: the first builds
+    # the shared engine and the second reads its memo
     verdicts = set()
-    for formula, orders in _differential_cases(random.Random(700 + tau)):
+    routes = (success_probability_exact, success_probability_via_identity)
+    for i, (formula, orders) in enumerate(_differential_cases(random.Random(700 + tau))):
         expected = _exhaustive_probability(formula, orders, tau)
-        assert success_probability_exact(formula, orders, tau) == expected
+        for route in routes[i % 2 :] + routes[: i % 2]:
+            assert route(formula, orders, tau) == expected, route.__name__
         verdicts.add(expected > 0)
     assert verdicts == {True, False}
+
+
+@pytest.fixture
+def index_work(monkeypatch):
+    """Counts of ImplicationIndex builds and sweeps made from here on."""
+    counts = {"builds": 0, "sweeps": 0}
+
+    def counted(name, original):
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            return original(*args, **kwargs)
+
+        return wrapper
+
+    monkeypatch.setattr(ImplicationIndex, "__init__", counted("builds", ImplicationIndex.__init__))
+    monkeypatch.setattr(ImplicationIndex, "_sweep", counted("sweeps", ImplicationIndex._sweep))
+    return counts
+
+
+def test_the_identity_route_reads_the_exact_routes_engine(index_work):
+    formula, _ = unique_kcnf(random.Random(251), 7, 3)
+    perms = construct_sigma(formula.variables)
+    exact = success_probability_exact(formula, perms)
+    assert index_work["builds"] == 1 and index_work["sweeps"] > 0
+    index_work.update(builds=0, sweeps=0)
+    assert success_probability_via_identity(formula, perms) == exact
+    assert index_work == {"builds": 0, "sweeps": 0}
+
+
+def test_another_formula_or_tau_builds_its_own_engine(index_work):
+    rng = random.Random(257)
+    first, _ = unique_kcnf(rng, 6, 3)
+    second, _ = unique_kcnf(rng, 6, 3)
+    assert first != second
+    orders = construct_sigma(first.variables).materialized()[:5]
+    builds = []
+    for route, formula, tau in [
+        (success_probability_exact, first, 2),
+        (success_probability_via_identity, first, 3),
+        (success_probability_via_identity, second, 3),
+        (success_probability_exact, second, 3),
+        (success_probability_exact, first, 3),
+    ]:
+        route(formula, orders, tau)
+        builds.append(index_work["builds"])
+    assert builds == [1, 2, 3, 3, 4]
+
+
+def test_the_engine_slot_keeps_one_engine_and_no_cycle():
+    rng = random.Random(263)
+    first, _ = unique_kcnf(rng, 5, 3)
+    second, _ = unique_kcnf(rng, 5, 3)
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        success_probability_exact(first, construct_sigma(first.variables))
+        index = weakref.ref(_probability_engine(first, None).index)
+        assert index() is not None
+        success_probability_via_identity(second, construct_sigma(second.variables))
+        assert index() is None
+    finally:
+        if was_enabled:
+            gc.enable()
 
 
 def test_guess_tree_count_visits_only_branches_a_solution_extends():

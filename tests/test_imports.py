@@ -9,6 +9,9 @@ module reads it, as a name or an attribute, outside its own body.
 """
 
 import ast
+import os
+import subprocess
+import sys
 from collections import Counter
 from pathlib import Path
 
@@ -123,3 +126,21 @@ def test_the_check_sees_unreferenced_private_definitions():
         "a.py: _Orphan",
         "a.py: _helper",
     ]
+
+
+def test_importing_the_cli_builds_nothing():
+    # a fresh interpreter, so no earlier test has filled a cache
+    code = (
+        "import sys\n"
+        "import ppszlab.cli\n"
+        "loaded = set(sys.modules)\n"
+        "from ppszlab import engine, permutations\n"
+        "print('heapq' in loaded,\n"
+        "      permutations._distinct_rank_orders.cache_info().currsize,\n"
+        "      engine._probability_engine.cache_info().currsize)\n"
+    )
+    paths = [str(ROOT / "src"), os.environ.get("PYTHONPATH")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, paths)))
+    run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.split() == ["False", "0", "0"]

@@ -52,11 +52,13 @@ def test_coefficients_enumerate_lexicographically():
 
 def test_evaluate_is_the_polynomial():
     family = HashFamily.build(5, 3)
+    perms = construct_sigma(range(1, 6), 3)
+    assert perms.family == family
     for member in range(0, len(family), 7):
         c2, c1, c0 = family.coefficients(member)
-        for point in range(1, 6):
-            want = (c2 * point * point + c1 * point + c0) % family.prime
-            assert family.evaluate(member, point) == want
+        want = [(c2 * point * point + c1 * point + c0) % family.prime for point in range(1, 6)]
+        assert [family.evaluate(member, point) for point in range(1, 6)] == want
+        assert perms.placements(member) == tuple(want)
     with pytest.raises(ValueError):
         family.evaluate(0, 6)
 
