@@ -64,7 +64,6 @@ from .instances import (
 )
 from .oracle import (
     OracleLimitError,
-    SolutionSet,
     UnsatisfiableError,
     classify_variables,
     count_solutions,

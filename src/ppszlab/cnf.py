@@ -68,8 +68,8 @@ class Assignment:
             values[var] = lit
 
     @classmethod
-    def from_literals(cls, literals: Iterable[int], provenance: str = FIXED) -> "Assignment":
-        return cls(tuple((int(lit), provenance) for lit in literals))
+    def from_literals(cls, literals: Iterable[int]) -> "Assignment":
+        return cls(tuple((int(lit), FIXED) for lit in literals))
 
     def literals(self) -> tuple[int, ...]:
         return tuple(lit for lit, _ in self.entries)
@@ -147,15 +147,6 @@ class Formula:
     @property
     def num_clauses(self) -> int:
         return len(self.clauses)
-
-    def restrict(self, assignment: "Assignment | Iterable[int]") -> "Formula":
-        return restrict(self, assignment)
-
-    def evaluate(self, assignment: "Assignment | Iterable[int]") -> Evaluation:
-        return evaluate(self, assignment)
-
-    def __str__(self) -> str:
-        return serialize_dimacs(self)
 
 
 def _literal_map(assignment: Assignment | Iterable[int]) -> dict[int, int]:

@@ -6,8 +6,11 @@ appended as "forced" and consumes nothing. Otherwise the next bit of the
 supplied bit sequence decides the value ("guessed"); running out of bits
 before a guess is needed aborts the run. `PpszEngine.modify` returns a pair:
 the finished assignment if it satisfies the formula (None otherwise), and
-the walk's guess profile. Every order handed to `modify` or to either
-probability route must list each variable exactly once.
+the walk's guess profile. The profile's entries are the walk's
+(literal, provenance) pairs, the layout of `Assignment.entries`, and its
+`guessed` is counted by the walk. The randomized trial is one `modify`
+call. Every order handed to `modify` or to either probability route must
+list each variable exactly once.
 
 Guess profiles come out of the same walk: a replay against a known solution
 feeds the guesses from that solution instead of a bit vector, so the count
@@ -73,15 +76,14 @@ class EnumerationBudgetError(RuntimeError):
 
 @dataclass(frozen=True)
 class GuessProfile:
-    """Per-variable record of one Modify walk, in processing order."""
+    """Per-variable record of one Modify walk, in processing order: the
+    (literal, provenance) pairs of an `Assignment`, and how many of them
+    were guessed."""
 
-    entries: tuple[tuple[int, int, str], ...]  # (variable, literal, provenance)
+    entries: tuple[tuple[int, str], ...]
+    guessed: int
     bits_consumed: int
     exhausted: bool
-
-    @property
-    def guessed(self) -> int:
-        return sum(1 for _, _, prov in self.entries if prov == GUESSED)
 
 
 class PpszEngine:
@@ -118,8 +120,8 @@ class PpszEngine:
         self.modify_calls += 1
         implied = self.index.implied_literal
         bit_of = self._bit
-        entries: list[tuple[int, int, str]] = []
-        used = 0
+        entries: list[tuple[int, str]] = []
+        used = guessed = 0
         for var in sigma:
             lit = implied(amask, avals, var)
             if lit:
@@ -129,17 +131,18 @@ class PpszEngine:
                     positive = alpha[var]
                 else:
                     if used == beta_length:
-                        return None, GuessProfile(tuple(entries), used, exhausted=True)
+                        return None, GuessProfile(tuple(entries), guessed, used, exhausted=True)
                     positive = (beta_value >> (beta_length - 1 - used)) & 1
                     used += 1
                 lit = var if positive else -var
                 prov = GUESSED
+                guessed += 1
             bit = bit_of[var]
             amask |= bit
             if lit > 0:
                 avals |= bit
-            entries.append((var, lit, prov))
-        profile = GuessProfile(tuple(entries), used, exhausted=False)
+            entries.append((lit, prov))
+        profile = GuessProfile(tuple(entries), guessed, used, exhausted=False)
         if amask == self._full and (self.index._solutions >> avals) & 1:
             return avals, profile
         return None, profile
@@ -235,7 +238,7 @@ class PpszEngine:
         avals, profile = self._walk(sigma, value, len(bits), None)
         if avals is None:
             return None, profile
-        return Assignment(tuple((lit, prov) for _, lit, prov in profile.entries)), profile
+        return Assignment(profile.entries), profile
 
     def replay(self, alpha: Mapping[int, bool] | Iterable[int], sigma: Sequence[int]) -> GuessProfile:
         """Walk sigma (each variable once, else ValueError) with guesses read
@@ -261,29 +264,25 @@ def _probability_engine(formula: Formula, tau: int | None) -> PpszEngine:
     return PpszEngine(formula, tau)
 
 
-def success_probability_exact(
-    formula: Formula,
-    perms,
-    tau: int | None = None,
-    max_evaluations: int = DEFAULT_EVALUATION_BUDGET,
-) -> Fraction:
+def success_probability_exact(formula: Formula, perms, tau: int | None = None) -> Fraction:
     """Pr[a run over uniform (order, bits) returns a solution]. Exact
     rational arithmetic.
 
     Each distinct order of the table `distinct_orders` reads off perms is
     counted once (`count_successes`), which accounts for all 2^n bit
-    vectors at once, and weighted by its multiplicity. The budget still
-    counts (order, bit vector) pairs, |perms| x 2^n, not physical walks,
-    and is checked before an engine is built. The engine is the one both
-    routes share for (formula, tau) (module docstring). An order that
-    skips or repeats a variable raises ValueError.
+    vectors at once, and weighted by its multiplicity. The budget,
+    DEFAULT_EVALUATION_BUDGET, still counts (order, bit vector) pairs,
+    |perms| x 2^n, not physical walks, and is checked before an engine is
+    built. The engine is the one both routes share for (formula, tau)
+    (module docstring). An order that skips or repeats a variable raises
+    ValueError.
     """
     size, variables, orders = distinct_orders(perms)
     n = formula.n
     total = size << n
-    if total > max_evaluations:
+    if total > DEFAULT_EVALUATION_BUDGET:
         raise EnumerationBudgetError(
-            f"{size} orders x 2^{n} bit vectors exceed the budget of {max_evaluations}"
+            f"{size} orders x 2^{n} bit vectors exceed the budget of {DEFAULT_EVALUATION_BUDGET}"
         )
     engine = _probability_engine(formula, tau)
     cells = engine._check_order(variables)
@@ -338,8 +337,8 @@ class TrialRecord:
             "result": list(self.result) if self.result is not None else None,
             "guess_profile": {
                 "entries": [
-                    {"variable": v, "literal": lit, "provenance": prov}
-                    for v, lit, prov in self.profile.entries
+                    {"variable": abs(lit), "literal": lit, "provenance": prov}
+                    for lit, prov in self.profile.entries
                 ],
                 "guessed": self.profile.guessed,
                 "bits_consumed": self.profile.bits_consumed,
@@ -355,23 +354,17 @@ def ppsz_randomized(
     seed: int = 0,
 ) -> TrialRecord:
     """One randomized trial: uniform order index, uniform bit vector of
-    length n. Fully reproducible from the seed. The family must hold an
-    order, and the drawn order must list each variable exactly once
-    (ValueError otherwise)."""
+    length n, walked by `PpszEngine.modify`. Fully reproducible from the
+    seed. The family must hold an order, and the drawn order must list
+    each variable exactly once (ValueError otherwise)."""
     if not len(perms):
         raise ValueError("an order family needs at least one order")
     rng = random.Random(seed)
     sigma_index = rng.randrange(len(perms))
     n = formula.n
-    beta_value = rng.getrandbits(n) if n else 0
+    beta_value = rng.getrandbits(n)
     sigma = perms.permutation(sigma_index) if hasattr(perms, "permutation") else tuple(perms[sigma_index])
-    engine = PpszEngine(formula, tau)
-    engine._check_order(sigma)
-    avals, profile = engine._walk(sigma, beta_value, n, None)
-    result = None
-    if avals is not None:
-        result = tuple(
-            v if (avals >> i) & 1 else -v for i, v in enumerate(formula.variables)
-        )
-    beta_bits = tuple((beta_value >> (n - 1 - i)) & 1 for i in range(n))
-    return TrialRecord(sigma_index=sigma_index, beta=beta_bits, result=result, profile=profile)
+    beta = tuple((beta_value >> (n - 1 - i)) & 1 for i in range(n))
+    assignment, profile = PpszEngine(formula, tau).modify(sigma, beta)
+    result = None if assignment is None else assignment.sorted_literals()
+    return TrialRecord(sigma_index=sigma_index, beta=beta, result=result, profile=profile)

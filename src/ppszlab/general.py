@@ -33,12 +33,7 @@ from .analysis import lambda_k
 from .cnf import FIXED, Assignment, Evaluation, Formula, evaluate, restrict
 from .engine import PpszEngine
 from .implication import resolve_tau
-from .oracle import (
-    DEFAULT_ORACLE_LIMIT,
-    UnsatisfiableError,
-    count_solutions,
-    is_satisfiable,
-)
+from .oracle import UnsatisfiableError, count_solutions, is_satisfiable
 from .permutations import construct_sigma, hash_family
 from .unique import DppszResult, dppsz, no_hit
 
@@ -90,10 +85,7 @@ class GoodAssignment:
         return len(self.assignment)
 
 
-def construct_good_assignment(
-    formula: Formula,
-    limit: int = DEFAULT_ORACLE_LIMIT,
-) -> GoodAssignment:
+def construct_good_assignment(formula: Formula) -> GoodAssignment:
     """Fix exactly ceil(log2 S) variables so one solution remains.
 
     While several solutions survive, some variable takes both values among
@@ -102,7 +94,7 @@ def construct_good_assignment(
     steps left over are spent pinning further variables to the surviving
     solution.
     """
-    total = count_solutions(formula, limit)
+    total = count_solutions(formula)
     if total == 0:
         raise UnsatisfiableError("cannot build an assignment for an unsatisfiable formula")
     target = (total - 1).bit_length()
@@ -112,7 +104,7 @@ def construct_good_assignment(
     steps: list[HalvingStep] = []
     while count > 1:
         for var in current.variables:
-            cnt_pos = count_solutions(restrict(current, (var,)), limit)
+            cnt_pos = count_solutions(restrict(current, (var,)))
             cnt_neg = count - cnt_pos
             if cnt_pos and cnt_neg:
                 lit = var if cnt_pos <= cnt_neg else -var
@@ -126,16 +118,11 @@ def construct_good_assignment(
             raise AssertionError("several solutions but every variable is pinned")
     while len(fixed) < target:
         var = current.variables[0]
-        lit = var if is_satisfiable(restrict(current, (var,)), limit) else -var
+        lit = var if is_satisfiable(restrict(current, (var,))) else -var
         steps.append(HalvingStep(var, lit, count, count, "pad"))
         fixed.append(lit)
         current = restrict(current, (lit,))
-    return GoodAssignment(
-        Assignment.from_literals(fixed, FIXED),
-        tuple(steps),
-        total,
-        target,
-    )
+    return GoodAssignment(Assignment.from_literals(fixed), tuple(steps), total, target)
 
 
 @dataclass(frozen=True)

@@ -43,7 +43,7 @@ from itertools import combinations
 from typing import Iterable, Sequence
 
 from .cnf import Clause, Formula
-from .oracle import SolutionSet, enumerate_solutions
+from .oracle import enumerate_solutions
 
 MAX_DEFAULT_TAU = 4
 
@@ -66,9 +66,10 @@ def resolve_tau(tau: int | None, n: int) -> int:
     return tau
 
 
-def sub_cnf_solutions(clauses: Iterable[Clause] | Formula) -> SolutionSet:
+def sub_cnf_solutions(clauses: Iterable[Clause] | Formula) -> tuple[tuple[int, ...], ...]:
     """Solutions of a clause collection over exactly the variables it
-    mentions (not some enclosing formula's variable set)."""
+    mentions (not some enclosing formula's variable set), in
+    `enumerate_solutions`' order."""
     if isinstance(clauses, Formula):
         clause_tuple = clauses.clauses
     else:
@@ -83,7 +84,7 @@ def _implied_by_subset(subset: Sequence[Clause], x: int) -> int | None:
     if not any(abs(lit) == x for clause in subset for lit in clause):
         return None
     sols = sub_cnf_solutions(subset)
-    if sols.count == 0:
+    if not sols:
         return x  # vacuous: both polarities implied, positive by convention
     x_true = all(x in sol for sol in sols)
     if x_true:

@@ -13,6 +13,9 @@ import random
 from .cnf import Clause, Formula, canonical_clause
 from .oracle import DEFAULT_ORACLE_LIMIT, count_solutions
 
+# unique_kcnf's cap on plants, and on clause batches per plant
+_UNIQUE_ROUNDS = 64
+
 
 def _check_shape(n: int, k: int, m: int = 0) -> None:
     if m < 0:
@@ -86,13 +89,7 @@ def satisfiable_kcnf(rng: random.Random, n: int, m: int, k: int) -> Formula:
     return formula
 
 
-def unique_kcnf(
-    rng: random.Random,
-    n: int,
-    k: int,
-    limit: int = DEFAULT_ORACLE_LIMIT,
-    max_rounds: int = 64,
-) -> tuple[Formula, tuple[int, ...]]:
+def unique_kcnf(rng: random.Random, n: int, k: int) -> tuple[Formula, tuple[int, ...]]:
     """A formula whose only solution is the returned planted assignment.
 
     Plant-consistent clauses accumulate until the count reaches one. The
@@ -101,22 +98,22 @@ def unique_kcnf(
     streaks all the same.
     """
     _check_shape(n, k)
-    if n > limit:
-        raise ValueError(f"uniqueness check needs n <= {limit}")
+    if n > DEFAULT_ORACLE_LIMIT:
+        raise ValueError(f"uniqueness check needs n <= {DEFAULT_ORACLE_LIMIT}")
     batch = max(2 * n, 8)
-    for _ in range(max_rounds):
+    for _ in range(_UNIQUE_ROUNDS):
         alpha = random_assignment(rng, n)
         values = {abs(lit): lit > 0 for lit in alpha}
         clauses: set[Clause] = set()
-        for _ in range(max_rounds):
+        for _ in range(_UNIQUE_ROUNDS):
             for _ in range(batch):
                 clause = _random_clause(rng, n, k)
                 if any(values[abs(lit)] == (lit > 0) for lit in clause):
                     clauses.add(clause)
             formula = Formula.from_clauses(clauses, variables=range(1, n + 1), k=k)
-            if count_solutions(formula, limit) == 1:
+            if count_solutions(formula) == 1:
                 return formula, alpha
-    raise RuntimeError(f"no unique-solution formula after {max_rounds} plants")
+    raise RuntimeError(f"no unique-solution formula after {_UNIQUE_ROUNDS} plants")
 
 
 def with_free_variables(formula: Formula, extra: int) -> Formula:

@@ -3,12 +3,14 @@
 Everything here is a plain truth-table search whose value is its obvious
 correctness; the solvers elsewhere in the package are judged against it.
 Inputs are size-guarded so an accidental 40-variable formula fails loudly
-instead of hanging.
+instead of hanging: at DEFAULT_ORACLE_LIMIT variables, or at the `limit`
+that the counting and classifying queries take from the command line's
+`--oracle-limit`. `enumerate_solutions` returns a plain sorted tuple of
+solutions, each a tuple of literals.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterator
 
 from .cnf import Formula
@@ -22,31 +24,6 @@ class OracleLimitError(RuntimeError):
 
 class UnsatisfiableError(ValueError):
     """An operation that needs a solution was given an unsatisfiable formula."""
-
-
-@dataclass(frozen=True)
-class SolutionSet:
-    """All solutions of a formula over its variable set, canonically ordered.
-
-    Each solution is a tuple of literals sorted by variable index, so two
-    solution sets compare equal exactly when they agree syntactically.
-    """
-
-    variables: tuple[int, ...]
-    solutions: tuple[tuple[int, ...], ...]
-
-    @property
-    def count(self) -> int:
-        return len(self.solutions)
-
-    def __len__(self) -> int:
-        return len(self.solutions)
-
-    def __iter__(self) -> Iterator[tuple[int, ...]]:
-        return iter(self.solutions)
-
-    def __contains__(self, solution: tuple[int, ...]) -> bool:
-        return tuple(solution) in set(self.solutions)
 
 
 def _check_limit(formula: Formula, limit: int) -> None:
@@ -115,13 +92,15 @@ def _bits_to_literals(bits: int, variables: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(v if (bits >> i) & 1 else -v for i, v in enumerate(variables))
 
 
-def enumerate_solutions(formula: Formula, limit: int = DEFAULT_ORACLE_LIMIT) -> SolutionSet:
-    """Every solution over the formula's variable set, by brute force."""
-    _check_limit(formula, limit)
-    sols = sorted(
-        _bits_to_literals(bits, formula.variables) for bits in _solution_bits(formula)
+def enumerate_solutions(formula: Formula) -> tuple[tuple[int, ...], ...]:
+    """Every solution over the formula's variable set, by brute force, in
+    canonical order: each solution is a tuple of literals sorted by
+    variable index, and the tuples are sorted, so two formulas' solution
+    tuples compare equal exactly when they agree syntactically."""
+    _check_limit(formula, DEFAULT_ORACLE_LIMIT)
+    return tuple(
+        sorted(_bits_to_literals(bits, formula.variables) for bits in _solution_bits(formula))
     )
-    return SolutionSet(variables=formula.variables, solutions=tuple(sols))
 
 
 def count_solutions(formula: Formula, limit: int = DEFAULT_ORACLE_LIMIT) -> int:
@@ -139,8 +118,8 @@ def first_solution(formula: Formula, limit: int = DEFAULT_ORACLE_LIMIT) -> tuple
     return None
 
 
-def is_satisfiable(formula: Formula, limit: int = DEFAULT_ORACLE_LIMIT) -> bool:
-    return first_solution(formula, limit) is not None
+def is_satisfiable(formula: Formula) -> bool:
+    return first_solution(formula) is not None
 
 
 def implied_literals(formula: Formula, limit: int = DEFAULT_ORACLE_LIMIT) -> frozenset[int]:

@@ -3,7 +3,9 @@
 Each suite takes prebuilt instances, checks one contract, and reports
 what it saw; the corpus builders are deterministic in the provided RNG
 so a failure can be replayed from the seed alone. The verify command
-runs small corpora through these same functions.
+runs small corpora through these same functions. The suites that run
+the solvers do so at the package defaults (tau, order independence and
+the oracle limit); the solver suite's slack is their one setting.
 """
 
 from __future__ import annotations
@@ -23,14 +25,14 @@ from .analysis import (
     r_value,
     runtime_exponent,
 )
-from .cnf import Evaluation, Formula, evaluate
+from .cnf import Evaluation, Formula, evaluate, restrict
 from .engine import (
     PpszEngine,
     success_probability_exact,
     success_probability_via_identity,
 )
 from .general import construct_good_assignment, solve_general
-from .implication import resolve_tau
+from .implication import default_tau
 from .instances import (
     planted_kcnf,
     satisfiable_kcnf,
@@ -38,7 +40,7 @@ from .instances import (
     unique_kcnf,
     with_free_variables,
 )
-from .oracle import DEFAULT_ORACLE_LIMIT, count_solutions, enumerate_solutions
+from .oracle import count_solutions, enumerate_solutions
 from .permutations import HashFamily, construct_sigma
 from .tree import certificate_depth, construct_tree, verify_tree
 from .unique import dppsz
@@ -61,36 +63,27 @@ class SuiteReport:
         return f"{verdict} {self.name}: {self.checked} checked{extra}"
 
 
-def identity_suite(
-    formulas,
-    tau: int | None = None,
-    independence: int | None = None,
-) -> SuiteReport:
+def identity_suite(formulas) -> SuiteReport:
     """The two probability routes must agree exactly, formula by formula."""
     report = SuiteReport("identity")
     for idx, formula in enumerate(formulas):
-        perms = construct_sigma(formula.variables, independence)
-        exact = success_probability_exact(formula, perms, tau)
-        assembled = success_probability_via_identity(formula, perms, tau)
+        perms = construct_sigma(formula.variables)
+        exact = success_probability_exact(formula, perms)
+        assembled = success_probability_via_identity(formula, perms)
         report.checked += 1
         if exact != assembled:
             report.failures.append(f"instance {idx}: {exact} != {assembled}")
     return report
 
 
-def solver_oracle_suite(
-    formulas,
-    tau: int | None = None,
-    slack: float | None = None,
-    limit: int = DEFAULT_ORACLE_LIMIT,
-) -> SuiteReport:
+def solver_oracle_suite(formulas, slack: float | None = None) -> SuiteReport:
     """The complete solver must agree with brute-force satisfiability and
     return assignments that actually satisfy."""
     report = SuiteReport("solver-vs-oracle")
     sat = unsat = 0
     for idx, formula in enumerate(formulas):
-        expected = count_solutions(formula, limit) > 0
-        result = solve_general(formula, tau, slack=slack)
+        expected = count_solutions(formula) > 0
+        result = solve_general(formula, slack=slack)
         report.checked += 1
         if result.satisfiable != expected:
             report.failures.append(
@@ -107,22 +100,17 @@ def solver_oracle_suite(
     return report
 
 
-def dppsz_round_suite(
-    formulas,
-    tau: int | None = None,
-    independence: int | None = None,
-    limit: int = DEFAULT_ORACLE_LIMIT,
-) -> SuiteReport:
+def dppsz_round_suite(formulas) -> SuiteReport:
     """The first successful round must equal the best guess count over all
     solutions and orders (floored at round 1), replayed exhaustively."""
     report = SuiteReport("round-accounting")
     for idx, formula in enumerate(formulas):
-        perms = construct_sigma(formula.variables, independence)
-        engine = PpszEngine(formula, tau)
-        solutions = enumerate_solutions(formula, limit)
+        perms = construct_sigma(formula.variables)
+        engine = PpszEngine(formula)
+        solutions = enumerate_solutions(formula)
         result = dppsz(engine, perms)
         report.checked += 1
-        if len(solutions) == 0:
+        if not solutions:
             if result.round_found is not None:
                 report.failures.append(f"instance {idx}: round on unsatisfiable input")
             continue
@@ -138,17 +126,14 @@ def dppsz_round_suite(
     return report
 
 
-def tree_suite(
-    pairs,
-    implication_size: int | None = None,
-) -> SuiteReport:
+def tree_suite(pairs) -> SuiteReport:
     """Certificate trees for every variable of solution-unique formulas
     must satisfy all six structural properties."""
     report = SuiteReport("certificate-trees")
     trees = cuts = 0
     for idx, (formula, alpha) in enumerate(pairs):
         amap = {abs(lit): lit > 0 for lit in alpha}
-        size = resolve_tau(implication_size, formula.n)
+        size = default_tau(formula.n)
         depth = certificate_depth(formula.k, size)
         for var in formula.variables:
             tree = construct_tree(formula, amap, var, depth)
@@ -164,16 +149,13 @@ def tree_suite(
     return report
 
 
-def construct_a_suite(
-    formulas,
-    limit: int = DEFAULT_ORACLE_LIMIT,
-) -> SuiteReport:
+def construct_a_suite(formulas) -> SuiteReport:
     """The halving construction must fix exactly ceil(log2 S) variables,
     leave one solution, and never shrink the count by less than half."""
     report = SuiteReport("halving-construction")
     for idx, formula in enumerate(formulas):
-        total = count_solutions(formula, limit)
-        good = construct_good_assignment(formula, limit)
+        total = count_solutions(formula)
+        good = construct_good_assignment(formula)
         report.checked += 1
         target = (total - 1).bit_length()
         if good.size != target or good.target_size != target:
@@ -181,7 +163,7 @@ def construct_a_suite(
                 f"instance {idx}: fixed {good.size} variables for {total} solutions"
             )
             continue
-        if count_solutions(formula.restrict(good.assignment), limit) != 1:
+        if count_solutions(restrict(formula, good.assignment)) != 1:
             report.failures.append(f"instance {idx}: residual count is not 1")
             continue
         for step in good.steps:

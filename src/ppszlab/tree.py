@@ -124,10 +124,10 @@ def construct_tree(
     return build(x, depth, set(), 0)
 
 
-def enumerate_cuts(root: TreeVertex, budget: int = DEFAULT_CUT_BUDGET) -> Iterator[tuple[TreeVertex, ...]]:
+def enumerate_cuts(root: TreeVertex) -> Iterator[tuple[TreeVertex, ...]]:
     """All vertex sets that meet every root-to-leaf path exactly once,
     excluding the trivial cut through the root itself. Streams results;
-    raises once the count would exceed the budget."""
+    raises once the count would exceed DEFAULT_CUT_BUDGET."""
     produced = 0
 
     def cuts_below(vertex: TreeVertex) -> Iterator[tuple[TreeVertex, ...]]:
@@ -148,8 +148,8 @@ def enumerate_cuts(root: TreeVertex, budget: int = DEFAULT_CUT_BUDGET) -> Iterat
         return
     for cut in child_products(root.children):
         produced += 1
-        if produced > budget:
-            raise CutBudgetError(f"cut enumeration exceeded the budget of {budget}")
+        if produced > DEFAULT_CUT_BUDGET:
+            raise CutBudgetError(f"cut enumeration exceeded the budget of {DEFAULT_CUT_BUDGET}")
         yield cut
 
 
@@ -186,7 +186,6 @@ def verify_tree(
     formula: Formula,
     alpha: Mapping[int, bool],
     implication_size: int,
-    cut_budget: int = DEFAULT_CUT_BUDGET,
 ) -> TreeReport:
     """Check the six certificate-tree properties against the formula.
 
@@ -241,7 +240,7 @@ def verify_tree(
 
     # the cut property, checked through the ordinary implication engine
     root_literal = root.label if alpha.get(root.label) else -root.label
-    for cut in enumerate_cuts(root, budget=cut_budget):
+    for cut in enumerate_cuts(root):
         report.cuts_checked += 1
         fixings = []
         seen_vars = set()

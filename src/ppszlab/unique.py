@@ -88,7 +88,7 @@ def dppsz(
             position, ranks, value = hit
             sigma = tuple(cells[r][0] for r in ranks)
             _, profile = engine._walk(sigma, value, round_no, None, amask, avals)
-            solution = Assignment(tuple((lit, prov) for _, lit, prov in profile.entries))
+            solution = Assignment(profile.entries)
             counts = _round_counts(size, position + 1, round_no)
             return DppszResult(solution, round_no, counts, position + 1, False, size)
     return miss

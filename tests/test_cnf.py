@@ -181,7 +181,7 @@ def test_from_clauses_dedupes_and_sorts():
 
 
 def test_assignment_provenance_and_lookup():
-    a = Assignment.from_literals((3, -1), provenance="guessed")
+    a = Assignment(((3, "guessed"), (-1, "guessed")))
     assert a.literals() == (3, -1)
     assert a.sorted_literals() == (-1, 3)
     assert a.variables() == (1, 3)

@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from ppszlab.cnf import Evaluation, Formula
+from ppszlab.cnf import GUESSED, Evaluation, Formula, evaluate
 from ppszlab.engine import (
     EnumerationBudgetError,
     PpszEngine,
@@ -16,7 +16,7 @@ from ppszlab.engine import (
     success_probability_via_identity,
 )
 from ppszlab.implication import ImplicationIndex
-from ppszlab.instances import unique_kcnf, uniform_kcnf, with_free_variables
+from ppszlab.instances import planted_kcnf, unique_kcnf, uniform_kcnf, with_free_variables
 from ppszlab.oracle import count_solutions, enumerate_solutions
 from ppszlab.permutations import construct_sigma
 from ppszlab.suites import identity_corpus
@@ -67,7 +67,7 @@ def test_forced_variables_skip_bits():
     assert assignment.sorted_literals() == (1, 2)
     assert profile.bits_consumed == 1
     assert profile.guessed == 1
-    assert profile.entries == ((1, 1, "guessed"), (2, 2, "forced"))
+    assert profile.entries == ((1, "guessed"), (2, "forced"))
 
 
 def test_probability_one_for_a_unit():
@@ -301,7 +301,7 @@ def test_replay_profiles_a_reference_solution():
     eng = engine(formula)
     profile = eng.replay({1: True, 2: True}, (1, 2))
     assert profile.guessed == 1
-    assert profile.entries[1] == (2, 2, "forced")
+    assert profile.entries[1] == (2, "forced")
 
 
 def test_replay_rejects_a_non_solution():
@@ -317,7 +317,43 @@ def test_replay_rejects_an_order_that_is_not_a_permutation(sigma):
     eng = engine(F((1, 2), (-1, 3)))
     with pytest.raises(ValueError, match="exactly the formula's variables"):
         eng.replay([1, 2, 3], sigma)
-    assert [v for v, _, _ in eng.replay([1, 2, 3], (3, 1, 2)).entries] == [3, 1, 2]
+    assert [abs(lit) for lit, _ in eng.replay([1, 2, 3], (3, 1, 2)).entries] == [3, 1, 2]
+
+
+def test_profiles_count_their_guesses():
+    # every walk kind: modify with bit vectors of random length (a short one
+    # exhausts), a replay along every solution, and the randomized trial
+    rng = random.Random(43)
+    kinds = set()
+    for n in range(3, 9):
+        for tau in range(1, 5):
+            formula = planted_kcnf(rng, n, 2 * n, 3)[0]
+            eng = PpszEngine(formula, tau)
+            perms = construct_sigma(formula.variables)
+            profiles = []
+            for _ in range(6):
+                sigma = perms.permutation(rng.randrange(len(perms)))
+                bits = [rng.getrandbits(1) for _ in range(rng.randrange(n + 1))]
+                assignment, profile = eng.modify(sigma, bits)
+                assert profile.bits_consumed == profile.guessed
+                if assignment is not None:
+                    assert assignment.entries == profile.entries
+                    kinds.add("solved")
+                kinds.add("exhausted" if profile.exhausted else "finished")
+                profiles.append(profile)
+            for solution in enumerate_solutions(formula):
+                profile = eng.replay(solution, perms.permutation(rng.randrange(len(perms))))
+                assert profile.bits_consumed == 0
+                profiles.append(profile)
+            for seed in range(3):
+                record = ppsz_randomized(formula, perms, tau, seed)
+                assert record.profile.bits_consumed == record.profile.guessed
+                for entry in record.to_dict()["guess_profile"]["entries"]:
+                    assert entry["variable"] == abs(entry["literal"])
+                profiles.append(record.profile)
+            for profile in profiles:
+                assert profile.guessed == sum(prov == GUESSED for _, prov in profile.entries)
+    assert kinds == {"solved", "exhausted", "finished"}
 
 
 def test_replay_accepts_literal_iterables():
@@ -344,9 +380,10 @@ def test_randomized_trial_rejects_an_order_that_is_not_a_permutation(bad):
 
 
 def test_enumeration_budget_is_enforced():
-    formula = F((1, 2, 3), variables=tuple(range(1, 13)))
+    # 9 orders x 2^20 bit vectors is past the budget of 2^23
+    formula = F((1, 2, 3), variables=tuple(range(1, 21)))
     with pytest.raises(EnumerationBudgetError):
-        success_probability_exact(formula, [formula.variables], max_evaluations=100)
+        success_probability_exact(formula, [formula.variables] * 9)
 
 
 def test_randomized_runs_are_deterministic_per_seed():
@@ -432,7 +469,7 @@ def test_an_empty_order_family_is_rejected():
 def test_walk_result_satisfies_the_formula():
     formula = F((1, 2), (1, -2))
     assignment, _ = engine(formula).modify((1, 2), (1, 0))
-    assert formula.evaluate(assignment) is Evaluation.SATISFIED
+    assert evaluate(formula, assignment) is Evaluation.SATISFIED
 
 
 def test_engine_counts_walks():

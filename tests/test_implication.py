@@ -59,17 +59,19 @@ def test_vacuous_subset_reports_positive_literal():
 
 
 def test_sub_cnf_solutions_spec_cases():
-    sols = sub_cnf_solutions([(1, 2)])
-    assert sols.variables == (1, 2)
-    assert sols.count == 3
-    assert sub_cnf_solutions([()]).count == 0
-    empty = sub_cnf_solutions([])
-    assert empty.count == 1
-    assert empty.solutions == ((),)
+    # whole tuples: each solution lists exactly the mentioned variables
+    assert sub_cnf_solutions([(1, 2)]) == ((-1, 2), (1, -2), (1, 2))
+    assert sub_cnf_solutions([(-2, 5)]) == ((-2, -5), (-2, 5), (2, 5))
+    assert sub_cnf_solutions([()]) == ()
+    assert sub_cnf_solutions([]) == ((),)
 
 
 def test_sub_cnf_solutions_accepts_formulas():
-    assert sub_cnf_solutions(F((1,), (2, 3))).count == 3
+    assert sub_cnf_solutions(F((1,), (2, 3), variables=(1, 2, 3, 4))) == (
+        (1, -2, 3),
+        (1, 2, -3),
+        (1, 2, 3),
+    )
 
 
 def test_soundness_against_the_oracle():
@@ -79,7 +81,7 @@ def test_soundness_against_the_oracle():
     checked = 0
     for _ in range(25):
         formula = satisfiable_kcnf(rng, 6, 15, 3)
-        solution = enumerate_solutions(formula).solutions[0]
+        solution = enumerate_solutions(formula)[0]
         prefix = solution[: rng.randrange(1, 5)]
         residual = restrict(formula, prefix)
         if not residual.variables:
@@ -98,7 +100,7 @@ def test_budget_monotonicity():
     hits = 0
     for _ in range(25):
         formula = satisfiable_kcnf(rng, 6, 15, 3)
-        solution = enumerate_solutions(formula).solutions[0]
+        solution = enumerate_solutions(formula)[0]
         residual = restrict(formula, solution[: rng.randrange(1, 5)])
         for var in residual.variables:
             narrow = tau_implied(residual, var, 1)

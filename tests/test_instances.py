@@ -90,7 +90,7 @@ def test_unique_formulas_have_one_solution():
 
 def test_unique_generator_respects_the_oracle_limit():
     with pytest.raises(ValueError):
-        unique_kcnf(random.Random(1), 30, 3, limit=24)
+        unique_kcnf(random.Random(1), 30, 3)
 
 
 def test_free_variables_multiply_the_count():

@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from ppszlab import tree
 from ppszlab.cnf import Formula
 from ppszlab.instances import unique_kcnf
 from ppszlab.tree import (
@@ -119,11 +120,12 @@ def test_construction_requires_a_falsified_witness():
         construct_tree(F((1, 2)), {1: True, 2: True}, 4, 1)
 
 
-def test_cut_budget_is_enforced():
+def test_cut_budget_is_enforced(monkeypatch):
     formula = F((1, -2), (2, -3))
     root = construct_tree(formula, {1: True, 2: True, 3: True}, 1, 2)
+    monkeypatch.setattr(tree, "DEFAULT_CUT_BUDGET", 1)
     with pytest.raises(CutBudgetError):
-        list(enumerate_cuts(root, budget=1))
+        list(enumerate_cuts(root))
 
 
 def test_verifier_flags_a_dummy_root():

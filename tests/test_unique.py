@@ -140,7 +140,7 @@ def _scan_results(engine, perms, start):
                 round_calls += 1
                 if found is not None:
                     per_round.append(round_calls)
-                    solution = Assignment(tuple((lit, prov) for _, lit, prov in profile.entries))
+                    solution = Assignment(profile.entries)
                     results.append(DppszResult(solution, round_no, tuple(per_round), calls, False, len(orders)))
                     return results, calls - 1
         per_round.append(round_calls)
@@ -328,7 +328,7 @@ def _guess_rates(formula, perms, alpha):
     engine = PpszEngine(formula)
     profiles = [engine.replay(alpha, sigma) for sigma in perms]
     guessed = Counter(
-        var for profile in profiles for var, _, prov in profile.entries if prov == "guessed"
+        abs(lit) for profile in profiles for lit, prov in profile.entries if prov == "guessed"
     )
     return {v: guessed[v] / len(profiles) for v in formula.variables}
 
