@@ -78,13 +78,6 @@ class Assignment:
         """Canonical form: literals ordered by variable index."""
         return tuple(self._values[v] for v in sorted(self._values))
 
-    def variables(self) -> tuple[int, ...]:
-        return tuple(sorted(self._values))
-
-    def value(self, var: int) -> bool | None:
-        lit = self._values.get(var)
-        return None if lit is None else lit > 0
-
     def __iter__(self) -> Iterator[int]:
         return iter(self.literals())
 

@@ -32,9 +32,11 @@ When they all take one value v, that side of x is satisfiable under every
 subset, so no subset implies the other literal or is unsatisfiable. The
 answer is then v exactly when some core refutes x = not v, and it does
 not matter which one is found first (ImplicationIndex._one_sided). Only
-a state with no live solution needs every core on both sides, since its
-first hit in canonical order, vacuous or not, must stay exact
-(ImplicationIndex._dead_state).
+a state with no live solution needs the cores on both sides, since its
+first hit in canonical order, vacuous or not, must stay exact. It takes
+the sizes 3, 4, ... in turn, and at each size s only the cores of at
+most s clauses, found under the cap of s - 1 variables; the first size
+that holds a hit ends the search (ImplicationIndex._dead_state).
 """
 
 from __future__ import annotations
@@ -230,8 +232,9 @@ class ImplicationIndex:
     values of x the answer is 0. If they all take one value v, `_one_sided`
     looks for any core with x = not v, and the answer is v when it finds
     one (module docstring). A state with no live solution goes to
-    `_dead_state`, which takes every core on both sides and from them the
-    first deciding subset in canonical order, vacuous or not.
+    `_dead_state`, which takes the cores on both sides size by size and
+    from them the first deciding subset in canonical order, vacuous or
+    not.
     """
 
     VARIABLE_LIMIT = 20  # the live masks hold up to 2^n bits
@@ -422,23 +425,27 @@ class ImplicationIndex:
         of these over every core of at most s clauses. J implies var if it
         holds a core for var = 0, which covers the vacuous case, and -var
         otherwise.
+
+        So the first hit at size s depends only on the cores of at most s
+        clauses, and the sizes are searched in turn, each with the cap of
+        its own size: cores of at most s clauses mention at most s - 1
+        variables besides var, and a search under that cap finds every
+        minimal one (`_cores`). The search ends at the first size with a
+        hit, so a state decided at size 3 never pays for the wider cap of
+        size hi.
         """
-        cores0 = self._cores(state, xbit, False, hi, False)
-        cores = cores0 + self._cores(state, xbit, True, hi, False)
-        if not cores:
-            return 0
         residual = state.residual
         bits = state.bits
         canonical = residual.__getitem__
-        smallest = sorted(range(len(residual)), key=canonical)[:hi]
-        over_x = [i for i, clause_bits in enumerate(bits) if clause_bits & xbit]
-        first_over_x = min(over_x, key=canonical)
+        ranked = sorted(range(len(residual)), key=canonical)
+        first_over_x = next(i for i in ranked if bits[i] & xbit)
         for size in range(3, hi + 1):
+            cores0 = self._cores(state, xbit, False, size, False)
+            cores = cores0 + self._cores(state, xbit, True, size, False)
+            smallest = ranked[:size]
             best = None
             for core in cores:
                 need = size - len(core)
-                if need < 0:
-                    continue
                 fill = [i for i in smallest if i not in core][:need]
                 if not any(bits[i] & xbit for i in core + tuple(fill)):
                     if not fill:
@@ -534,7 +541,10 @@ class ImplicationIndex:
                         return True
                 elif left > 1:
                     grown = union | vbits
-                    deeper = [c for c in cands[k + 1:] if (grown | c[1]).bit_count() <= frame]
+                    if grown == union:
+                        deeper = cands[k + 1:]  # each passed the filter against union
+                    else:
+                        deeper = [c for c in cands[k + 1:] if (grown | c[1]).bit_count() <= frame]
                     chosen_i = chosen + (i,)
                     if deeper and dive(deeper, len(deeper), left - 1, grown, local, kept, chosen_i):
                         return True

@@ -184,8 +184,6 @@ def test_assignment_provenance_and_lookup():
     a = Assignment(((3, "guessed"), (-1, "guessed")))
     assert a.literals() == (3, -1)
     assert a.sorted_literals() == (-1, 3)
-    assert a.variables() == (1, 3)
-    assert a.value(3) is True and a.value(1) is False and a.value(2) is None
     assert a.entries == ((3, "guessed"), (-1, "guessed"))
     assert 3 in a and -3 not in a and len(a) == 2
 

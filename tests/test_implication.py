@@ -633,12 +633,12 @@ def test_refutation_matches_the_lex_kernel_on_planted_walks():
     assert counts["_one_sided", "hit"] > 0 and counts["_one_sided", "miss"] > 0, counts
 
 
-def test_both_routes_match_the_lex_kernels_on_seeded_walks():
-    # planted and uniform 3-CNF at n = 8..18 and tau = 3, 4, 5: a walk
-    # visits one-sided live states, and once it has left every solution,
-    # states with no live solution
+def _seeded_walks(check):
+    """Two walks on each of planted and uniform 3-CNF at n = 8..18 and
+    tau = 3, 4, 5, after check(index) on each engine's index. A walk
+    visits one-sided live states, and once it has left every solution,
+    states with no live solution."""
     rng = random.Random(83)
-    counts = Counter()
     for n, tau in ((8, 5), (10, 4), (12, 3), (12, 5), (14, 4), (16, 3), (18, 4)):
         for planted in (True, False):
             if planted:
@@ -646,16 +646,142 @@ def test_both_routes_match_the_lex_kernels_on_seeded_walks():
             else:
                 formula = uniform_kcnf(rng, n, round(3.5 * n), 3)
             engine = PpszEngine(formula, tau)
-            _check_routes(engine.index, counts)
+            check(engine.index)
             for _ in range(2):
                 sigma = list(formula.variables)
                 rng.shuffle(sigma)
                 engine.modify(sigma, [rng.getrandbits(1) for _ in range(n)])
+
+
+def test_both_routes_match_the_lex_kernels_on_seeded_walks():
+    counts = Counter()
+    _seeded_walks(lambda index: _check_routes(index, counts))
     assert all(
         counts[route, outcome] > 0
         for route in ("_one_sided", "_dead_state")
         for outcome in ("hit", "miss")
     ), counts
+
+
+def _reference_cores(index, state, xbit, value, hi, one_sided):
+    """ImplicationIndex._cores as it was before its search skipped the
+    cap filter for clauses that bring no new variable: every extension
+    of the chosen set re-filters the later candidates against the cap."""
+    satisfied = xbit if value else 0
+    frame = min(hi - 1, (state.reach & ~xbit).bit_count())
+    over_x, others = [], []
+    shift = index._n
+    low = (1 << shift) - 1
+    for i, clause_bits in enumerate(state.bits):
+        vbits = clause_bits & low
+        signs = clause_bits >> shift
+        if vbits & xbit:
+            if signs & xbit == satisfied:
+                continue
+            vbits ^= xbit
+            group = over_x
+        else:
+            group = others
+        if vbits.bit_count() <= frame:
+            group.append((i, vbits, signs))
+    clauses = over_x + others
+    space = (1 << (1 << frame)) - 1
+    true_at = [mask & space for mask in index._true_masks[:frame]]
+    false_at = [space ^ mask for mask in true_at]
+    found = []
+
+    def dive(cands, starts, left, union, order, rows, chosen):
+        for k in range(starts):
+            i, vbits, signs = cands[k]
+            local = order
+            new = vbits & ~union
+            while new:
+                bit = new & -new
+                new ^= bit
+                local += (bit,)
+            table = 0
+            for j, bit in enumerate(local):
+                if vbits & bit:
+                    table |= true_at[j] if signs & bit else false_at[j]
+            kept = rows & table
+            if not kept:
+                found.append(chosen + (i,))
+                if one_sided:
+                    return True
+            elif left > 1:
+                grown = union | vbits
+                deeper = [c for c in cands[k + 1:] if (grown | c[1]).bit_count() <= frame]
+                chosen_i = chosen + (i,)
+                if deeper and dive(deeper, len(deeper), left - 1, grown, local, kept, chosen_i):
+                    return True
+        return False
+
+    dive(clauses, len(over_x) if one_sided else len(clauses), hi, 0, (), space, ())
+    return found
+
+
+def test_core_search_matches_the_reference_search_on_seeded_walks():
+    # the sets _cores returns, and their order, on every search of both
+    # kinds that the walks run
+    counts = Counter()
+
+    def check(index):
+        cores = index._cores
+
+        def checked(state, xbit, value, hi, one_sided):
+            got = cores(state, xbit, value, hi, one_sided)
+            assert got == _reference_cores(index, state, xbit, value, hi, one_sided)
+            counts[one_sided, bool(got)] += 1
+            return got
+
+        index._cores = checked
+
+    _seeded_walks(check)
+    assert all(counts[kind, hit] > 0 for kind in (True, False) for hit in (True, False)), counts
+
+
+@pytest.mark.parametrize(
+    "clauses, tau, searched",
+    [
+        # with x = 1 the first three clauses leave (2), (-2, 3), (-2, -3);
+        # (4), (-4, 5), (-4, -5) have no solution but do not mention x
+        (((-1, 2), (-1, -2, 3), (-1, -2, -3), (4,), (-4, 5), (-4, -5)), 4, [3, 3]),
+        # all four clauses over x, and the full 2-CNF over 4 and 5, which
+        # holds no x and would need a fifth clause over x
+        (
+            ((-1, 2, 3), (-1, 2, -3), (-1, -2, 3), (-1, -2, -3))
+            + ((4, 5), (4, -5), (-4, 5), (-4, -5)),
+            4,
+            [3, 3, 4, 4],
+        ),
+        # two chains of five clauses: 2 -> 3 -> 4 -> 5 -> -5 once x = 1,
+        # and 6 -> ... -> -9 without x
+        (
+            ((-1, 2), (-1, -2, 3), (-1, -3, 4), (-1, -4, 5), (-1, -5))
+            + ((6,), (-6, 7), (-7, 8), (-8, 9), (-9,)),
+            5,
+            [3, 3, 4, 4, 5, 5],
+        ),
+    ],
+)
+def test_a_dead_state_searches_each_size_until_one_decides(clauses, tau, searched):
+    # the formula has no solution, so the unrestricted state is dead; its
+    # first hit is at the last size searched, and no larger size is tried
+    formula = F(*clauses)
+    assert count_solutions(formula) == 0
+    index = ImplicationIndex(formula, tau)
+    cores = index._cores
+    caps = []
+
+    def spied(state, xbit, value, hi, one_sided):
+        assert not one_sided
+        caps.append(hi)
+        return cores(state, xbit, value, hi, one_sided)
+
+    index._cores = spied
+    got = index.implied_literal(0, 0, 1)
+    assert got == tau_implied(formula, 1, tau) == -1
+    assert caps == searched
 
 
 def _routed_hits(formula, x, taus):
