@@ -9,12 +9,22 @@ get lonelier and the budget gets smaller. Instance n degenerates to testing
 complete assignments one by one, so the overall search is complete no
 matter how the budgets are set. No residue is built as a formula: a
 restriction is a start state on one engine over the whole formula, so all
-restrictions share its implication memo. A restriction that falsifies a
-clause is skipped, and one that no solution extends is counted, not
-searched, at the cost dppsz reports for a dead start. Only the others run
-dppsz, those of one variable subset on one permutation set over its free
-variables. The default tau follows the residual size; it is the index's
-lookup depth, set each time an instance takes its turn.
+restrictions share its implication memo. The default tau follows the
+residual size; it is the index's lookup depth, set each time an instance
+takes its turn.
+
+An instance is a stream of items, each a range of one variable subset's
+2^i polarity patterns (_instance_runs). Only a pattern that some solution
+extends runs dppsz, as a range of one, and the patterns of one subset
+share one permutation set over its free variables. Every other pattern
+lies in a range of patterns that share a prefix no solution extends, and
+is counted, not searched: skipped if it falsifies a clause, else at the
+cost dppsz reports for a dead start. A range is
+counted with a few big-integer operations, so an unsatisfiable formula
+costs one item per subset, 2^n in all, rather than one per restriction,
+3^n. Under slices, an instance's turn may end inside a range, after the
+dead pattern that brings its spending to the budget; the rest of the
+range waits in the queue with the instance's stream.
 
 construct_good_assignment is the analysis-side counterpart: it exhibits
 one particular fixing of ceil(log2 S) variables that leaves exactly one
@@ -149,37 +159,99 @@ class GeneralResult:
 _SLACK_CLAMP = 128.0
 
 
+def _falsified(clauses, bits: list[int], tables: list[int], space: int) -> int:
+    """The patterns of a variable subset that falsify a clause inside it,
+    as a mask with bit j for pattern j: clauses holds each clause's
+    variable bits and (literal, bit) pairs, bits[t] is the subset's t-th
+    variable bit and tables[t] the patterns that set it true."""
+    table_of = dict(zip(bits, tables))
+    outside = ~sum(bits)
+    falsified = 0
+    for vbits, lit_bits in clauses:
+        if not vbits & outside:
+            rows = space
+            for lit, bit in lit_bits:
+                rows &= space ^ table_of[bit] if lit > 0 else table_of[bit]
+            falsified |= rows
+    return falsified
+
+
 def _instance_runs(
     engine: PpszEngine, i: int, independence: int | None, cutoff: int
-) -> Iterator[tuple[tuple[int, ...], int, DppszResult | None]]:
-    """Every way to fix i variables, as (subset, avals, result): subsets
-    in index order, then polarity counters with the first chosen variable
-    as the top bit, 1 = positive. result is None when the restriction
-    falsifies a clause, no_hit's when no solution extends it, and else
-    dppsz's, on the subset's permutation set, built for its first search."""
+) -> Iterator[tuple[tuple[int, ...], int, int, int, DppszResult]]:
+    """Every way to fix i variables, as (subset, start, stop, falsified,
+    result) items that cover patterns [start, stop) of the subset:
+    subsets in index order, and each subset's 2^i patterns in order.
+    Pattern j sets subset[t] true iff bit i - 1 - t of j is set, so the
+    first chosen variable is the top bit.
+
+    The pattern prefixes are walked depth-first, 0 before 1, carrying the
+    live set (ImplicationIndex.live) down one variable at a time. A prefix
+    that fixes d variables and that no solution extends is one item, the
+    range [p * 2^(i - d), (p + 1) * 2^(i - d)) of its patterns. Each of
+    them either falsifies a clause inside the subset, bit j of falsified,
+    a 2^i-bit mask built at the subset's first such range, or is dead and
+    carries no_hit's result, the same for the whole instance. A live
+    pattern is the range [j, j + 1), falsified 0, with dppsz's result on
+    the subset's permutation set, built for its first search.
+
+    solve_general counts each pattern of a range that falsifies nothing
+    as one dppsz call with the item's result. When a slice ends at such
+    a pattern inside the range, the item's remainder, from the next
+    pattern to stop, is queued with the stream and counted first at the
+    instance's next turn."""
     variables = engine.formula.variables
+    index = engine.index
     bit_of = engine._bit
-    live_of = engine.index.live
+    true_masks = index._true_masks
+    false_masks = index._false_masks
+    root = index.live(0, 0)
     free = len(variables) - i
     dead = no_hit(free, len(hash_family(free, independence)) if free else 0, cutoff)
-    clauses = [(pos | neg, neg) for _, _, pos, neg, _ in engine.index._clauses]
+    clauses = [(pos | neg, lit_bits) for _, lit_bits, pos, neg, _ in index._clauses]
+    space = (1 << (1 << i)) - 1
+    # the patterns that set subset[t] true: the low 2^i bits of position i - 1 - t
+    tables = [mask & space for mask in reversed(true_masks[:i])]
     for combo in itertools.combinations(variables, i):
-        amask = sum(map(bit_of.__getitem__, combo))
-        # only a clause inside the subset can be falsified, by avals & vbits == neg
-        inside = [(vbits, neg) for vbits, neg in clauses if not vbits & ~amask]
-        patterns = [0]
-        for v in combo:
-            patterns = [w for p in patterns for w in (p, p | bit_of[v])]
+        bits = [bit_of[v] for v in combo]
+        amask = sum(bits)
+        falsified = -1  # not built yet
         perms = None
-        for avals in patterns:
-            if inside and any(avals & vbits == neg for vbits, neg in inside):
-                yield combo, avals, None
-            elif not live_of(amask, avals):
-                yield combo, avals, dead
+        stack = [(0, 0, root)]
+        while stack:
+            depth, prefix, live = stack.pop()
+            if not live:
+                if falsified < 0:
+                    falsified = _falsified(clauses, bits, tables, space)
+                shift = i - depth
+                yield combo, prefix << shift, (prefix + 1) << shift, falsified, dead
+            elif depth < i:
+                j = bits[depth].bit_length() - 1
+                stack.append((depth + 1, 2 * prefix + 1, live & true_masks[j]))
+                stack.append((depth + 1, 2 * prefix, live & false_masks[j]))
             else:
                 if perms is None and free:
                     perms = construct_sigma([v for v in variables if v not in combo], independence)
-                yield combo, avals, dppsz(engine, perms, cutoff, start=(amask, avals))
+                avals = sum(bit for t, bit in enumerate(bits) if prefix >> (i - 1 - t) & 1)
+                result = dppsz(engine, perms, cutoff, start=(amask, avals))
+                yield combo, prefix, prefix + 1, 0, result
+
+
+def _nth_one(mask: int, t: int) -> int:
+    """The position of the t-th set bit of mask, counting from 1 at the
+    lowest; mask has at least t set bits."""
+    at = 0
+    while t > 1:
+        half = mask.bit_length() >> 1
+        low = mask & ((1 << half) - 1)
+        count = low.bit_count()
+        if count >= t:
+            mask = low
+        else:
+            t -= count
+            mask >>= half
+            at += half
+    return at + (mask & -mask).bit_length() - 1
 
 
 def solve_general(
@@ -199,7 +271,8 @@ def solve_general(
     engine over the whole formula, at the lookup depth of its residual
     tau, so a solve builds one implication index whatever the depths. A
     restriction that falsifies a clause is skipped, and one that no
-    solution extends is counted without a search.
+    solution extends is counted without a search, a range of them at a
+    time (_instance_runs).
     """
     n = formula.n
     lam = lambda_k(max(formula.k, 3))
@@ -221,30 +294,45 @@ def solve_general(
     engine = PpszEngine(formula, tau)
     tried = skipped = calls = modify = cutoff_hits = 0
     cutoffs = [cutoff_budget(n - i, formula.k, min(slack, _SLACK_CLAMP)) for i in range(n + 1)]
-    queue = deque((i, _instance_runs(engine, i, independence, cutoffs[i])) for i in range(n + 1))
+    # the residual size, and so its tau, is the same for the whole instance
+    taus = [resolve_tau(tau, n - i) for i in range(n + 1)]
+    queue = deque(
+        (i, _instance_runs(engine, i, independence, cutoffs[i]), None) for i in range(n + 1)
+    )
     while queue:
-        i, stream = queue.popleft()
-        # the residual size, and so its tau, is the same for the whole instance
-        engine.index.tau = resolve_tau(tau, n - i)
+        i, stream, rest = queue.popleft()
+        engine.index.tau = taus[i]
         spent = 0
-        for combo, avals, result in stream:
-            tried += 1
-            if result is None:
-                skipped += 1
-                continue
-            calls += 1
-            modify += result.modify_calls
-            cutoff_hits += result.cutoff_hit
+        for combo, start, stop, falsified, result in (
+            stream if rest is None else itertools.chain((rest,), stream)
+        ):
+            # the range's patterns that falsify no clause, each one dppsz run
+            runs_at = ~(falsified >> start) & ((1 << (stop - start)) - 1)
+            runs = runs_at.bit_count()
+            cost = result.modify_calls
+            end = stop
+            if slice_budget is not None and cost and spent + runs * cost >= slice_budget:
+                # the slice ends at the run that brings spent to the budget
+                runs = -(-(slice_budget - spent) // cost)
+                end = start + _nth_one(runs_at, runs) + 1
+            tried += end - start
+            skipped += end - start - runs
+            calls += runs
+            modify += runs * cost
+            cutoff_hits += runs * result.cutoff_hit
             if result.satisfiable:
-                fixed = tuple((v if avals & engine._bit[v] else -v, FIXED) for v in combo)
+                fixed = tuple(
+                    (v if start >> (i - 1 - t) & 1 else -v, FIXED) for t, v in enumerate(combo)
+                )
                 merged = Assignment(fixed + result.solution.entries)
                 if evaluate(formula, merged) is not Evaluation.SATISFIED:
                     raise AssertionError("residual solution does not extend to the formula")
                 return GeneralResult(
                     merged, i, tried, skipped, calls, modify, cutoff_hits, metadata
                 )
-            spent += result.modify_calls
+            spent += runs * cost
             if slice_budget is not None and spent >= slice_budget:
-                queue.append((i, stream))
+                left = (combo, end, stop, falsified, result) if end < stop else None
+                queue.append((i, stream, left))
                 break
     return GeneralResult(None, None, tried, skipped, calls, modify, cutoff_hits, metadata)

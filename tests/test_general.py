@@ -19,7 +19,7 @@ from ppszlab.engine import PpszEngine
 from ppszlab.implication import ImplicationIndex, resolve_tau
 from ppszlab.instances import planted_kcnf, uniform_kcnf, unique_kcnf
 from ppszlab.oracle import UnsatisfiableError, count_solutions
-from ppszlab.permutations import construct_sigma
+from ppszlab.permutations import construct_sigma, hash_family
 from ppszlab.unique import dppsz, no_hit
 
 
@@ -75,11 +75,11 @@ def _runs(monkeypatch, formula, i):
 
     monkeypatch.setattr(general, "dppsz", recorded)
     engine = PpszEngine(formula)
-    literals = [
-        tuple(v if avals & engine._bit[v] else -v for v in combo)
-        for combo, avals, _ in general._instance_runs(engine, i, None, 10)
-    ]
-    assert len(runs) == len(literals)  # every restriction is live
+    literals = []
+    for combo, start, stop, _, _ in general._instance_runs(engine, i, None, 10):
+        assert stop == start + 1  # every restriction is live, one item each
+        literals.append(tuple(v if start >> (i - 1 - t) & 1 else -v for t, v in enumerate(combo)))
+    assert len(runs) == len(literals)
     return list(zip(literals, runs))
 
 
@@ -382,12 +382,13 @@ def test_planted_sixteen_variables_solve_at_instance_one():
     assert result.modify_calls == 51905
 
 
-def _reference_solve(formula, tau, independence, slice_budget, start_state):
+def _reference_solve(formula, tau, independence, slice_budget, start_state, slack=None):
     """The restriction loop with a search for every restriction: per
     restriction, the clause loop, then dppsz on every one that falsifies
     no clause. Returns the solution, its instance and the five counters."""
     n = formula.n
-    slack = default_slack(n)
+    if slack is None:
+        slack = default_slack(n)
     engine = PpszEngine(formula, tau)
     cutoffs = [cutoff_budget(n - i, formula.k, slack) for i in range(n + 1)]
 
@@ -460,6 +461,88 @@ def test_solve_general_matches_a_search_of_every_restriction(start_state):
         outcomes["unconstrained"] += len({abs(l) for c in formula.clauses for l in c}) < formula.n
     keys = ("sat", "unsat", "found past instance 0", "empty clause", "skips", "cutoffs", "unconstrained")
     assert all(outcomes[key] for key in keys), outcomes
+
+
+def test_an_unsatisfiable_solve_settles_each_subset_in_one_item(monkeypatch):
+    # the guard against per-restriction enumeration: no solution extends
+    # the empty prefix, so each subset is one range of all its patterns
+    items, engines = [], []
+    runs = general._instance_runs
+
+    def recorded(engine, i, independence, cutoff):
+        engines.append(engine)
+        for item in runs(engine, i, independence, cutoff):
+            items.append((i, item))
+            yield item
+
+    def refused(*args, **kwargs):
+        raise AssertionError("dppsz ran on an unsatisfiable formula")
+
+    monkeypatch.setattr(general, "_instance_runs", recorded)
+    monkeypatch.setattr(general, "dppsz", refused)
+    formula = uniform_kcnf(random.Random(1), 12, 72, 3)
+    result = solve_general(formula)
+    assert not result.satisfiable and result.restrictions_tried == 3**12
+    assert len(items) == 2**12
+    assert Counter(i for i, _ in items) == {i: math.comb(12, i) for i in range(13)}
+    assert all((start, stop) == (0, 1 << i) for i, (_, start, stop, _, _) in items)
+    assert sum(falsified.bit_count() for _, (_, _, _, falsified, _) in items) == (
+        result.restrictions_skipped
+    )
+    index = engines[0].index
+    assert all(engine.index is index for engine in engines)
+    assert index._state_cache == {} and index._result_cache == {}
+
+
+def _dead_costs(formula, slack):
+    """Each instance's modify-call cost of a restriction that no solution
+    extends."""
+    n = formula.n
+    costs = set()
+    for free in range(1, n + 1):
+        cutoff = cutoff_budget(free, formula.k, slack)
+        costs.add(no_hit(free, len(hash_family(free, None)), cutoff).modify_calls)
+    return costs
+
+
+def _found_past_instance_zero(n):
+    """A satisfiable formula over n variables that a tau = 1 solve at
+    slack 0 finds at instance 2 or later, past skipped restrictions."""
+    if n == 5:
+        return F((1, 2), (-1, 2), (1, -2), (3, 4, 5), (-3, -4), variables=range(1, 6))
+    rng = random.Random({6: 28, 7: 121, 8: 154}[n])
+    return planted_kcnf(rng, n, rng.randint(3 * n, 6 * n), 3)[0]
+
+
+@pytest.mark.parametrize("n", [5, 6, 7, 8])
+def test_slices_split_dead_ranges_as_a_search_of_every_restriction(n, start_state):
+    # an unsatisfiable formula, whose instances are all dead ranges, and
+    # a satisfiable one found past instance 0, where ranges and live
+    # patterns interleave; the budgets around each dead cost end slices
+    # inside a range, at its end and just past it
+    unsat = uniform_kcnf(random.Random(7000 + n), n, 7 * n, 3)
+    cases = [(unsat, None, default_slack(n)), (_found_past_instance_zero(n), 1, 0.0)]
+    for formula, tau, slack in cases:
+        budgets = {1, 2, 3, 7, 50}
+        budgets |= {cost + d for cost in _dead_costs(formula, slack) for d in (-1, 0, 1)}
+        for slice_budget in sorted(budgets - {0}):
+            got = solve_general(formula, tau, slack=slack, slice_budget=slice_budget)
+            if formula is not unsat or slice_budget == 1:
+                # an unsatisfiable solve's counters are totals over all 3^n
+                # restrictions whatever the slices, so one sliced reference
+                # run stands for every budget
+                want, instance, counts = _reference_solve(
+                    formula, tau, None, slice_budget, start_state, slack
+                )
+            assert got.solution == want and got.instance_found == instance, slice_budget
+            assert [
+                got.restrictions_tried, got.restrictions_skipped, got.dppsz_calls,
+                got.modify_calls, got.cutoff_hits,
+            ] == counts, slice_budget
+        if formula is unsat:
+            assert want is None and counts[0] == 3**n
+        else:
+            assert want is not None and instance >= 2 and counts[1] > 0
 
 
 def test_a_dead_restriction_runs_no_search(monkeypatch):
