@@ -23,13 +23,6 @@ pair. A walk reads only the bits its guesses consume, so for one order the
 guessed step one child per bit value, and a leaf reached after `used`
 guesses stands for the 2^(n - used) vectors that share its prefix.
 
-Both guess-tree searches, this count and `dppsz`'s round search, take
-their steps in `PpszEngine._descend`, which runs a node down its 0-branches
-and hands the 1-branches it passes back to the caller. Both read their
-orders off one table, `permutations.distinct_orders`: each distinct order
-once, with its multiplicity, as a rank order that `_descend` reads in
-place through one (variable, bit) cell per rank.
-
 A guess-tree search visits only the branches that some solution extends.
 A node's live set, the solutions that extend its state, is the only place
 a successful leaf can come from. A forced step never shrinks it, since the
@@ -38,19 +31,35 @@ guesses: a guess branches on a value only if some live solution takes it.
 So a leaf needs no satisfaction test: its total state has a nonempty live
 set, and is therefore a solution. The walk itself (`modify`, `replay`,
 the randomized trial) is not pruned, because it reports the profile of a
-failed walk too.
+failed walk too, but it carries its live set from its start state, and
+its success test is the same: a total state with a nonempty live set.
+
+The live set also answers the step rule where solutions disagree. If the
+live solutions take both values of a variable, no clause subset implies
+it, so the step is a guess with no lookup. The count and `_walk` both
+apply this both-live rule. `_descend` does not: it serves only `dppsz`'s
+round search, which at large n would pay the extra ANDs of 2^n-bit live
+sets at every forced step.
+
+The count is a DAG, not a tree per order. A node's count depends only on
+its state and the rest of its order, so orders with a common suffix reach
+the same nodes. `_count` reads the table `permutations.distinct_orders`
+gives (each distinct order once, with its multiplicity, as a rank order
+read in place through one (variable, bit) cell per rank), numbers its
+suffixes as a reversed trie, and counts each (state, suffix) node once.
 
 The two probability routes share one engine per (formula, tau): the last
 one either route built, held in a one-slot cache. Run back to back on one
 formula, as the identity check does, the second route reads every implied
 literal from the memo the first one filled (while the memo stays under
-its limit). The identity route's walk
-along a solution alpha under an order is one root-to-leaf path of that
-order's guess tree, since alpha stays live at every prefix and every
-forced literal agrees with it. A memoized answer is a function of the
-state, the variable and tau alone, so the identity route stays an
-independent check of the guess-tree accounting: it replays each walk
-through `_walk`, not through `_descend`, and adds up its own numerator.
+its limit). The identity route's walk along a solution alpha under an
+order is one root-to-leaf path of that order's guess tree, since alpha
+stays live at every prefix and every forced literal agrees with it, and
+it skips the same both-live steps the count skips. A memoized answer is
+a function of the state, the variable and tau alone, so the identity
+route stays an independent check of the guess-tree accounting: it
+replays each walk through `_walk`, not through the count, and adds up its
+own numerator.
 Every other caller builds its own engine.
 """
 
@@ -89,7 +98,7 @@ class GuessProfile:
 class PpszEngine:
     """Shared machinery for running many Modify walks over one formula:
     one implication index (with its memo and the formula's solution mask,
-    which the walk's success test reads). `modify_calls` counts the
+    from which a walk takes its live set). `modify_calls` counts the
     physical `_walk` calls made on this engine. A guess-tree search
     (`count_successes` or `dppsz`'s) is not a walk and is not counted;
     `dppsz` reports the logical walk count of its scan itself and does not
@@ -120,10 +129,14 @@ class PpszEngine:
         self.modify_calls += 1
         implied = self.index.implied_literal
         bit_of = self._bit
+        halves = self._halves
+        live = self.index.live(amask, avals)
         entries: list[tuple[int, str]] = []
         used = guessed = 0
         for var in sigma:
-            lit = implied(amask, avals, var)
+            ones = live & halves[var][0]
+            # live solutions on both sides: no clause subset implies var
+            lit = 0 if ones and ones != live else implied(amask, avals, var)
             if lit:
                 prov = FORCED
             else:
@@ -141,9 +154,13 @@ class PpszEngine:
             amask |= bit
             if lit > 0:
                 avals |= bit
+                live = ones
+            else:
+                live ^= ones
             entries.append((lit, prov))
         profile = GuessProfile(tuple(entries), guessed, used, exhausted=False)
-        if amask == self._full and (self.index._solutions >> avals) & 1:
+        # a total state that a live solution extends is that solution
+        if amask == self._full and live:
             return avals, profile
         return None, profile
 
@@ -189,31 +206,93 @@ class PpszEngine:
     def count_successes(self, sigma: Sequence[int]) -> int:
         """How many of the 2^n bit vectors make the walk over sigma succeed.
         sigma must list each variable exactly once (ValueError otherwise).
+        The count of a one-order table (`_count`)."""
+        return self._count([(range(len(sigma)), 1)], self._check_order(sigma))
 
-        `_descend` runs each node of the guess tree down once, from a
-        stack of pending 1-branches, and a successful leaf after `used`
-        guesses adds 2^(n - used). Only branches that some solution
-        extends are visited (module docstring), so the count is the full
-        tree's. The stack is explicit: a self-recursive closure would form
-        a reference cycle that keeps the index and its memo alive until
-        the cyclic collector runs.
+    def _count(self, orders: Iterable[tuple[Sequence[int], int]], cells: list) -> int:
+        """The sum over (ranks, multiplicity) pairs of multiplicity times
+        the number of bit vectors whose walk over the order `ranks`, read
+        through `cells`, succeeds.
+
+        The orders' suffixes are numbered as a reversed trie: the suffix
+        ranks[d:] is the step (ranks[d], id of ranks[d + 1:]), and the
+        empty suffix is 0. Ids are multiples of 2^n, so a node's memo key
+        is its suffix id plus its avals; its amask is the complement of
+        the suffix's variables. Only a suffix that two distinct orders end
+        with can be reached twice, so only its nodes are kept (`_tally`).
         """
-        return self._count(range(len(sigma)), self._check_order(sigma))
-
-    def _count(self, ranks: Sequence[int], cells: list) -> int:
-        """count_successes for the order `ranks` read through `cells`."""
         n = self.formula.n
-        live_of = self.index.live
-        successes = 0
-        pending = [(0, 0, 0, 0, 0)]
-        while pending:
-            node = pending.pop()
-            live = live_of(node[1], node[2])  # empty only at an unsatisfiable root
-            if live:
-                used = self._descend(ranks, cells, node, live, pending, n)
-                if used >= 0:
-                    successes += 1 << (n - used)
-        return successes
+        live = self.index.live(0, 0)
+        if not live:
+            return 0
+        full = self._full
+        halves = self._halves
+        steps: dict[int, list] = {}  # suffix id -> [variable, bit, ones, amask, next id, shared]
+        ids: dict[tuple[int, int], int] = {}
+        roots = []
+        for ranks, multiplicity in orders:
+            sid = free = 0
+            for rank in reversed(ranks):
+                var, bit = cells[rank]
+                free |= bit
+                step = ids.setdefault((rank, sid), (len(ids) + 1) << n)
+                if step in steps:
+                    steps[step][5] = True
+                else:
+                    steps[step] = [var, bit, halves[var][0], full ^ free, sid, False]
+                sid = step
+            roots.append((sid, multiplicity))
+        memo: dict[int, int] = {}
+        tally = self._tally
+        return sum(multiplicity * tally(sid, 0, live, steps, memo) for sid, multiplicity in roots)
+
+    def _tally(self, sid: int, avals: int, live: int, steps: dict, memo: dict) -> int:
+        """The count f of a guess-tree node: the state avals with the rest
+        of the order, suffix sid, still to walk, and live, the node's live
+        set, not empty. f is the sum over the node's successful leaves of
+        2^(steps left - guesses below the node), so f = 2 f(child) at a
+        forced step, f = f(child 0) + f(child 1) at a guess, and a root's f
+        is its order's count.
+
+        A step whose live solutions take both values of its variable is a
+        guess with no lookup: no clause subset implies the variable. Only
+        that guess has two live children, and it recurses. At any other
+        step every live solution takes one value, so only that child is
+        live, with the same live set, and the lookup decides only whether
+        the step doubles. Those steps run in a loop, and their counts are
+        filled in on the way back. A total state with a live set is a
+        solution: its f is 1. The recursion is a method's: a nested
+        function that calls itself would form a reference cycle that keeps
+        the index and its memo alive until the cyclic collector runs."""
+        implied = self.index.implied_literal
+        chain = []  # (memo key or -1, looked-up literal) of each one-way step
+        while sid:
+            var, bit, ones, amask, step, shared = steps[sid]
+            key = -1
+            if shared:
+                key = sid | avals
+                f = memo.get(key)
+                if f is not None:
+                    break
+            one = live & ones
+            if one and one != live:
+                f = self._tally(step, avals | bit, one, steps, memo)
+                f += self._tally(step, avals, live ^ one, steps, memo)
+                if shared:
+                    memo[key] = f
+                break
+            chain.append((key, implied(amask, avals, var)))
+            if one:
+                avals |= bit
+            sid = step
+        else:
+            f = 1
+        for key, lit in reversed(chain):
+            if lit:
+                f <<= 1
+            if key >= 0:
+                memo[key] = f
+        return f
 
     def _check_order(self, sigma: Sequence[int], amask: int = 0) -> list[tuple[int, int]]:
         """The (variable, bit) pair of each step of sigma; ValueError unless
@@ -264,13 +343,25 @@ def _probability_engine(formula: Formula, tau: int | None) -> PpszEngine:
     return PpszEngine(formula, tau)
 
 
+def _budgeted_pairs(size: int, n: int) -> int:
+    """The (order, bit vector) pairs of size orders over n variables,
+    size x 2^n; EnumerationBudgetError past DEFAULT_EVALUATION_BUDGET."""
+    total = size << n
+    if total > DEFAULT_EVALUATION_BUDGET:
+        raise EnumerationBudgetError(
+            f"{size} orders x 2^{n} bit vectors exceed the budget of {DEFAULT_EVALUATION_BUDGET}"
+        )
+    return total
+
+
 def success_probability_exact(formula: Formula, perms, tau: int | None = None) -> Fraction:
     """Pr[a run over uniform (order, bits) returns a solution]. Exact
     rational arithmetic.
 
-    Each distinct order of the table `distinct_orders` reads off perms is
-    counted once (`count_successes`), which accounts for all 2^n bit
-    vectors at once, and weighted by its multiplicity. The budget,
+    The table `distinct_orders` reads off perms is counted in one pass
+    (`PpszEngine._count`), which accounts for all 2^n bit vectors of each
+    distinct order, weighs each order by its multiplicity, and counts a
+    (state, remaining order) node that several orders share once. The budget,
     DEFAULT_EVALUATION_BUDGET, still counts (order, bit vector) pairs,
     |perms| x 2^n, not physical walks, and is checked before an engine is
     built. The engine is the one both routes share for (formula, tau)
@@ -278,16 +369,9 @@ def success_probability_exact(formula: Formula, perms, tau: int | None = None) -
     ValueError.
     """
     size, variables, orders = distinct_orders(perms)
-    n = formula.n
-    total = size << n
-    if total > DEFAULT_EVALUATION_BUDGET:
-        raise EnumerationBudgetError(
-            f"{size} orders x 2^{n} bit vectors exceed the budget of {DEFAULT_EVALUATION_BUDGET}"
-        )
+    total = _budgeted_pairs(size, formula.n)
     engine = _probability_engine(formula, tau)
-    cells = engine._check_order(variables)
-    successes = sum(count * engine._count(ranks, cells) for ranks, count in orders.values())
-    return Fraction(successes, total)
+    return Fraction(engine._count(orders.values(), engine._check_order(variables)), total)
 
 
 def success_probability_via_identity(
@@ -300,15 +384,17 @@ def success_probability_via_identity(
     order of the same table replayed once and weighted by its
     multiplicity. Exact rationals; must agree with the guess-tree route to
     the last bit. An order that skips or repeats a variable raises
-    ValueError.
+    ValueError. A family past the guess-tree route's budget raises
+    EnumerationBudgetError before an engine is built.
 
     The engine, and so its memo of implied literals, is the one the
     guess-tree route uses for (formula, tau) (module docstring). The
     check stays independent: each replay is a `_walk` with the solution's
     values as guesses, so its guess count comes from the solver's own
-    step loop, not from the guess-tree descent it is compared with."""
+    step loop, not from the guess-tree count it is compared with."""
     size, variables, orders = distinct_orders(perms)
     n = formula.n
+    total = _budgeted_pairs(size, n)
     engine = _probability_engine(formula, tau)
     cells = engine._check_order(variables)
     sigmas = [(tuple(variables[r] for r in ranks), count) for ranks, count in orders.values()]
@@ -318,7 +404,7 @@ def success_probability_via_identity(
         for sigma, multiplicity in sigmas:
             _, profile = engine._walk(sigma, None, 0, alpha)
             numerator += multiplicity << (n - profile.guessed)
-    return Fraction(numerator, size << n)
+    return Fraction(numerator, total)
 
 
 @dataclass(frozen=True)

@@ -208,7 +208,12 @@ def _instance_runs(
     root = index.live(0, 0)
     free = len(variables) - i
     dead = no_hit(free, len(hash_family(free, independence)) if free else 0, cutoff)
-    clauses = [(pos | neg, lit_bits) for _, lit_bits, pos, neg, _ in index._clauses]
+    # a clause over more than i variables lies inside no subset of i
+    clauses = [
+        (pos | neg, lit_bits)
+        for _, lit_bits, pos, neg, _ in index._clauses
+        if (pos | neg).bit_count() <= i
+    ]
     space = (1 << (1 << i)) - 1
     # the patterns that set subset[t] true: the low 2^i bits of position i - 1 - t
     tables = [mask & space for mask in reversed(true_masks[:i])]

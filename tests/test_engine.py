@@ -2,13 +2,15 @@ import gc
 import math
 import random
 import weakref
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
-from ppszlab.cnf import GUESSED, Evaluation, Formula, evaluate
+from ppszlab.cnf import FORCED, GUESSED, Evaluation, Formula, evaluate
 from ppszlab.engine import (
     EnumerationBudgetError,
+    GuessProfile,
     PpszEngine,
     _probability_engine,
     ppsz_randomized,
@@ -18,7 +20,7 @@ from ppszlab.engine import (
 from ppszlab.implication import ImplicationIndex
 from ppszlab.instances import planted_kcnf, unique_kcnf, uniform_kcnf, with_free_variables
 from ppszlab.oracle import count_solutions, enumerate_solutions
-from ppszlab.permutations import construct_sigma
+from ppszlab.permutations import construct_sigma, distinct_orders
 from ppszlab.suites import identity_corpus
 from ppszlab.unique import dppsz
 
@@ -105,17 +107,173 @@ def test_exact_equals_identity_on_random_instances():
         assert 0 < exact <= 1
 
 
+def _reference_walk(eng, sigma, beta_value, beta_length, alpha, amask=0, avals=0):
+    """Reference walk: `_walk` as it ran before it carried a live set.
+    Every step asks the index, and the success test reads the solution
+    bitmap."""
+    implied = eng.index.implied_literal
+    entries = []
+    used = guessed = 0
+    for var in sigma:
+        lit = implied(amask, avals, var)
+        if lit:
+            prov = FORCED
+        else:
+            if alpha is not None:
+                positive = alpha[var]
+            else:
+                if used == beta_length:
+                    return None, GuessProfile(tuple(entries), guessed, used, exhausted=True)
+                positive = (beta_value >> (beta_length - 1 - used)) & 1
+                used += 1
+            lit = var if positive else -var
+            prov = GUESSED
+            guessed += 1
+        bit = eng._bit[var]
+        amask |= bit
+        if lit > 0:
+            avals |= bit
+        entries.append((lit, prov))
+    profile = GuessProfile(tuple(entries), guessed, used, exhausted=False)
+    if amask == eng._full and (eng.index._solutions >> avals) & 1:
+        return avals, profile
+    return None, profile
+
+
 def _exhaustive_probability(formula, orders, tau=None):
-    """Reference route: one full `_walk` per (order, bit vector) pair."""
+    """Reference route: one full reference walk per (order, bit vector)
+    pair."""
     eng = PpszEngine(formula, tau)
     n = formula.n
     successes = 0
     for sigma in orders:
         for value in range(1 << n):
-            avals, _ = eng._walk(tuple(sigma), value, n, None)
+            avals, _ = _reference_walk(eng, tuple(sigma), value, n, None)
             if avals is not None:
                 successes += 1
     return Fraction(successes, len(orders) << n)
+
+
+def _counted_lookups(eng):
+    """Route the engine's implication lookups through a counter; returns
+    the list that gets one entry per lookup."""
+    lookups = []
+    implied = eng.index.implied_literal
+    eng.index.implied_literal = lambda *args: lookups.append(args) or implied(*args)
+    return lookups
+
+
+def _many_solutions(rng, n):
+    """A satisfiable 3-CNF over n variables with few clauses, so most
+    states have live solutions on both sides of most variables."""
+    return _draw(rng, n, n, min(3, n), True)
+
+
+def test_walk_matches_the_reference_walk(start_state):
+    # modify with random bits (solved, dead and exhausted walks), replays
+    # along solutions, and walks from start states, live or dead
+    rng = random.Random(811)
+    kinds = Counter()
+    for n in range(2, 10):
+        for tau in (1, 2, 3, 4):
+            formula = _many_solutions(rng, n)
+            eng, ref = PpszEngine(formula, tau), PpszEngine(formula, tau)
+            lookups = _counted_lookups(eng)
+            perms = construct_sigma(formula.variables)
+            cases = []
+            for _ in range(10):
+                length = rng.randrange(n + 1)
+                sigma = perms.permutation(rng.randrange(len(perms)))
+                cases.append((sigma, rng.getrandbits(length), length, None))
+            for solution in enumerate_solutions(formula)[:6]:
+                sigma = perms.permutation(rng.randrange(len(perms)))
+                cases.append((sigma, None, 0, {abs(lit): lit > 0 for lit in solution}))
+            for _ in range(6):
+                fixed = rng.sample(formula.variables, rng.randrange(1, n + 1))
+                literals = [v if rng.getrandbits(1) else -v for v in fixed]
+                start = start_state(eng, literals)
+                if start is None:
+                    continue
+                sigma = [v for v in formula.variables if v not in fixed]
+                rng.shuffle(sigma)
+                kinds["live start" if eng.index.live(*start) else "dead start"] += 1
+                cases.append((tuple(sigma), rng.getrandbits(len(sigma)), len(sigma), None, *start))
+            for case in cases:
+                lookups.clear()
+                got = eng._walk(*case)
+                assert got == _reference_walk(ref, *case), (formula.clauses, case)
+                avals, profile = got
+                kinds["both-live steps"] += len(profile.entries) - len(lookups)
+                if case[3] is not None:
+                    kinds["replay"] += 1
+                elif avals is not None:
+                    kinds["solved"] += 1
+                else:
+                    kinds["exhausted" if profile.exhausted else "dead"] += 1
+    keys = ("solved", "dead", "exhausted", "replay", "live start", "dead start", "both-live steps")
+    assert all(kinds[key] for key in keys), kinds
+
+
+def _reference_count(eng, sigma):
+    """Reference count: the per-order guess-tree descent that the exact
+    route ran before it shared suffixes, every node run down from a stack
+    of pending 1-branches by `_descend`."""
+    cells = eng._check_order(sigma)
+    ranks = range(len(sigma))
+    n = eng.formula.n
+    successes = 0
+    pending = [(0, 0, 0, 0, 0)]
+    while pending:
+        node = pending.pop()
+        live = eng.index.live(node[1], node[2])
+        if live:
+            used = eng._descend(ranks, cells, node, live, pending, n)
+            if used >= 0:
+                successes += 1 << (n - used)
+    return successes
+
+
+@pytest.mark.parametrize("tau", [1, 2, 3, 4])
+def test_the_shared_count_matches_the_per_order_count(tau):
+    # full hash families and plain lists with duplicates; both kinds of
+    # formula, many solutions and none
+    rng = random.Random(900 + tau)
+    for n in (6, 7, 8):
+        for formula in (_many_solutions(rng, n), _draw(rng, n, 6 * n, 3, False)):
+            ref = PpszEngine(formula, tau)
+            family = construct_sigma(formula.variables)
+            size, _, orders = distinct_orders(family)
+            materialized = family.materialized()
+            want = sum(
+                multiplicity * _reference_count(ref, materialized[first])
+                for first, (_, multiplicity) in orders.items()
+            )
+            assert success_probability_exact(formula, family, tau) == Fraction(want, size << n)
+            plain = [materialized[rng.randrange(size)] for _ in range(9)]
+            plain += plain[:4] + [plain[0]] * 3
+            want = sum(_reference_count(ref, sigma) for sigma in plain)
+            assert success_probability_exact(formula, plain, tau) == Fraction(want, len(plain) << n)
+            eng = PpszEngine(formula, tau)
+            for sigma in plain[:3]:
+                assert eng.count_successes(sigma) == _reference_count(ref, sigma)
+
+
+def test_orders_with_a_common_suffix_share_its_nodes():
+    # with one solution a node's state is fixed by its suffix, so the
+    # count asks once per distinct suffix of the family, where the
+    # per-order count asked n times per distinct order
+    rng = random.Random(907)
+    for n in (5, 6, 7, 8):
+        formula, alpha = unique_kcnf(rng, n, 3)
+        family = construct_sigma(formula.variables)
+        _, variables, orders = distinct_orders(family)
+        suffixes = {ranks[d:] for ranks, _ in orders.values() for d in range(n)}
+        eng = PpszEngine(formula)
+        lookups = _counted_lookups(eng)
+        count = eng._count(orders.values(), eng._check_order(variables))
+        assert len(lookups) == len(suffixes) < n * len(orders)
+        replays = [eng.replay(alpha, family.permutation(first)).guessed for first in orders]
+        assert count == sum(m << (n - g) for (_, m), g in zip(orders.values(), replays))
 
 
 def _draw(rng, n, m, k, satisfiable):
@@ -158,8 +316,9 @@ def test_guess_tree_count_matches_the_exhaustive_loop(tau):
 
 @pytest.fixture
 def index_work(monkeypatch):
-    """Counts of ImplicationIndex builds and sweeps made from here on."""
-    counts = {"builds": 0, "sweeps": 0}
+    """Counts of ImplicationIndex builds, sweeps and lookups made from
+    here on."""
+    counts = {"builds": 0, "sweeps": 0, "lookups": 0}
 
     def counted(name, original):
         def wrapper(*args, **kwargs):
@@ -170,17 +329,26 @@ def index_work(monkeypatch):
 
     monkeypatch.setattr(ImplicationIndex, "__init__", counted("builds", ImplicationIndex.__init__))
     monkeypatch.setattr(ImplicationIndex, "_sweep", counted("sweeps", ImplicationIndex._sweep))
+    monkeypatch.setattr(
+        ImplicationIndex, "implied_literal", counted("lookups", ImplicationIndex.implied_literal)
+    )
     return counts
 
 
 def test_the_identity_route_reads_the_exact_routes_engine(index_work):
-    formula, _ = unique_kcnf(random.Random(251), 7, 3)
-    perms = construct_sigma(formula.variables)
-    exact = success_probability_exact(formula, perms)
-    assert index_work["builds"] == 1 and index_work["sweeps"] > 0
-    index_work.update(builds=0, sweeps=0)
-    assert success_probability_via_identity(formula, perms) == exact
-    assert index_work == {"builds": 0, "sweeps": 0}
+    # one solution, where every step is looked up, and many, where the
+    # steps that live solutions take both ways are not
+    rng = random.Random(251)
+    for formula, both_live in ((unique_kcnf(rng, 7, 3)[0], False), (_many_solutions(rng, 7), True)):
+        perms = construct_sigma(formula.variables)
+        index_work.update(builds=0, sweeps=0, lookups=0)
+        exact = success_probability_exact(formula, perms)
+        assert index_work["builds"] == 1 and index_work["sweeps"] > 0
+        index_work.update(builds=0, sweeps=0, lookups=0)
+        assert success_probability_via_identity(formula, perms) == exact
+        assert index_work["builds"] == 0 and index_work["sweeps"] == 0
+        walks = len(enumerate_solutions(formula)) * len(distinct_orders(perms)[2])
+        assert (index_work["lookups"] < formula.n * walks) == both_live
 
 
 def test_another_formula_or_tau_builds_its_own_engine(index_work):
@@ -379,11 +547,14 @@ def test_randomized_trial_rejects_an_order_that_is_not_a_permutation(bad):
         ppsz_randomized(formula, [bad])
 
 
-def test_enumeration_budget_is_enforced():
-    # 9 orders x 2^20 bit vectors is past the budget of 2^23
+def test_enumeration_budget_is_enforced(index_work):
+    # 9 orders x 2^20 bit vectors is past the budget of 2^23, for either
+    # route, and no engine is built
     formula = F((1, 2, 3), variables=tuple(range(1, 21)))
-    with pytest.raises(EnumerationBudgetError):
-        success_probability_exact(formula, [formula.variables] * 9)
+    for route in (success_probability_exact, success_probability_via_identity):
+        with pytest.raises(EnumerationBudgetError):
+            route(formula, [formula.variables] * 9)
+    assert index_work["builds"] == 0
 
 
 def test_randomized_runs_are_deterministic_per_seed():

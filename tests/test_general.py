@@ -494,6 +494,47 @@ def test_an_unsatisfiable_solve_settles_each_subset_in_one_item(monkeypatch):
     assert index._state_cache == {} and index._result_cache == {}
 
 
+def _falsified_by_every_clause(formula, combo):
+    """Reference: the patterns of combo (bit i - 1 - t of pattern j sets
+    combo[t]) that falsify some clause of the formula, each clause tested
+    whatever its width."""
+    i = len(combo)
+    mask = 0
+    for j in range(1 << i):
+        value = {v: (j >> (i - 1 - t)) & 1 == 1 for t, v in enumerate(combo)}
+        if any(
+            all(abs(lit) in value and value[abs(lit)] != (lit > 0) for lit in clause)
+            for clause in formula.clauses
+        ):
+            mask |= 1 << j
+    return mask
+
+
+def test_falsified_patterns_match_a_scan_of_every_clause():
+    # mixed widths 1..5, so at small i most clauses are too wide for any
+    # subset and at large i few are
+    rng = random.Random(3101)
+    widths = Counter()
+    for n in (4, 5, 6):
+        for _ in range(6):
+            clauses = []
+            for _ in range(rng.randrange(n, 4 * n)):
+                chosen = rng.sample(range(1, n + 1), rng.randint(1, min(5, n)))
+                clauses.append(tuple(v if rng.getrandbits(1) else -v for v in chosen))
+            formula = F(*clauses, variables=range(1, n + 1))
+            engine = PpszEngine(formula)
+            for i in range(n + 1):
+                for combo, start, _, falsified, _ in general._instance_runs(engine, i, None, 10):
+                    bits = [engine._bit[v] for v in combo]
+                    avals = sum(bit for t, bit in enumerate(bits) if start >> (i - 1 - t) & 1)
+                    # a dead range carries the subset's mask, a live one 0
+                    if not engine.index.live(sum(bits), avals):
+                        want = _falsified_by_every_clause(formula, combo)
+                        assert falsified == want, (clauses, combo)
+                        widths[max(len(c) for c in formula.clauses) > i] += 1
+    assert widths[True] and widths[False]
+
+
 def _dead_costs(formula, slack):
     """Each instance's modify-call cost of a restriction that no solution
     extends."""
