@@ -97,8 +97,8 @@ class GuessProfile:
 
 class PpszEngine:
     """Shared machinery for running many Modify walks over one formula:
-    one implication index (with its memo and the formula's solution mask,
-    from which a walk takes its live set). `modify_calls` counts the
+    one implication index, with its memo and the live sets a walk carries
+    and splits (`ImplicationIndex.live`, `.halves`). `modify_calls` counts the
     physical `_walk` calls made on this engine. A guess-tree search
     (`count_successes` or `dppsz`'s) is not a walk and is not counted;
     `dppsz` reports the logical walk count of its scan itself and does not
@@ -108,12 +108,6 @@ class PpszEngine:
         self.formula = formula
         self.index = ImplicationIndex(formula, tau)
         self._bit = {v: 1 << i for i, v in enumerate(formula.variables)}
-        # per variable, the total assignments setting it to 1 and to 0: a
-        # guess splits a live set with them
-        self._halves = {
-            v: (self.index._true_masks[i], self.index._false_masks[i])
-            for i, v in enumerate(formula.variables)
-        }
         self._full = (1 << formula.n) - 1
         self.modify_calls = 0
 
@@ -129,7 +123,7 @@ class PpszEngine:
         self.modify_calls += 1
         implied = self.index.implied_literal
         bit_of = self._bit
-        halves = self._halves
+        halves = self.index.halves
         live = self.index.live(amask, avals)
         entries: list[tuple[int, str]] = []
         used = guessed = 0
@@ -179,7 +173,7 @@ class PpszEngine:
         and goes on with 0 while one sets it to 0.
         """
         implied = self.index.implied_literal
-        halves = self._halves
+        halves = self.index.halves
         position, amask, avals, used, prefix = node
         for position in range(position, len(ranks)):
             var, bit = cells[ranks[position]]
@@ -226,7 +220,7 @@ class PpszEngine:
         if not live:
             return 0
         full = self._full
-        halves = self._halves
+        halves = self.index.halves
         steps: dict[int, list] = {}  # suffix id -> [variable, bit, ones, amask, next id, shared]
         ids: dict[tuple[int, int], int] = {}
         roots = []

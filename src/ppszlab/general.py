@@ -42,7 +42,7 @@ from typing import Iterator
 from .analysis import lambda_k
 from .cnf import FIXED, Assignment, Evaluation, Formula, evaluate, restrict
 from .engine import PpszEngine
-from .implication import resolve_tau
+from .implication import _polarity_masks, resolve_tau
 from .oracle import UnsatisfiableError, count_solutions, is_satisfiable
 from .permutations import construct_sigma, hash_family
 from .unique import DppszResult, dppsz, no_hit
@@ -159,25 +159,33 @@ class GeneralResult:
 _SLACK_CLAMP = 128.0
 
 
-def _falsified(clauses, bits: list[int], tables: list[int], space: int) -> int:
+def _falsified(clauses, combo: tuple[int, ...], amask: int, tables, space: int) -> int:
     """The patterns of a variable subset that falsify a clause inside it,
     as a mask with bit j for pattern j: clauses holds each clause's
-    variable bits and (literal, bit) pairs, bits[t] is the subset's t-th
-    variable bit and tables[t] the patterns that set it true."""
-    table_of = dict(zip(bits, tables))
-    outside = ~sum(bits)
+    variable bits and literals (_clause_bits), amask the bits of the
+    subset's variables, and tables[t] the patterns that set combo[t] true."""
+    table_of = dict(zip(combo, tables))
+    outside = ~amask
     falsified = 0
-    for vbits, lit_bits in clauses:
+    for vbits, clause in clauses:
         if not vbits & outside:
             rows = space
-            for lit, bit in lit_bits:
-                rows &= space ^ table_of[bit] if lit > 0 else table_of[bit]
+            for lit in clause:
+                rows &= space ^ table_of[lit] if lit > 0 else table_of[-lit]
             falsified |= rows
     return falsified
 
 
+def _clause_bits(engine: PpszEngine) -> list[tuple[int, tuple[int, ...]]]:
+    """Each clause of the engine's formula with the bits of its variables."""
+    bit_of = {}
+    for var, bit in engine._bit.items():
+        bit_of[var] = bit_of[-var] = bit
+    return [(sum(map(bit_of.__getitem__, clause)), clause) for clause in engine.formula.clauses]
+
+
 def _instance_runs(
-    engine: PpszEngine, i: int, independence: int | None, cutoff: int
+    engine: PpszEngine, clauses: list, i: int, independence: int | None, cutoff: int
 ) -> Iterator[tuple[tuple[int, ...], int, int, int, DppszResult]]:
     """Every way to fix i variables, as (subset, start, stop, falsified,
     result) items that cover patterns [start, stop) of the subset:
@@ -186,11 +194,12 @@ def _instance_runs(
     first chosen variable is the top bit.
 
     The pattern prefixes are walked depth-first, 0 before 1, carrying the
-    live set (ImplicationIndex.live) down one variable at a time. A prefix
-    that fixes d variables and that no solution extends is one item, the
-    range [p * 2^(i - d), (p + 1) * 2^(i - d)) of its patterns. Each of
-    them either falsifies a clause inside the subset, bit j of falsified,
-    a 2^i-bit mask built at the subset's first such range, or is dead and
+    live set (ImplicationIndex.live) down one variable at a time, split by
+    its halves (ImplicationIndex.halves). A prefix that fixes d variables
+    and that no solution extends is one item, the range
+    [p * 2^(i - d), (p + 1) * 2^(i - d)) of its patterns. Each of them
+    either falsifies a clause inside the subset, bit j of falsified, a
+    2^i-bit mask built at the subset's first such range, or is dead and
     carries no_hit's result, the same for the whole instance. A live
     pattern is the range [j, j + 1), falsified 0, with dppsz's result on
     the subset's permutation set, built for its first search.
@@ -201,22 +210,17 @@ def _instance_runs(
     pattern to stop, is queued with the stream and counted first at the
     instance's next turn."""
     variables = engine.formula.variables
-    index = engine.index
     bit_of = engine._bit
-    true_masks = index._true_masks
-    false_masks = index._false_masks
-    root = index.live(0, 0)
+    halves = engine.index.halves
+    root = engine.index.live(0, 0)
     free = len(variables) - i
     dead = no_hit(free, len(hash_family(free, independence)) if free else 0, cutoff)
-    # a clause over more than i variables lies inside no subset of i
-    clauses = [
-        (pos | neg, lit_bits)
-        for _, lit_bits, pos, neg, _ in index._clauses
-        if (pos | neg).bit_count() <= i
-    ]
+    # clauses is _clause_bits(engine); one of more than i literals lies
+    # inside no subset of i variables
+    inside = [clause for clause in clauses if len(clause[1]) <= i]
     space = (1 << (1 << i)) - 1
-    # the patterns that set subset[t] true: the low 2^i bits of position i - 1 - t
-    tables = [mask & space for mask in reversed(true_masks[:i])]
+    # the patterns that set subset[t] true: the truth table of position i - 1 - t
+    tables = _polarity_masks(i)[::-1]
     for combo in itertools.combinations(variables, i):
         bits = [bit_of[v] for v in combo]
         amask = sum(bits)
@@ -227,13 +231,13 @@ def _instance_runs(
             depth, prefix, live = stack.pop()
             if not live:
                 if falsified < 0:
-                    falsified = _falsified(clauses, bits, tables, space)
+                    falsified = _falsified(inside, combo, amask, tables, space)
                 shift = i - depth
                 yield combo, prefix << shift, (prefix + 1) << shift, falsified, dead
             elif depth < i:
-                j = bits[depth].bit_length() - 1
-                stack.append((depth + 1, 2 * prefix + 1, live & true_masks[j]))
-                stack.append((depth + 1, 2 * prefix, live & false_masks[j]))
+                ones, zeros = halves[combo[depth]]
+                stack.append((depth + 1, 2 * prefix + 1, live & ones))
+                stack.append((depth + 1, 2 * prefix, live & zeros))
             else:
                 if perms is None and free:
                     perms = construct_sigma([v for v in variables if v not in combo], independence)
@@ -301,9 +305,9 @@ def solve_general(
     cutoffs = [cutoff_budget(n - i, formula.k, min(slack, _SLACK_CLAMP)) for i in range(n + 1)]
     # the residual size, and so its tau, is the same for the whole instance
     taus = [resolve_tau(tau, n - i) for i in range(n + 1)]
-    queue = deque(
-        (i, _instance_runs(engine, i, independence, cutoffs[i]), None) for i in range(n + 1)
-    )
+    clauses = _clause_bits(engine)
+    streams = [_instance_runs(engine, clauses, i, independence, cutoffs[i]) for i in range(n + 1)]
+    queue = deque((i, stream, None) for i, stream in enumerate(streams))
     while queue:
         i, stream, rest = queue.popleft()
         engine.index.tau = taus[i]

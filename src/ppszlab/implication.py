@@ -41,6 +41,7 @@ that holds a hit ends the search (ImplicationIndex._dead_state).
 
 from __future__ import annotations
 
+from functools import lru_cache
 from itertools import combinations
 from typing import Iterable, Sequence
 
@@ -113,10 +114,11 @@ def tau_implied(formula: Formula, x: int, tau: int | None = None) -> int | None:
     return None
 
 
-def _polarity_masks(n: int) -> list[int]:
-    """For each variable position j, the mask of all 2^n total assignments
-    in which that variable is true (assignment s has variable j true iff
-    bit j of s is set; the mask has bit s set for each such s)."""
+@lru_cache(maxsize=8)
+def _polarity_masks(n: int) -> tuple[int, ...]:
+    """The truth table of each position j < n over n positions: the mask of
+    the 2^n assignments that set j true (assignment s sets j true iff bit j
+    of s is set). Cached and shared by its callers, so a tuple."""
     masks = []
     space = 1 << n
     for j in range(n):
@@ -128,7 +130,7 @@ def _polarity_masks(n: int) -> list[int]:
             mask |= mask << width
             width *= 2
         masks.append(mask & ((1 << space) - 1))
-    return masks
+    return tuple(masks)
 
 
 class _State:
@@ -235,6 +237,9 @@ class ImplicationIndex:
     `_dead_state`, which takes the cores on both sides size by size and
     from them the first deciding subset in canonical order, vacuous or
     not.
+
+    Only this class knows how a live set is laid out. Callers test one for
+    emptiness and split it at v with `&` by `halves[v]`, (ones, zeros).
     """
 
     VARIABLE_LIMIT = 20  # the live masks hold up to 2^n bits
@@ -261,19 +266,16 @@ class ImplicationIndex:
             neg = sum(bit for lit, bit in lit_bits if lit < 0)
             clauses.append((clause, lit_bits, pos, neg, pos | neg | pos << n))
         self._clauses = clauses
-        # masks for n variables; their low 2^f bits are the masks for f
-        # variables, which is how a core's truth tables read them
         space = (1 << (1 << n)) - 1
-        true_masks = _polarity_masks(n)
-        self._true_masks = true_masks
+        self._true_masks = true_masks = _polarity_masks(n)
         self._false_masks = [space & ~m for m in true_masks]
+        self.halves = {v: (true_masks[j], self._false_masks[j]) for v, j in self._pos_of.items()}
         # the total assignments that satisfy every clause
         solutions = space
         for clause in formula.clauses:
             satisfying = 0
             for lit in clause:
-                j = self._pos_of[abs(lit)]
-                satisfying |= true_masks[j] if lit > 0 else self._false_masks[j]
+                satisfying |= self.halves[abs(lit)][lit < 0]  # zeros for a negative literal
             solutions &= satisfying
         self._solutions = solutions
         self._state_cache: dict[tuple[int, int], _State] = {}
@@ -506,7 +508,7 @@ class ImplicationIndex:
         clauses = over_x + others
         starts = len(over_x) if one_sided else len(clauses)
         space = (1 << (1 << frame)) - 1
-        true_at = [mask & space for mask in self._true_masks[:frame]]
+        true_at = _polarity_masks(frame)
         false_at = [space ^ mask for mask in true_at]
         found: list[tuple[int, ...]] = []
 

@@ -370,7 +370,7 @@ def test_live_screen_matches_the_reference():
                 index.tau = tau
                 for var in residual.variables:
                     j = formula.variables.index(var)
-                    ones = live & index._true_masks[j]
+                    ones = live & index.halves[var][0]
                     kind = "dead" if not live else "both" if ones and ones != live else "one"
                     want = tau_implied(residual, var, tau) or 0
                     assert index.implied_literal(amask, avals, var) == want, (literals, var, tau)
@@ -686,7 +686,7 @@ def _reference_cores(index, state, xbit, value, hi, one_sided):
             group.append((i, vbits, signs))
     clauses = over_x + others
     space = (1 << (1 << frame)) - 1
-    true_at = [mask & space for mask in index._true_masks[:frame]]
+    true_at = _polarity_masks(frame)
     false_at = [space ^ mask for mask in true_at]
     found = []
 
@@ -817,3 +817,30 @@ def test_one_sided_set_whose_weights_sum_exactly_to_the_bound(sign):
     x = 4 * sign
     formula = F((1, x), (-1, 2, x), (-1, -2, 3), (-1, -2, -3))
     assert _routed_hits(formula, 4, (2, 3, 4)) == [(0, 0, 0), (0, 0, 1), (x, x, 1)]
+
+
+def _satisfies_by_clauses(formula, avals):
+    """Reference: every clause has a literal that avals makes true."""
+    value = {v: (avals >> i) & 1 == 1 for i, v in enumerate(formula.variables)}
+    return all(any(value[abs(lit)] == (lit > 0) for lit in clause) for clause in formula.clauses)
+
+
+def test_solution_bitmap_matches_the_clause_loop():
+    rng = random.Random(101)
+    formulas = [F(), F(()), F((), (1, 2)), F((1,), (-2, 5), variables=(1, 2, 5, 9))]
+    for n in range(1, 9):
+        for _ in range(3):
+            clauses = []
+            for _ in range(rng.randrange(1, 3 * n + 2)):
+                chosen = rng.sample(range(1, n + 1), rng.randint(1, min(3, n)))
+                clauses.append(tuple(v if rng.getrandbits(1) else -v for v in chosen))
+            formulas.append(F(*clauses, variables=range(1, n + 1)))
+    verdicts = set()
+    for formula in formulas:
+        index = ImplicationIndex(formula)
+        for avals in range(1 << formula.n):
+            want = _satisfies_by_clauses(formula, avals)
+            assert (index._solutions >> avals) & 1 == want, (formula.clauses, avals)
+            verdicts.add(want)
+        assert index._solutions >> (1 << formula.n) == 0  # no bit past 2^n
+    assert verdicts == {False, True}

@@ -5,7 +5,9 @@ A name counts as used when it is read anywhere in the module, including
 inside a string annotation. The package's `__init__.py` is exempt: its
 imports are the public re-exports. A private function, class or method
 (one underscore, not a dunder) counts as used when some `src/ppszlab`
-module reads it, as a name or an attribute, outside its own body.
+module reads it, as a name or an attribute, outside its own body. Only
+`implication.py` touches the implication index's live-set and clause
+tables, so their layout can change in one module.
 """
 
 import ast
@@ -126,6 +128,23 @@ def test_the_check_sees_unreferenced_private_definitions():
         "a.py: _Orphan",
         "a.py: _helper",
     ]
+
+
+INDEX_TABLES = {"_true_masks", "_false_masks", "_solutions", "_clauses"}
+
+
+def index_table_reads(sources: dict[str, str]) -> list[str]:
+    return [
+        f"{module}: line {node.lineno}: {node.attr}"
+        for module, source in sources.items()
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Attribute) and node.attr in INDEX_TABLES
+    ]
+
+
+def test_only_the_index_reads_its_tables():
+    sources = {path.name: path.read_text() for path in PACKAGE if path.name != "implication.py"}
+    assert index_table_reads(sources) == []
 
 
 def test_importing_the_cli_builds_nothing():
