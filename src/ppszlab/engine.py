@@ -87,27 +87,26 @@ class EnumerationBudgetError(RuntimeError):
 class GuessProfile:
     """Per-variable record of one Modify walk, in processing order: the
     (literal, provenance) pairs of an `Assignment`, and how many of them
-    were guessed."""
+    were guessed. A walk on bits reads one bit per guess, so `guessed` also
+    counts the bits it consumed; a replay reads none."""
 
     entries: tuple[tuple[int, str], ...]
     guessed: int
-    bits_consumed: int
-    exhausted: bool
 
 
 class PpszEngine:
     """Shared machinery for running many Modify walks over one formula:
-    one implication index, with its memo and the live sets a walk carries
-    and splits (`ImplicationIndex.live`, `.halves`). `modify_calls` counts the
-    physical `_walk` calls made on this engine. A guess-tree search
-    (`count_successes` or `dppsz`'s) is not a walk and is not counted;
-    `dppsz` reports the logical walk count of its scan itself and does not
-    read this one."""
+    one implication index, which alone encodes the formula (a variable's
+    bit in a state is `index.bit_of[v]`), with its memo and the live sets
+    a walk carries and splits (`ImplicationIndex.live`, `.halves`).
+    `modify_calls` counts the physical `_walk` calls made on this engine.
+    A guess-tree search (`count_successes` or `dppsz`'s) is not a walk and
+    is not counted; `dppsz` reports the logical walk count of its scan
+    itself and does not read this one."""
 
     def __init__(self, formula: Formula, tau: int | None = None):
         self.formula = formula
         self.index = ImplicationIndex(formula, tau)
-        self._bit = {v: 1 << i for i, v in enumerate(formula.variables)}
         self._full = (1 << formula.n) - 1
         self.modify_calls = 0
 
@@ -122,11 +121,11 @@ class PpszEngine:
     ) -> tuple[int | None, GuessProfile]:
         self.modify_calls += 1
         implied = self.index.implied_literal
-        bit_of = self._bit
+        bit_of = self.index.bit_of
         halves = self.index.halves
         live = self.index.live(amask, avals)
         entries: list[tuple[int, str]] = []
-        used = guessed = 0
+        guessed = 0
         for var in sigma:
             ones = live & halves[var][0]
             # live solutions on both sides: no clause subset implies var
@@ -136,11 +135,10 @@ class PpszEngine:
             else:
                 if alpha is not None:
                     positive = alpha[var]
+                elif guessed == beta_length:
+                    return None, GuessProfile(tuple(entries), guessed)
                 else:
-                    if used == beta_length:
-                        return None, GuessProfile(tuple(entries), guessed, used, exhausted=True)
-                    positive = (beta_value >> (beta_length - 1 - used)) & 1
-                    used += 1
+                    positive = (beta_value >> (beta_length - 1 - guessed)) & 1
                 lit = var if positive else -var
                 prov = GUESSED
                 guessed += 1
@@ -152,7 +150,7 @@ class PpszEngine:
             else:
                 live ^= ones
             entries.append((lit, prov))
-        profile = GuessProfile(tuple(entries), guessed, used, exhausted=False)
+        profile = GuessProfile(tuple(entries), guessed)
         # a total state that a live solution extends is that solution
         if amask == self._full and live:
             return avals, profile
@@ -291,7 +289,7 @@ class PpszEngine:
     def _check_order(self, sigma: Sequence[int], amask: int = 0) -> list[tuple[int, int]]:
         """The (variable, bit) pair of each step of sigma; ValueError unless
         sigma lists each variable free in amask exactly once."""
-        bit_of = self._bit
+        bit_of = self.index.bit_of
         if sorted(sigma) != [v for v in self.formula.variables if not amask & bit_of[v]]:
             free = " that the start state leaves free" if amask else ""
             raise ValueError(f"sigma must order exactly the formula's variables{free}")
@@ -403,7 +401,8 @@ def success_probability_via_identity(
 
 @dataclass(frozen=True)
 class TrialRecord:
-    """A single randomized run, serializable for the command line."""
+    """A single randomized run, serializable for the command line; beta
+    holds one bit per variable."""
 
     sigma_index: int
     beta: tuple[int, ...]
@@ -421,8 +420,8 @@ class TrialRecord:
                     for lit, prov in self.profile.entries
                 ],
                 "guessed": self.profile.guessed,
-                "bits_consumed": self.profile.bits_consumed,
-                "exhausted": self.profile.exhausted,
+                "bits_consumed": self.profile.guessed,
+                "exhausted": len(self.profile.entries) < len(self.beta),
             },
         }
 

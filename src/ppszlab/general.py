@@ -161,9 +161,9 @@ _SLACK_CLAMP = 128.0
 
 def _falsified(clauses, combo: tuple[int, ...], amask: int, tables, space: int) -> int:
     """The patterns of a variable subset that falsify a clause inside it,
-    as a mask with bit j for pattern j: clauses holds each clause's
-    variable bits and literals (_clause_bits), amask the bits of the
-    subset's variables, and tables[t] the patterns that set combo[t] true."""
+    as a mask with bit j for pattern j: clauses is the index's short_clauses,
+    amask the bits of the subset's variables, and tables[t] the patterns
+    that set combo[t] true."""
     table_of = dict(zip(combo, tables))
     outside = ~amask
     falsified = 0
@@ -176,16 +176,8 @@ def _falsified(clauses, combo: tuple[int, ...], amask: int, tables, space: int) 
     return falsified
 
 
-def _clause_bits(engine: PpszEngine) -> list[tuple[int, tuple[int, ...]]]:
-    """Each clause of the engine's formula with the bits of its variables."""
-    bit_of = {}
-    for var, bit in engine._bit.items():
-        bit_of[var] = bit_of[-var] = bit
-    return [(sum(map(bit_of.__getitem__, clause)), clause) for clause in engine.formula.clauses]
-
-
 def _instance_runs(
-    engine: PpszEngine, clauses: list, i: int, independence: int | None, cutoff: int
+    engine: PpszEngine, i: int, independence: int | None, cutoff: int
 ) -> Iterator[tuple[tuple[int, ...], int, int, int, DppszResult]]:
     """Every way to fix i variables, as (subset, start, stop, falsified,
     result) items that cover patterns [start, stop) of the subset:
@@ -198,11 +190,12 @@ def _instance_runs(
     its halves (ImplicationIndex.halves). A prefix that fixes d variables
     and that no solution extends is one item, the range
     [p * 2^(i - d), (p + 1) * 2^(i - d)) of its patterns. Each of them
-    either falsifies a clause inside the subset, bit j of falsified, a
-    2^i-bit mask built at the subset's first such range, or is dead and
-    carries no_hit's result, the same for the whole instance. A live
-    pattern is the range [j, j + 1), falsified 0, with dppsz's result on
-    the subset's permutation set, built for its first search.
+    either falsifies one of the index's short clauses inside the subset,
+    bit j of falsified, a 2^i-bit mask built at the subset's first such
+    range, or is dead and carries no_hit's result, the same for the whole
+    instance. A live pattern is the range [j, j + 1), falsified 0, with
+    dppsz's result on the subset's permutation set, built for its first
+    search.
 
     solve_general counts each pattern of a range that falsifies nothing
     as one dppsz call with the item's result. When a slice ends at such
@@ -210,14 +203,14 @@ def _instance_runs(
     pattern to stop, is queued with the stream and counted first at the
     instance's next turn."""
     variables = engine.formula.variables
-    bit_of = engine._bit
-    halves = engine.index.halves
-    root = engine.index.live(0, 0)
+    index = engine.index
+    bit_of = index.bit_of
+    halves = index.halves
+    root = index.live(0, 0)
     free = len(variables) - i
     dead = no_hit(free, len(hash_family(free, independence)) if free else 0, cutoff)
-    # clauses is _clause_bits(engine); one of more than i literals lies
-    # inside no subset of i variables
-    inside = [clause for clause in clauses if len(clause[1]) <= i]
+    # a clause of more than i literals lies inside no subset of i variables
+    inside = index.short_clauses(i)
     space = (1 << (1 << i)) - 1
     # the patterns that set subset[t] true: the truth table of position i - 1 - t
     tables = _polarity_masks(i)[::-1]
@@ -305,8 +298,7 @@ def solve_general(
     cutoffs = [cutoff_budget(n - i, formula.k, min(slack, _SLACK_CLAMP)) for i in range(n + 1)]
     # the residual size, and so its tau, is the same for the whole instance
     taus = [resolve_tau(tau, n - i) for i in range(n + 1)]
-    clauses = _clause_bits(engine)
-    streams = [_instance_runs(engine, clauses, i, independence, cutoffs[i]) for i in range(n + 1)]
+    streams = [_instance_runs(engine, i, independence, cutoffs[i]) for i in range(n + 1)]
     queue = deque((i, stream, None) for i, stream in enumerate(streams))
     while queue:
         i, stream, rest = queue.popleft()

@@ -238,8 +238,10 @@ class ImplicationIndex:
     from them the first deciding subset in canonical order, vacuous or
     not.
 
-    Only this class knows how a live set is laid out. Callers test one for
-    emptiness and split it at v with `&` by `halves[v]`, (ones, zeros).
+    Only this class encodes the formula: each variable's bit in a state
+    (`bit_of`), the clauses' bits (`short_clauses`) and the live sets.
+    Callers test a live set for emptiness and split it at v with `&` by
+    `halves[v]`, (ones, zeros).
     """
 
     VARIABLE_LIMIT = 20  # the live masks hold up to 2^n bits
@@ -255,28 +257,31 @@ class ImplicationIndex:
                 f"{n} variables exceed the implication index limit of {self.VARIABLE_LIMIT}"
             )
         self._n = n
-        self._pos_of = {v: i for i, v in enumerate(formula.variables)}
-        # per clause: each literal with its variable's bit, the bits of its
-        # positive and of its negative literals, and its bits as a state
-        # keeps them (_State)
-        clauses = []
-        for clause in formula.clauses:
-            lit_bits = tuple((lit, 1 << self._pos_of[abs(lit)]) for lit in clause)
-            pos = sum(bit for lit, bit in lit_bits if lit > 0)
-            neg = sum(bit for lit, bit in lit_bits if lit < 0)
-            clauses.append((clause, lit_bits, pos, neg, pos | neg | pos << n))
-        self._clauses = clauses
+        variables = formula.variables
+        self.bit_of = bit_of = {v: 1 << j for j, v in enumerate(variables)}
         space = (1 << (1 << n)) - 1
         self._true_masks = true_masks = _polarity_masks(n)
-        self._false_masks = [space & ~m for m in true_masks]
-        self.halves = {v: (true_masks[j], self._false_masks[j]) for v, j in self._pos_of.items()}
-        # the total assignments that satisfy every clause
+        self._false_masks = false_masks = [space & ~m for m in true_masks]
+        self.halves = halves = {v: (true_masks[j], false_masks[j]) for j, v in enumerate(variables)}
+        # per clause: each literal with its variable's bit, the bits of its
+        # positive and of its negative literals, and its bits as a state
+        # keeps them (_State); and the assignments that satisfy every clause
+        clauses = []
         solutions = space
         for clause in formula.clauses:
-            satisfying = 0
+            lit_bits = []
+            vbits = pos = satisfying = 0
             for lit in clause:
-                satisfying |= self.halves[abs(lit)][lit < 0]  # zeros for a negative literal
+                var = abs(lit)
+                bit = bit_of[var]
+                lit_bits.append((lit, bit))
+                vbits |= bit
+                if lit > 0:
+                    pos |= bit
+                satisfying |= halves[var][lit < 0]  # zeros for a negative literal
+            clauses.append((clause, tuple(lit_bits), pos, vbits ^ pos, vbits | pos << n))
             solutions &= satisfying
+        self._clauses = clauses
         self._solutions = solutions
         self._state_cache: dict[tuple[int, int], _State] = {}
         self._state_bytes = 0
@@ -297,6 +302,10 @@ class ImplicationIndex:
             avals >>= 1
             j += 1
         return live
+
+    def short_clauses(self, width: int) -> list[tuple[int, Clause]]:
+        """The clauses of at most width literals, in order, each after its variables' bits."""
+        return [(pos | neg, c) for c, _, pos, neg, _ in self._clauses if len(c) <= width]
 
     def _survivors(self, amask: int, avals: int) -> _State:
         """The restriction's residual clauses at this state, deduplicated
@@ -357,19 +366,19 @@ class ImplicationIndex:
         """The implied literal over var under the given restriction state,
         searching subsets of up to self.tau clauses, or 0. Memoized; var
         must be unassigned in the state."""
-        xpos = self._pos_of[var]
+        xbit = self.bit_of[var]
         tau = self.tau
-        key = (amask, avals, xpos, tau)
+        key = (amask, avals, xbit, tau)
         memo = self._result_cache
         lit = memo.get(key)
         if lit is None:
-            lit = self._sweep(amask, avals, var, xpos, tau)
+            lit = self._sweep(amask, avals, var, xbit, tau)
             if len(memo) >= self.RESULT_CACHE_LIMIT:
                 memo.clear()
             memo[key] = lit
         return lit
 
-    def _sweep(self, amask: int, avals: int, var: int, xpos: int, tau: int) -> int:
+    def _sweep(self, amask: int, avals: int, var: int, xbit: int, tau: int) -> int:
         """The first literal over var decided by a subset of up to tau
         clauses at this state, or 0.
 
@@ -381,7 +390,6 @@ class ImplicationIndex:
             return -var
         if var in state.units:
             return var
-        xbit = 1 << xpos
         # past size 1, and only when some subset mentions var
         if tau < 2 or not state.reach & xbit:
             return 0

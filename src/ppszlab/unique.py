@@ -13,10 +13,10 @@ each bit vector with each order in index order, one walk per (vector,
 order) pair. That scan is not run. Each distinct order's guess tree is
 searched once per round, in scan-position order, by `PpszEngine._descend`,
 and the counters are derived from the position of the first hit or of the
-budget cutoff. The
-orders are read in place as rank orders; only the returned solution is
-mapped back to variables and replayed as a physical walk, so an engine's
-own `modify_calls` counts far fewer walks than `DppszResult.modify_calls`.
+budget cutoff. The orders are read in place as rank orders; only the
+returned solution is mapped back to variables and replayed as a physical
+walk, so an engine's own `modify_calls` counts far fewer walks than
+`DppszResult.modify_calls`.
 
 The search visits only the branches that some solution extends: only they
 can hold a successful walk, so the first hit, and every counter derived

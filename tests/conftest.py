@@ -7,8 +7,9 @@ def _start_state(engine, literals):
     """The (amask, avals) state of the engine fixing the literals, or None
     when they falsify a clause of its formula, by a loop over every
     clause. Reads no memo."""
-    amask = sum(engine._bit[abs(lit)] for lit in literals)
-    avals = sum(engine._bit[lit] for lit in literals if lit > 0)
+    bit_of = engine.index.bit_of
+    amask = sum(bit_of[abs(lit)] for lit in literals)
+    avals = sum(bit_of[lit] for lit in literals if lit > 0)
     fixed = set(literals)
     for clause in engine.formula.clauses:
         if all(-lit in fixed for lit in clause):

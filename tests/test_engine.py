@@ -12,6 +12,7 @@ from ppszlab.engine import (
     EnumerationBudgetError,
     GuessProfile,
     PpszEngine,
+    TrialRecord,
     _probability_engine,
     ppsz_randomized,
     success_probability_exact,
@@ -35,14 +36,12 @@ def engine(formula, tau=None):
 
 def test_two_units_need_no_bits():
     assignment, profile = engine(F((1,), (2,))).modify((1, 2), ())
-    assert profile.bits_consumed == 0
     assert profile.guessed == 0
     assert assignment.sorted_literals() == (1, 2)
 
 
 def test_one_binary_clause_consumes_two_bits():
     assignment, profile = engine(F((1, 2))).modify((1, 2), (1, 1))
-    assert profile.bits_consumed == 2
     assert profile.guessed == 2
     assert assignment.sorted_literals() == (1, 2)
 
@@ -50,8 +49,8 @@ def test_one_binary_clause_consumes_two_bits():
 def test_short_bit_string_exhausts():
     assignment, profile = engine(F((1, 2))).modify((1, 2), (1,))
     assert assignment is None
-    assert profile.exhausted
-    assert profile.bits_consumed == 1
+    assert len(profile.entries) < 2  # stopped short of the order
+    assert profile.guessed == 1
 
 
 def test_completed_walk_can_still_falsify():
@@ -59,15 +58,14 @@ def test_completed_walk_can_still_falsify():
     # first one wins, the finished assignment falsifies the second clause
     assignment, profile = engine(F((1, 2), (1, -2))).modify((1, 2), (0,))
     assert assignment is None
-    assert not profile.exhausted
-    assert profile.bits_consumed == 1
+    assert len(profile.entries) == 2  # walked the whole order
+    assert profile.guessed == 1
 
 
 def test_forced_variables_skip_bits():
     # after x1 is guessed true, (-1, 2) becomes a unit and pins x2
     assignment, profile = engine(F((-1, 2), (1, 2))).modify((1, 2), (1,))
     assert assignment.sorted_literals() == (1, 2)
-    assert profile.bits_consumed == 1
     assert profile.guessed == 1
     assert profile.entries == ((1, "guessed"), (2, "forced"))
 
@@ -113,7 +111,7 @@ def _reference_walk(eng, sigma, beta_value, beta_length, alpha, amask=0, avals=0
     bitmap."""
     implied = eng.index.implied_literal
     entries = []
-    used = guessed = 0
+    guessed = 0
     for var in sigma:
         lit = implied(amask, avals, var)
         if lit:
@@ -122,19 +120,18 @@ def _reference_walk(eng, sigma, beta_value, beta_length, alpha, amask=0, avals=0
             if alpha is not None:
                 positive = alpha[var]
             else:
-                if used == beta_length:
-                    return None, GuessProfile(tuple(entries), guessed, used, exhausted=True)
-                positive = (beta_value >> (beta_length - 1 - used)) & 1
-                used += 1
+                if guessed == beta_length:
+                    return None, GuessProfile(tuple(entries), guessed)
+                positive = (beta_value >> (beta_length - 1 - guessed)) & 1
             lit = var if positive else -var
             prov = GUESSED
             guessed += 1
-        bit = eng._bit[var]
+        bit = eng.index.bit_of[var]
         amask |= bit
         if lit > 0:
             avals |= bit
         entries.append((lit, prov))
-    profile = GuessProfile(tuple(entries), guessed, used, exhausted=False)
+    profile = GuessProfile(tuple(entries), guessed)
     if amask == eng._full and eng.index.live(amask, avals):
         return avals, profile
     return None, profile
@@ -209,7 +206,7 @@ def test_walk_matches_the_reference_walk(start_state):
                 elif avals is not None:
                     kinds["solved"] += 1
                 else:
-                    kinds["exhausted" if profile.exhausted else "dead"] += 1
+                    kinds["exhausted" if len(profile.entries) < len(case[0]) else "dead"] += 1
     keys = ("solved", "dead", "exhausted", "replay", "live start", "dead start", "both-live steps")
     assert all(kinds[key] for key in keys), kinds
 
@@ -503,20 +500,25 @@ def test_profiles_count_their_guesses():
                 sigma = perms.permutation(rng.randrange(len(perms)))
                 bits = [rng.getrandbits(1) for _ in range(rng.randrange(n + 1))]
                 assignment, profile = eng.modify(sigma, bits)
-                assert profile.bits_consumed == profile.guessed
+                # one bit per guess; a walk stops short of its order only
+                # when it has read every bit
+                exhausted = len(profile.entries) < n
+                assert profile.guessed == len(bits) if exhausted else profile.guessed <= len(bits)
                 if assignment is not None:
                     assert assignment.entries == profile.entries
                     kinds.add("solved")
-                kinds.add("exhausted" if profile.exhausted else "finished")
+                kinds.add("exhausted" if exhausted else "finished")
                 profiles.append(profile)
             for solution in enumerate_solutions(formula):
                 profile = eng.replay(solution, perms.permutation(rng.randrange(len(perms))))
-                assert profile.bits_consumed == 0
+                assert len(profile.entries) == n  # reads no bits, so never runs out
                 profiles.append(profile)
             for seed in range(3):
                 record = ppsz_randomized(formula, perms, tau, seed)
-                assert record.profile.bits_consumed == record.profile.guessed
-                for entry in record.to_dict()["guess_profile"]["entries"]:
+                payload = record.to_dict()["guess_profile"]
+                assert payload["bits_consumed"] == record.profile.guessed
+                assert payload["exhausted"] is False
+                for entry in payload["entries"]:
                     assert entry["variable"] == abs(entry["literal"])
                 profiles.append(record.profile)
             for profile in profiles:
@@ -579,6 +581,12 @@ def test_trial_records_have_a_stable_shape():
         {"variable": 1, "literal": 1, "provenance": "forced"}
     ]
     assert set(payload) == {"sigma_index", "beta", "result", "guess_profile"}
+    # a randomized trial draws a bit per variable and so never runs out; a
+    # walk handed only the first of them does
+    _, profile = engine(F((1, 2))).modify((1, 2), (1,))
+    payload = TrialRecord(0, (1, 0), None, profile).to_dict()
+    assert payload["guess_profile"]["exhausted"] is True
+    assert payload["guess_profile"]["bits_consumed"] == payload["guess_profile"]["guessed"] == 1
 
 
 def test_plain_bit_sequences_are_accepted():

@@ -76,8 +76,7 @@ def _runs(monkeypatch, formula, i):
     monkeypatch.setattr(general, "dppsz", recorded)
     engine = PpszEngine(formula)
     literals = []
-    clause_bits = general._clause_bits(engine)
-    for combo, start, stop, _, _ in general._instance_runs(engine, clause_bits, i, None, 10):
+    for combo, start, stop, _, _ in general._instance_runs(engine, i, None, 10):
         assert stop == start + 1  # every restriction is live, one item each
         literals.append(tuple(v if start >> (i - 1 - t) & 1 else -v for t, v in enumerate(combo)))
     assert len(runs) == len(literals)
@@ -470,9 +469,9 @@ def test_an_unsatisfiable_solve_settles_each_subset_in_one_item(monkeypatch):
     items, engines = [], []
     runs = general._instance_runs
 
-    def recorded(engine, clauses, i, independence, cutoff):
+    def recorded(engine, i, independence, cutoff):
         engines.append(engine)
-        for item in runs(engine, clauses, i, independence, cutoff):
+        for item in runs(engine, i, independence, cutoff):
             items.append((i, item))
             yield item
 
@@ -524,11 +523,10 @@ def test_falsified_patterns_match_a_scan_of_every_clause():
                 clauses.append(tuple(v if rng.getrandbits(1) else -v for v in chosen))
             formula = F(*clauses, variables=range(1, n + 1))
             engine = PpszEngine(formula)
-            clause_bits = general._clause_bits(engine)
             for i in range(n + 1):
-                items = general._instance_runs(engine, clause_bits, i, None, 10)
+                items = general._instance_runs(engine, i, None, 10)
                 for combo, start, _, falsified, _ in items:
-                    bits = [engine._bit[v] for v in combo]
+                    bits = [engine.index.bit_of[v] for v in combo]
                     avals = sum(bit for t, bit in enumerate(bits) if start >> (i - 1 - t) & 1)
                     # a dead range carries the subset's mask, a live one 0
                     if not engine.index.live(sum(bits), avals):

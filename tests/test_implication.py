@@ -369,7 +369,7 @@ def test_live_screen_matches_the_reference():
             for tau in (1, 2, 3, 4):
                 index.tau = tau
                 for var in residual.variables:
-                    j = formula.variables.index(var)
+                    xbit = 1 << formula.variables.index(var)
                     ones = live & index.halves[var][0]
                     kind = "dead" if not live else "both" if ones and ones != live else "one"
                     want = tau_implied(residual, var, tau) or 0
@@ -377,7 +377,7 @@ def test_live_screen_matches_the_reference():
                     seen[kind] += 1
                     if kind == "both" and tau >= 2 and var in mentioned:
                         # no subset of any size decides var
-                        assert index._result_cache[amask, avals, j, tau] == 0
+                        assert index._result_cache[amask, avals, xbit, tau] == 0
                         seen["both, screened"] += 1
                     if kind == "one" and want and not tau_implied(residual, var, 2):
                         seen["one, deep hit"] += 1
@@ -843,4 +843,14 @@ def test_solution_bitmap_matches_the_clause_loop():
             assert (index._solutions >> avals) & 1 == want, (formula.clauses, avals)
             verdicts.add(want)
         assert index._solutions >> (1 << formula.n) == 0  # no bit past 2^n
+        # the variable map and the short clauses come out of the same pass
+        variables = formula.variables
+        assert index.bit_of == {v: 1 << variables.index(v) for v in variables}
+        for width in range(max(map(len, formula.clauses), default=0) + 2):
+            want = [
+                (sum(1 << variables.index(abs(lit)) for lit in clause), clause)
+                for clause in formula.clauses
+                if len(clause) <= width
+            ]
+            assert index.short_clauses(width) == want, (formula.clauses, width)
     assert verdicts == {False, True}

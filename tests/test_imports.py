@@ -7,7 +7,8 @@ imports are the public re-exports. A private function, class or method
 (one underscore, not a dunder) counts as used when some `src/ppszlab`
 module reads it, as a name or an attribute, outside its own body. Only
 `implication.py` touches the implication index's live-set and clause
-tables, so their layout can change in one module.
+tables, so their layout can change in one module, and the solver modules
+see a formula's clauses only through the index.
 """
 
 import ast
@@ -133,18 +134,25 @@ def test_the_check_sees_unreferenced_private_definitions():
 INDEX_TABLES = {"_true_masks", "_false_masks", "_solutions", "_clauses"}
 
 
-def index_table_reads(sources: dict[str, str]) -> list[str]:
+def attribute_reads(sources: dict[str, str], names: set[str]) -> list[str]:
     return [
         f"{module}: line {node.lineno}: {node.attr}"
         for module, source in sources.items()
         for node in ast.walk(ast.parse(source))
-        if isinstance(node, ast.Attribute) and node.attr in INDEX_TABLES
+        if isinstance(node, ast.Attribute) and node.attr in names
     ]
 
 
 def test_only_the_index_reads_its_tables():
     sources = {path.name: path.read_text() for path in PACKAGE if path.name != "implication.py"}
-    assert index_table_reads(sources) == []
+    assert attribute_reads(sources, INDEX_TABLES) == []
+
+
+def test_the_solvers_read_clauses_only_through_the_index():
+    solvers = ("engine.py", "general.py", "unique.py")
+    sources = {path.name: path.read_text() for path in PACKAGE if path.name in solvers}
+    assert len(sources) == len(solvers)
+    assert attribute_reads(sources, {"clauses"}) == []
 
 
 def test_importing_the_cli_builds_nothing():

@@ -244,7 +244,7 @@ def test_dppsz_rejects_orders_of_other_variables_than_the_free_ones(orders):
     # (3,) called the satisfiable residual unsatisfiable, (2, 4) raised
     # KeyError
     engine = PpszEngine(F((1, 2), (-1, 3), (2, 3)))
-    start = (engine._bit[1], engine._bit[1])
+    start = (engine.index.bit_of[1], engine.index.bit_of[1])
     with pytest.raises(ValueError, match="exactly the formula's variables that the start state leaves free"):
         dppsz(engine, orders, start=start)
     result = dppsz(engine, [(3, 2)], start=start)
