@@ -24,7 +24,7 @@ mentions at most tau - 1 variables besides x. The search cuts every set
 past that cap and tests each set with a truth table of at most
 2^(tau-1) rows, whatever the number of free variables.
 
-Every sweep is first screened by the state's live set: the formula's
+Past size 1, every sweep reads the state's live set: the formula's
 solutions that extend the state. On a satisfiable residual the rule is
 sound, so every implied literal holds in every live solution. When the
 live solutions take both values of x, no subset of any size decides x.
@@ -138,11 +138,10 @@ class _State:
     in the formula's order, with each one's bits (the bits of its free
     variables, and above them, shifted by n, the bits of its positive
     literals), the bits of every variable they mention, the literals of
-    its unit clauses, its two-literal clauses, whether it falsifies a
-    clause, and once a sweep needs it the live-set screen
-    (ImplicationIndex._screen)."""
+    its unit clauses, its two-literal clauses, and whether it falsifies a
+    clause."""
 
-    __slots__ = ("residual", "bits", "reach", "units", "binaries", "dead", "screen", "bytes")
+    __slots__ = ("residual", "bits", "reach", "units", "binaries", "dead")
 
     def __init__(self, residual: dict[Clause, int], reach: int):
         self.residual = list(residual)
@@ -159,8 +158,6 @@ class _State:
         self.units = tuple(units)
         self.binaries = tuple(binaries)
         self.dead = () in residual
-        self.screen: tuple[int, int] | None = None
-        self.bytes = 0  # charged to the state memo
 
 
 def _pair_hit(binaries: tuple[Clause, ...], units: tuple[int, ...], var: int) -> int:
@@ -229,14 +226,14 @@ class ImplicationIndex:
     sign bits off the state and tests sets by truth tables over at most
     tau - 1 variables.
 
-    Before sizes 2 and up, a sweep reads the state's live set (`live`),
-    summed up once per state by `_screen`. If the live solutions take both
-    values of x the answer is 0. If they all take one value v, `_one_sided`
-    looks for any core with x = not v, and the answer is v when it finds
-    one (module docstring). A state with no live solution goes to
-    `_dead_state`, which takes the cores on both sides size by size and
-    from them the first deciding subset in canonical order, vacuous or
-    not.
+    Before sizes 2 and up, a sweep reads the state's live set (`live`)
+    and splits it at x by `halves`, as the walkers do. If the live
+    solutions take both values of x the answer is 0. If they all take one
+    value v, `_one_sided` looks for any core with x = not v, and the
+    answer is v when it finds one (module docstring). A state with no
+    live solution goes to `_dead_state`, which takes the cores on both
+    sides size by size and from them the first deciding subset in
+    canonical order, vacuous or not.
 
     Only this class encodes the formula: each variable's bit in a state
     (`bit_of`), the clauses' bits (`short_clauses`) and the live sets.
@@ -329,38 +326,13 @@ class ImplicationIndex:
         state = _State(residual, reach & ~(-1 << self._n))
         # a state costs about 256 bytes of objects, and each residual
         # clause about 128 more
-        self._charge(key, state, 256 + len(residual) * 128)
-        return state
-
-    def _screen(self, amask: int, avals: int, state: _State) -> tuple[int, int]:
-        """The bits of the variables the residual mentions that some live
-        solution sets to 1, and those that some live solution sets to 0;
-        both are 0 when no solution extends the state. Built on the
-        state's first screened sweep and kept with it."""
-        live = self.live(amask, avals)
-        ones = zeros = 0
-        reach = state.reach if live else 0
-        while reach:
-            xbit = reach & -reach
-            reach ^= xbit
-            some_true = live & self._true_masks[xbit.bit_length() - 1]
-            if some_true:
-                ones |= xbit
-            if some_true != live:
-                zeros |= xbit
-        state.screen = (ones, zeros)
-        self._charge((amask, avals), state, 64)
-        return state.screen
-
-    def _charge(self, key: tuple[int, int], state: _State, cost: int) -> None:
-        """Count cost toward the state memo, emptying it when it passes
-        its budget, and keep state in it."""
-        state.bytes += cost
+        cost = 256 + len(residual) * 128
         self._state_bytes += cost
         if self._state_bytes > self.STATE_CACHE_BYTES:
             self._state_cache.clear()
-            self._state_bytes = state.bytes
+            self._state_bytes = cost
         self._state_cache[key] = state
+        return state
 
     def implied_literal(self, amask: int, avals: int, var: int) -> int:
         """The implied literal over var under the given restriction state,
@@ -395,20 +367,17 @@ class ImplicationIndex:
             return 0
         if state.dead:
             return var  # () and the first clause over var
-        ones, zeros = state.screen or self._screen(amask, avals, state)
-        sat0 = bool(zeros & xbit)  # a live solution sets var to 0
-        sat1 = bool(ones & xbit)
-        if sat0 and sat1:
-            return 0  # no subset of any size decides var
+        live = self.live(amask, avals)
+        ones = live & self.halves[var][0]
+        if ones and ones != live:
+            return 0  # the live solutions set var both ways: no subset decides it
         hit = _pair_hit(state.binaries, state.units, var)
         m = len(state.residual)
         if hit or tau < 3 or m < 3:
             return hit
         hi = min(tau, m)
-        if sat1:
-            return self._one_sided(state, xbit, var, hi)
-        if sat0:
-            return self._one_sided(state, xbit, -var, hi)
+        if live:
+            return self._one_sided(state, xbit, var if ones else -var, hi)
         return self._dead_state(state, xbit, var, hi)
 
     def _one_sided(self, state: _State, xbit: int, lit: int, hi: int) -> int:

@@ -297,6 +297,9 @@ def test_shared_memos_stay_within_their_limits(monkeypatch):
     def watched_implied(self, amask, avals, var):
         lit = implied(self, amask, avals, var)
         watch(self)
+        # the memo's count is the cost of the states it holds
+        held = sum(256 + 128 * len(state.residual) for state in self._state_cache.values())
+        assert self._state_bytes == held
         return lit
 
     monkeypatch.setattr(ImplicationIndex, "_survivors", watched_survivors)
@@ -323,11 +326,20 @@ def test_shared_memos_stay_within_their_limits(monkeypatch):
 def test_cores_are_searched_only_for_size_three_sweeps(monkeypatch, tau):
     searches, routed, charges = [], [], []
     cores = ImplicationIndex._cores
-    charge = ImplicationIndex._charge
+    survivors = ImplicationIndex._survivors
 
-    def counted_charge(self, key, state, cost):
-        charges.append((state, cost))
-        return charge(self, key, state, cost)
+    def counted_survivors(self, amask, avals):
+        before = self._state_bytes
+        new = (amask, avals) not in self._state_cache
+        state = survivors(self, amask, avals)
+        if new:
+            # a memo emptied for this state holds it alone, and its count
+            # restarts at the state's cost
+            cleared = len(self._state_cache) == 1
+            charges.append((state, self._state_bytes - (0 if cleared else before)))
+        else:
+            assert self._state_bytes == before
+        return state
 
     def counted_cores(self, state, *args):
         searches.append(state)
@@ -340,7 +352,7 @@ def test_cores_are_searched_only_for_size_three_sweeps(monkeypatch, tau):
 
         return sweep
 
-    monkeypatch.setattr(ImplicationIndex, "_charge", counted_charge)
+    monkeypatch.setattr(ImplicationIndex, "_survivors", counted_survivors)
     monkeypatch.setattr(ImplicationIndex, "_cores", counted_cores)
     # both size >= 3 routes: one-sided live states and states with no
     # live solution
@@ -349,11 +361,11 @@ def test_cores_are_searched_only_for_size_three_sweeps(monkeypatch, tau):
     # satisfiable, so the searches reach the index (see above)
     formula = planted_kcnf(random.Random(1), 10, 42, 3)[0]
     assert solve_general(formula, tau).satisfiable
-    # the state memo is charged only for each state's clauses and its
-    # live-set screen: the search keeps no table with the state
+    # the state memo is charged once per state, for its clauses only: the
+    # search keeps no table with the state
     assert charges
     for state, cost in charges:
-        assert cost in (256 + 128 * len(state.residual), 64), cost
+        assert cost == 256 + 128 * len(state.residual), cost
     if tau == 2:
         assert searches == [] and routed == []
         return
@@ -374,7 +386,7 @@ def test_solve_is_deterministic():
 
 def test_planted_sixteen_variables_solve_at_instance_one():
     # the large-n guard: the searches visit only branches a solution
-    # extends and the implication screen reads the same live sets, which
+    # extends and each implication sweep reads the same live sets, which
     # keeps this solve to seconds; the logical counters are the full scan's
     formula = planted_kcnf(random.Random(5), 16, 67, 3)[0]
     result = solve_general(formula)
