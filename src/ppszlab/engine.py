@@ -37,9 +37,9 @@ its success test is the same: a total state with a nonempty live set.
 The live set also answers the step rule where solutions disagree. If the
 live solutions take both values of a variable, no clause subset implies
 it, so the step is a guess with no lookup. The count and `_walk` both
-apply this both-live rule. `_descend` does not: it serves only `dppsz`'s
-round search, which at large n would pay the extra ANDs of 2^n-bit live
-sets at every forced step.
+apply this both-live rule. `dppsz`'s round search (`unique._first_hit`)
+does not: at large n it would pay the extra ANDs of 2^n-bit live sets at
+every forced step.
 
 The count is a DAG, not a tree per order. A node's count depends only on
 its state and the rest of its order, so orders with a common suffix reach
@@ -100,14 +100,14 @@ class PpszEngine:
     bit in a state is `index.bit_of[v]`), with its memo and the live sets
     a walk carries and splits (`ImplicationIndex.live`, `.halves`).
     `modify_calls` counts the physical `_walk` calls made on this engine.
-    A guess-tree search (`count_successes` or `dppsz`'s) is not a walk and
-    is not counted; `dppsz` reports the logical walk count of its scan
-    itself and does not read this one."""
+    A guess-tree search (the count here, or `dppsz`'s first-hit search in
+    `unique`, which reads the index directly) is not a walk and is not
+    counted; `dppsz` reports the logical walk count of its scan itself and
+    does not read this one."""
 
     def __init__(self, formula: Formula, tau: int | None = None):
         self.formula = formula
         self.index = ImplicationIndex(formula, tau)
-        self._full = (1 << formula.n) - 1
         self.modify_calls = 0
 
     def _walk(
@@ -151,49 +151,11 @@ class PpszEngine:
                 live ^= ones
             entries.append((lit, prov))
         profile = GuessProfile(tuple(entries), guessed)
-        # a total state that a live solution extends is that solution
-        if amask == self._full and live:
+        # the order covers every variable the start state leaves free, so
+        # the state is total, and a live solution extends it: it is that one
+        if live:
             return avals, profile
         return None, profile
-
-    def _descend(
-        self, ranks: Sequence[int], cells: list, node: tuple, live: int, pending: list, limit: int
-    ) -> int:
-        """Run a guess-tree node down its 0-branches to a leaf; return the
-        leaf's guess count if its walk succeeds and -1 otherwise.
-
-        The order is `ranks` read through `cells`, a (variable, bit) pair per
-        rank. node is (position in ranks, amask, avals, guesses used,
-        guessed-bit prefix), and live is its live set, not empty. Each step
-        takes `_walk`'s decision: a forced literal goes straight on, and a
-        guess past `limit` bits ends the walk. A guess appends its 1-branch,
-        as a node, to `pending` if a live solution sets the variable to 1,
-        and goes on with 0 while one sets it to 0.
-        """
-        implied = self.index.implied_literal
-        halves = self.index.halves
-        position, amask, avals, used, prefix = node
-        for position in range(position, len(ranks)):
-            var, bit = cells[ranks[position]]
-            lit = implied(amask, avals, var)
-            amask |= bit
-            if lit:
-                if lit > 0:
-                    avals |= bit
-            elif used == limit:
-                return -1  # out of bits: `_walk` reports exhaustion
-            else:
-                used += 1
-                prefix <<= 1
-                ones, zeros = halves[var]
-                if live & ones:
-                    pending.append((position + 1, amask, avals | bit, used, prefix | 1))
-                live &= zeros
-                if not live:
-                    return -1  # no solution sets var to 0 here
-        # a forced step keeps every live solution, so a total state reached
-        # with a nonempty live set is a solution
-        return used if amask == self._full else -1
 
     def count_successes(self, sigma: Sequence[int]) -> int:
         """How many of the 2^n bit vectors make the walk over sigma succeed.
@@ -217,7 +179,7 @@ class PpszEngine:
         live = self.index.live(0, 0)
         if not live:
             return 0
-        full = self._full
+        full = (1 << n) - 1
         halves = self.index.halves
         steps: dict[int, list] = {}  # suffix id -> [variable, bit, ones, amask, next id, shared]
         ids: dict[tuple[int, int], int] = {}
@@ -248,42 +210,33 @@ class PpszEngine:
 
         A step whose live solutions take both values of its variable is a
         guess with no lookup: no clause subset implies the variable. Only
-        that guess has two live children, and it recurses. At any other
-        step every live solution takes one value, so only that child is
-        live, with the same live set, and the lookup decides only whether
-        the step doubles. Those steps run in a loop, and their counts are
-        filled in on the way back. A total state with a live set is a
-        solution: its f is 1. The recursion is a method's: a nested
-        function that calls itself would form a reference cycle that keeps
-        the index and its memo alive until the cyclic collector runs."""
-        implied = self.index.implied_literal
-        chain = []  # (memo key or -1, looked-up literal) of each one-way step
-        while sid:
-            var, bit, ones, amask, step, shared = steps[sid]
-            key = -1
-            if shared:
-                key = sid | avals
-                f = memo.get(key)
-                if f is not None:
-                    break
-            one = live & ones
-            if one and one != live:
-                f = self._tally(step, avals | bit, one, steps, memo)
-                f += self._tally(step, avals, live ^ one, steps, memo)
-                if shared:
-                    memo[key] = f
-                break
-            chain.append((key, implied(amask, avals, var)))
-            if one:
-                avals |= bit
-            sid = step
+        that guess has two live children. At any other step every live
+        solution takes one value, so only that child is live, with the same
+        live set, and the lookup comes before the recursion and decides
+        only whether the step doubles. A total state with a live set is a
+        solution: its f is 1. Each node is one call, and a node of a shared
+        suffix is looked up in, and stored to, memo under sid | avals. The
+        recursion is a method's: a nested function that calls itself would
+        form a reference cycle that keeps the index and its memo alive
+        until the cyclic collector runs."""
+        if not sid:
+            return 1
+        var, bit, ones, amask, step, shared = steps[sid]
+        if shared:
+            f = memo.get(sid | avals)
+            if f is not None:
+                return f
+        one = live & ones
+        if one and one != live:
+            f = self._tally(step, avals | bit, one, steps, memo)
+            f += self._tally(step, avals, live ^ one, steps, memo)
         else:
-            f = 1
-        for key, lit in reversed(chain):
+            lit = self.index.implied_literal(amask, avals, var)
+            f = self._tally(step, avals | bit if one else avals, live, steps, memo)
             if lit:
                 f <<= 1
-            if key >= 0:
-                memo[key] = f
+        if shared:
+            memo[sid | avals] = f
         return f
 
     def _check_order(self, sigma: Sequence[int], amask: int = 0) -> list[tuple[int, int]]:
@@ -388,7 +341,7 @@ def success_probability_via_identity(
     n = formula.n
     total = _budgeted_pairs(size, n)
     engine = _probability_engine(formula, tau)
-    cells = engine._check_order(variables)
+    engine._check_order(variables)
     sigmas = [(tuple(variables[r] for r in ranks), count) for ranks, count in orders.values()]
     numerator = 0
     for solution in enumerate_solutions(formula):

@@ -11,9 +11,9 @@ Unsatisfiable input simply survives all n rounds and is reported as such.
 The counters are logical: they describe the value-major scan that walks
 each bit vector with each order in index order, one walk per (vector,
 order) pair. That scan is not run. Each distinct order's guess tree is
-searched once per round, in scan-position order, by `PpszEngine._descend`,
-and the counters are derived from the position of the first hit or of the
-budget cutoff. The orders are read in place as rank orders; only the
+searched once per round, in scan-position order, by `_first_hit`, and the
+counters are derived from the position of the first hit or of the budget
+cutoff. The orders are read in place as rank orders; only the
 returned solution is mapped back to variables and replayed as a physical
 walk, so an engine's own `modify_calls` counts far fewer walks than
 `DppszResult.modify_calls`.
@@ -131,8 +131,14 @@ def _first_hit(
     successful walk below budget, or None.
 
     Each distinct order's guess tree, cut at round_no guesses, is searched
-    by `engine._descend` through `cells`, bit 0 first, from a stack of
-    pending 1-branches.
+    through `cells`, bit 0 first, from a stack of pending 1-branches. A
+    node is (position in the order, amask, avals, guesses used, guessed-bit
+    prefix). It runs down its 0-branches with `_walk`'s decision at each
+    step: a forced literal goes straight on, and a guess past round_no
+    bits ends the walk. A guess pushes its 1-branch if a live solution
+    sets the variable to 1, and goes on with 0 while one sets it to 0. A
+    node that reaches the order's end is a successful leaf: its state is
+    total, and a live solution extends it.
     A node after `used` guesses with guessed-bit prefix p covers the
     values from lo = p << (round_no - used), so its smallest scan position,
     its key, is base + lo x size + the order's first index; a later copy of
@@ -151,8 +157,10 @@ def _first_hit(
     # 0.2 MB of resident memory to every process that imports ppszlab
     from heapq import heappop, heapreplace
 
-    descend = engine._descend
+    implied = engine.index.implied_literal
+    halves = engine.index.halves
     live_of = engine.index.live
+    length = len(cells)
     stacks: dict[int, list] = {}
     heap = [base + first for first in orders]  # sorted, so already a heap
     while heap:
@@ -164,11 +172,32 @@ def _first_hit(
         stack = stacks.get(first)
         if stack is None:
             stack = stacks[first] = []
-            node, node_live = (0, *start, 0, 0), live
+            (amask, avals), node_live = start, live
+            position = used = prefix = 0
         else:
-            node = stack.pop()
-            node_live = live_of(node[1], node[2])
-        if descend(ranks, cells, node, node_live, stack, round_no) >= 0:
+            position, amask, avals, used, prefix = stack.pop()
+            node_live = live_of(amask, avals)
+        for position in range(position, length):
+            var, bit = cells[ranks[position]]
+            lit = implied(amask, avals, var)
+            amask |= bit
+            if lit:
+                if lit > 0:
+                    avals |= bit
+            elif used == round_no:
+                break  # out of bits: the walk is exhausted
+            else:
+                used += 1
+                prefix <<= 1
+                ones, zeros = halves[var]
+                if node_live & ones:
+                    stack.append((position + 1, amask, avals | bit, used, prefix | 1))
+                node_live &= zeros
+                if not node_live:
+                    break  # no solution sets var to 0 here
+        else:
+            # a forced step keeps every live solution, so the total state
+            # reached with a nonempty live set is a solution
             return key, ranks, (key - base) // size
         if stack:
             _, _, _, used, prefix = stack[-1]

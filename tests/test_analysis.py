@@ -193,6 +193,8 @@ def test_bound_argument_validation():
         r_grid(3, 5, 0)
     with pytest.raises(ValueError):
         r_sequence_bounds(3, -1, 10)
+    with pytest.raises(ValueError, match="grid must be positive"):
+        r_sequence_bounds(3, 1, 0)
 
 
 def test_analysis_defaults():

@@ -5,6 +5,7 @@ import pytest
 
 from ppszlab.cli import main
 from ppszlab.cnf import parse_dimacs
+from ppszlab.oracle import count_solutions
 from ppszlab.permutations import PermutationBudgetError, construct_sigma
 
 CHAIN = "p cnf 3 3\n1 0\n-1 2 0\n-2 3 0\n"
@@ -140,6 +141,7 @@ def test_solve_rejects_malformed_input(capsys, tmp_path):
         (("gen", "--n", "3", "--m", "-1"), "m must be nonnegative"),
         (("gen", "--kind", "planted", "--n", "3", "--m", "-1"), "m must be nonnegative"),
         (("bench", "--count", "-1"), "count must be nonnegative"),
+        (("tree", "EMPTY", "--var", "1"), "formula is unsatisfiable"),
     ],
 )
 def test_bad_numbers_fail_with_a_message(capsys, tmp_path, chain_file, argv, message):
@@ -185,7 +187,9 @@ def test_oracle_reports_structure(capsys, chain_file, unsat_file):
     assert "frozen" not in payload
 
 
-def test_perm_spot_check(capsys):
+def test_perm_spot_check(capsys, chain_file):
+    # a DIMACS file stands for its variables
+    assert run(capsys, "perm", chain_file) == run(capsys, "perm", "--n", "3")
     code, out, _ = run(capsys, "perm", "--n", "3", "--member", "1")
     assert code == 0
     payload = assert_canonical(out)
@@ -296,6 +300,14 @@ def test_constants_csv(capsys):
     ]
     for line in lines[1:]:
         float(line.split(",")[1])
+    # the competitor's crossover is one more row, as in the JSON output
+    flags = ("--grid", "200", "--iterations", "3", "--competitor", "1.328")
+    code, out, _ = run(capsys, "constants", "--format", "csv", *flags)
+    assert code == 0
+    quantity, value = out.splitlines()[-1].split(",")
+    assert quantity == "crossover"
+    _, out, _ = run(capsys, "constants", *flags)
+    assert float(value) == assert_canonical(out)["crossover"]
 
 
 def test_verify_command(capsys):
@@ -398,6 +410,10 @@ def test_gen_planted_comment_satisfies_the_formula(capsys):
     first = out.splitlines()[0]
     assert first.startswith("c plant ")
     assert len(first.split()) == 2 + 6
+    code, out, _ = run(capsys, "gen", "--kind", "satisfiable", "--n", "6", "--m", "20",
+                       "--seed", "4")
+    assert code == 0
+    assert count_solutions(parse_dimacs(out)) > 0
 
 
 def test_gen_uniform_and_free_variables(capsys):

@@ -86,6 +86,10 @@ def test_parse_structural_errors():
         parse_dimacs("p cnf 2 1\n1 2\n")
     with pytest.raises(DimacsError):
         parse_dimacs("p cnf -1 0\n")
+    with pytest.raises(DimacsError, match="malformed problem line"):
+        parse_dimacs("p cnf 3\n")
+    with pytest.raises(DimacsError, match="malformed problem line"):
+        parse_dimacs("p cnf x 1\n1 0\n")
 
 
 def test_parse_tolerates_comments_multiline_clauses_and_end_marker():
@@ -128,6 +132,8 @@ def test_restrict_drops_assigned_variables_and_keeps_k():
 def test_restrict_rejects_unknown_variable():
     with pytest.raises(ValueError):
         restrict(F((1, 2)), (5,))
+    with pytest.raises(ValueError, match="assigned twice with opposite polarity"):
+        restrict(F((1, 2)), (1, -1))
 
 
 def test_restrict_composes_like_the_joint_restriction():
@@ -144,6 +150,8 @@ def test_evaluate_spec_cases():
     assert evaluate(F((1, 2)), (-1, 2)) is Evaluation.SATISFIED
     assert evaluate(F((1,), (-1,)), (1,)) is Evaluation.FALSIFIED
     assert evaluate(F((1, 2)), (-1,)) is Evaluation.UNDETERMINED
+    with pytest.raises(ValueError, match="assigned twice with opposite polarity"):
+        evaluate(F((1, 2)), (1, -1))
 
 
 def test_evaluate_empty_formula_is_satisfied():

@@ -105,6 +105,19 @@ def test_exact_equals_identity_on_random_instances():
         assert 0 < exact <= 1
 
 
+def test_exact_equals_identity_past_eight_variables():
+    # the count's deepest trees in tier-1: one solution at n = 10 and 11,
+    # 34 at n = 10, each over its full hash family
+    rng = random.Random(111)
+    formulas = [unique_kcnf(rng, 10, 3)[0], unique_kcnf(rng, 11, 3)[0], planted_kcnf(rng, 10, 30, 3)[0]]
+    assert [count_solutions(formula) for formula in formulas] == [1, 1, 34]
+    for formula in formulas:
+        perms = construct_sigma(formula.variables)
+        exact = success_probability_exact(formula, perms)
+        assert exact == success_probability_via_identity(formula, perms)
+        assert 0 < exact <= 1
+
+
 def _reference_walk(eng, sigma, beta_value, beta_length, alpha, amask=0, avals=0):
     """Reference walk: `_walk` as it ran before it carried a live set.
     Every step asks the index, and the success test reads the solution
@@ -132,7 +145,7 @@ def _reference_walk(eng, sigma, beta_value, beta_length, alpha, amask=0, avals=0
             avals |= bit
         entries.append((lit, prov))
     profile = GuessProfile(tuple(entries), guessed)
-    if amask == eng._full and eng.index.live(amask, avals):
+    if amask == (1 << eng.formula.n) - 1 and eng.index.live(amask, avals):
         return avals, profile
     return None, profile
 
@@ -211,23 +224,30 @@ def test_walk_matches_the_reference_walk(start_state):
     assert all(kinds[key] for key in keys), kinds
 
 
-def _reference_count(eng, sigma):
-    """Reference count: the per-order guess-tree descent that the exact
-    route ran before it shared suffixes, every node run down from a stack
-    of pending 1-branches by `_descend`."""
-    cells = eng._check_order(sigma)
-    ranks = range(len(sigma))
-    n = eng.formula.n
-    successes = 0
-    pending = [(0, 0, 0, 0, 0)]
-    while pending:
-        node = pending.pop()
-        live = eng.index.live(node[1], node[2])
-        if live:
-            used = eng._descend(ranks, cells, node, live, pending, n)
-            if used >= 0:
-                successes += 1 << (n - used)
-    return successes
+def _reference_count(eng, sigma, depth=0, amask=0, avals=0, live=None):
+    """Reference count: one order's guess tree, recursed without a memo
+    from the node at sigma[depth:] with state (amask, avals) and live set
+    live. Every step asks the index. A forced step doubles its child's
+    count, a guess adds up the counts of its live children, and a total
+    state with a live set is a solution and counts 1."""
+    index = eng.index
+    if live is None:
+        live = index.live(amask, avals)
+        if not live:
+            return 0
+    if depth == len(sigma):
+        return 1
+    var = sigma[depth]
+    bit = index.bit_of[var]
+    ones, zeros = index.halves[var]
+    lit = index.implied_literal(amask, avals, var)
+    f = 0
+    for positive in (lit > 0,) if lit else (True, False):
+        child = live & (ones if positive else zeros)
+        if child:
+            values = avals | bit if positive else avals
+            f += _reference_count(eng, sigma, depth + 1, amask | bit, values, child)
+    return f << 1 if lit else f
 
 
 @pytest.mark.parametrize("tau", [1, 2, 3, 4])

@@ -838,11 +838,13 @@ def test_solution_bitmap_matches_the_clause_loop():
     verdicts = set()
     for formula in formulas:
         index = ImplicationIndex(formula)
+        full = (1 << formula.n) - 1
         for avals in range(1 << formula.n):
             want = _satisfies_by_clauses(formula, avals)
-            assert (index._solutions >> avals) & 1 == want, (formula.clauses, avals)
+            assert bool(index.live(full, avals)) == want, (formula.clauses, avals)
             verdicts.add(want)
-        assert index._solutions >> (1 << formula.n) == 0  # no bit past 2^n
+        # the live set of the empty state holds each solution once
+        assert index.live(0, 0).bit_count() == count_solutions(formula)
         # the variable map and the short clauses come out of the same pass
         variables = formula.variables
         assert index.bit_of == {v: 1 << variables.index(v) for v in variables}
