@@ -34,9 +34,10 @@ the randomized trial) is not pruned, because it reports the profile of a
 failed walk too, but it carries its live set from its start state, and
 its success test is the same: a total state with a nonempty live set.
 
-The live set also answers the step rule where solutions disagree. If the
-live solutions take both values of a variable, no clause subset implies
-it, so the step is a guess with no lookup. The count and `_walk` both
+Every walker reads an order as `_check_order`'s (variable, bit, ones)
+cells and splits a live set one way: `one = live & ones` and `live ^ one`.
+If the live solutions take both values of a variable, no clause subset
+implies it, so the step is a guess with no lookup. The count and `_walk`
 apply this both-live rule. `dppsz`'s round search (`unique._first_hit`)
 does not: at large n it would pay the extra ANDs of 2^n-bit live sets at
 every forced step.
@@ -45,7 +46,7 @@ The count is a DAG, not a tree per order. A node's count depends only on
 its state and the rest of its order, so orders with a common suffix reach
 the same nodes. `_count` reads the table `permutations.distinct_orders`
 gives (each distinct order once, with its multiplicity, as a rank order
-read in place through one (variable, bit) cell per rank), numbers its
+read in place through the cell of each rank), numbers its
 suffixes as a reversed trie, and counts each (state, suffix) node once.
 
 The two probability routes share one engine per (formula, tau): the last
@@ -98,7 +99,7 @@ class PpszEngine:
     """Shared machinery for running many Modify walks over one formula:
     one implication index, which alone encodes the formula (a variable's
     bit in a state is `index.bit_of[v]`), with its memo and the live sets
-    a walk carries and splits (`ImplicationIndex.live`, `.halves`).
+    a walk carries and splits (`ImplicationIndex.live`, `.ones_of`).
     `modify_calls` counts the physical `_walk` calls made on this engine.
     A guess-tree search (the count here, or `dppsz`'s first-hit search in
     `unique`, which reads the index directly) is not a walk and is not
@@ -112,29 +113,30 @@ class PpszEngine:
 
     def _walk(
         self,
-        sigma: Sequence[int],
+        cells: Sequence[tuple[int, int, int]],
         beta_value: int | None,
         beta_length: int,
-        alpha: Mapping[int, bool] | None,
+        alpha: int | None,
         amask: int = 0,
         avals: int = 0,
     ) -> tuple[int | None, GuessProfile]:
+        """The walk over cells from (amask, avals): its final avals (None
+        unless a solution) and profile. A guess reads beta's next bit, or
+        alpha's bit when alpha, a reference solution's state, is given."""
         self.modify_calls += 1
         implied = self.index.implied_literal
-        bit_of = self.index.bit_of
-        halves = self.index.halves
         live = self.index.live(amask, avals)
         entries: list[tuple[int, str]] = []
         guessed = 0
-        for var in sigma:
-            ones = live & halves[var][0]
+        for var, bit, ones in cells:
+            one = live & ones
             # live solutions on both sides: no clause subset implies var
-            lit = 0 if ones and ones != live else implied(amask, avals, var)
+            lit = 0 if one and one != live else implied(amask, avals, var)
             if lit:
                 prov = FORCED
             else:
                 if alpha is not None:
-                    positive = alpha[var]
+                    positive = alpha & bit
                 elif guessed == beta_length:
                     return None, GuessProfile(tuple(entries), guessed)
                 else:
@@ -142,13 +144,12 @@ class PpszEngine:
                 lit = var if positive else -var
                 prov = GUESSED
                 guessed += 1
-            bit = bit_of[var]
             amask |= bit
             if lit > 0:
                 avals |= bit
-                live = ones
+                live = one
             else:
-                live ^= ones
+                live ^= one
             entries.append((lit, prov))
         profile = GuessProfile(tuple(entries), guessed)
         # the order covers every variable the start state leaves free, so
@@ -180,20 +181,19 @@ class PpszEngine:
         if not live:
             return 0
         full = (1 << n) - 1
-        halves = self.index.halves
         steps: dict[int, list] = {}  # suffix id -> [variable, bit, ones, amask, next id, shared]
         ids: dict[tuple[int, int], int] = {}
         roots = []
         for ranks, multiplicity in orders:
             sid = free = 0
             for rank in reversed(ranks):
-                var, bit = cells[rank]
+                var, bit, ones = cells[rank]
                 free |= bit
                 step = ids.setdefault((rank, sid), (len(ids) + 1) << n)
                 if step in steps:
                     steps[step][5] = True
                 else:
-                    steps[step] = [var, bit, halves[var][0], full ^ free, sid, False]
+                    steps[step] = [var, bit, ones, full ^ free, sid, False]
                 sid = step
             roots.append((sid, multiplicity))
         memo: dict[int, int] = {}
@@ -239,14 +239,14 @@ class PpszEngine:
             memo[sid | avals] = f
         return f
 
-    def _check_order(self, sigma: Sequence[int], amask: int = 0) -> list[tuple[int, int]]:
-        """The (variable, bit) pair of each step of sigma; ValueError unless
-        sigma lists each variable free in amask exactly once."""
-        bit_of = self.index.bit_of
+    def _check_order(self, sigma: Sequence[int], amask: int = 0) -> list[tuple[int, int, int]]:
+        """The cell (variable, bit, ones_of[variable]) of each step of sigma;
+        ValueError unless sigma lists each variable free in amask exactly once."""
+        bit_of, ones_of = self.index.bit_of, self.index.ones_of
         if sorted(sigma) != [v for v in self.formula.variables if not amask & bit_of[v]]:
             free = " that the start state leaves free" if amask else ""
             raise ValueError(f"sigma must order exactly the formula's variables{free}")
-        return [(v, bit_of[v]) for v in sigma]
+        return [(v, bit_of[v], ones_of[v]) for v in sigma]
 
     def modify(
         self, sigma: Sequence[int], bits: Sequence[int]
@@ -254,30 +254,29 @@ class PpszEngine:
         """One walk over sigma, guesses read from bits in order. Returns the
         finished assignment (None unless it satisfies the formula) and the
         walk's profile."""
-        sigma = tuple(sigma)
-        self._check_order(sigma)
+        cells = self._check_order(tuple(sigma))
         value = 0
         for b in bits:
             value = (value << 1) | (1 if b else 0)
-        avals, profile = self._walk(sigma, value, len(bits), None)
+        avals, profile = self._walk(cells, value, len(bits), None)
         if avals is None:
             return None, profile
         return Assignment(profile.entries), profile
 
     def replay(self, alpha: Mapping[int, bool] | Iterable[int], sigma: Sequence[int]) -> GuessProfile:
-        """Walk sigma (each variable once, else ValueError) with guesses read
-        off a reference solution; the walk reproduces it, for its profile."""
-        sigma = tuple(sigma)
-        self._check_order(sigma)
-        alpha_map = alpha if isinstance(alpha, Mapping) else _as_value_map(alpha)
-        avals, profile = self._walk(sigma, None, 0, alpha_map)
-        if avals is None:
+        """Walk sigma (each variable once) with guesses read off a reference
+        solution alpha, as values or literals, for its profile. ValueError
+        unless alpha assigns each variable once and the walk reproduces it,
+        as it does a solution: every forced literal agrees with it."""
+        cells = self._check_order(tuple(sigma))
+        literals = [v if alpha[v] else -v for v in alpha] if isinstance(alpha, Mapping) else list(alpha)
+        if sorted(map(abs, literals)) != list(self.formula.variables):
+            raise ValueError("replay reference must assign each of the formula's variables once")
+        target = sum(self.index.bit_of[lit] for lit in literals if lit > 0)
+        avals, profile = self._walk(cells, None, 0, target)
+        if avals != target:
             raise ValueError("replay reference is not a solution of the formula")
         return profile
-
-
-def _as_value_map(literals: Iterable[int]) -> dict[int, bool]:
-    return {abs(lit): lit > 0 for lit in literals}
 
 
 @lru_cache(maxsize=1)
@@ -341,13 +340,13 @@ def success_probability_via_identity(
     n = formula.n
     total = _budgeted_pairs(size, n)
     engine = _probability_engine(formula, tau)
-    engine._check_order(variables)
-    sigmas = [(tuple(variables[r] for r in ranks), count) for ranks, count in orders.values()]
+    cells = engine._check_order(variables)
+    walks = [([cells[r] for r in ranks], count) for ranks, count in orders.values()]
     numerator = 0
     for solution in enumerate_solutions(formula):
-        alpha = _as_value_map(solution)
-        for sigma, multiplicity in sigmas:
-            _, profile = engine._walk(sigma, None, 0, alpha)
+        alpha = sum(engine.index.bit_of[lit] for lit in solution if lit > 0)
+        for order, multiplicity in walks:
+            _, profile = engine._walk(order, None, 0, alpha)
             numerator += multiplicity << (n - profile.guessed)
     return Fraction(numerator, total)
 

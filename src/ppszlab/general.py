@@ -186,16 +186,16 @@ def _instance_runs(
     first chosen variable is the top bit.
 
     The pattern prefixes are walked depth-first, 0 before 1, carrying the
-    live set (ImplicationIndex.live) down one variable at a time, split by
-    its halves (ImplicationIndex.halves). A prefix that fixes d variables
-    and that no solution extends is one item, the range
-    [p * 2^(i - d), (p + 1) * 2^(i - d)) of its patterns. Each of them
-    either falsifies one of the index's short clauses inside the subset,
-    bit j of falsified, a 2^i-bit mask built at the subset's first such
-    range, or is dead and carries no_hit's result, the same for the whole
-    instance. A live pattern is the range [j, j + 1), falsified 0, with
-    dppsz's result on the subset's permutation set, built for its first
-    search.
+    live set (ImplicationIndex.live) down one variable at a time, split as
+    every walker splits it: one = live & ones_of[v] and live ^ one. A
+    prefix that fixes d variables and that no solution extends is one
+    item, the range [p * 2^(i - d), (p + 1) * 2^(i - d)) of its patterns.
+    Each of them either falsifies one of the index's short clauses inside
+    the subset, bit j of falsified, a 2^i-bit mask built at the subset's
+    first such range, or is dead and carries no_hit's result, the same for
+    the whole instance. A live pattern is the range [j, j + 1), falsified
+    0, with dppsz's result on the subset's permutation set, built for its
+    first search.
 
     solve_general counts each pattern of a range that falsifies nothing
     as one dppsz call with the item's result. When a slice ends at such
@@ -204,8 +204,7 @@ def _instance_runs(
     instance's next turn."""
     variables = engine.formula.variables
     index = engine.index
-    bit_of = index.bit_of
-    halves = index.halves
+    bit_of, ones_of = index.bit_of, index.ones_of
     root = index.live(0, 0)
     free = len(variables) - i
     dead = no_hit(free, len(hash_family(free, independence)) if free else 0, cutoff)
@@ -216,6 +215,7 @@ def _instance_runs(
     tables = _polarity_masks(i)[::-1]
     for combo in itertools.combinations(variables, i):
         bits = [bit_of[v] for v in combo]
+        ones = [ones_of[v] for v in combo]
         amask = sum(bits)
         falsified = -1  # not built yet
         perms = None
@@ -228,9 +228,9 @@ def _instance_runs(
                 shift = i - depth
                 yield combo, prefix << shift, (prefix + 1) << shift, falsified, dead
             elif depth < i:
-                ones, zeros = halves[combo[depth]]
-                stack.append((depth + 1, 2 * prefix + 1, live & ones))
-                stack.append((depth + 1, 2 * prefix, live & zeros))
+                one = live & ones[depth]
+                stack.append((depth + 1, 2 * prefix + 1, one))
+                stack.append((depth + 1, 2 * prefix, live ^ one))
             else:
                 if perms is None and free:
                     perms = construct_sigma([v for v in variables if v not in combo], independence)

@@ -227,7 +227,7 @@ class ImplicationIndex:
     tau - 1 variables.
 
     Before sizes 2 and up, a sweep reads the state's live set (`live`)
-    and splits it at x by `halves`, as the walkers do. If the live
+    and splits it at x by `ones_of`, as the walkers do. If the live
     solutions take both values of x the answer is 0. If they all take one
     value v, `_one_sided` looks for any core with x = not v, and the
     answer is v when it finds one (module docstring). A state with no
@@ -237,8 +237,9 @@ class ImplicationIndex:
 
     Only this class encodes the formula: each variable's bit in a state
     (`bit_of`), the clauses' bits (`short_clauses`) and the live sets.
-    Callers test a live set for emptiness and split it at v with `&` by
-    `halves[v]`, (ones, zeros).
+    Callers test a live set for emptiness and split it at v one way:
+    `one = live & ones_of[v]`, the live solutions that set v true, and
+    `live ^ one`, those that set it false.
     """
 
     VARIABLE_LIMIT = 20  # the live masks hold up to 2^n bits
@@ -259,7 +260,7 @@ class ImplicationIndex:
         space = (1 << (1 << n)) - 1
         self._true_masks = true_masks = _polarity_masks(n)
         self._false_masks = false_masks = [space & ~m for m in true_masks]
-        self.halves = halves = {v: (true_masks[j], false_masks[j]) for j, v in enumerate(variables)}
+        self.ones_of = {v: true_masks[j] for j, v in enumerate(variables)}
         # per clause: each literal with its variable's bit, the bits of its
         # positive and of its negative literals, and its bits as a state
         # keeps them (_State); and the assignments that satisfy every clause
@@ -275,7 +276,7 @@ class ImplicationIndex:
                 vbits |= bit
                 if lit > 0:
                     pos |= bit
-                satisfying |= halves[var][lit < 0]  # zeros for a negative literal
+                satisfying |= (true_masks if lit > 0 else false_masks)[bit.bit_length() - 1]
             clauses.append((clause, tuple(lit_bits), pos, vbits ^ pos, vbits | pos << n))
             solutions &= satisfying
         self._clauses = clauses
@@ -368,7 +369,7 @@ class ImplicationIndex:
         if state.dead:
             return var  # () and the first clause over var
         live = self.live(amask, avals)
-        ones = live & self.halves[var][0]
+        ones = live & self.ones_of[var]
         if ones and ones != live:
             return 0  # the live solutions set var both ways: no subset decides it
         hit = _pair_hit(state.binaries, state.units, var)

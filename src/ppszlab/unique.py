@@ -13,10 +13,10 @@ each bit vector with each order in index order, one walk per (vector,
 order) pair. That scan is not run. Each distinct order's guess tree is
 searched once per round, in scan-position order, by `_first_hit`, and the
 counters are derived from the position of the first hit or of the budget
-cutoff. The orders are read in place as rank orders; only the
-returned solution is mapped back to variables and replayed as a physical
-walk, so an engine's own `modify_calls` counts far fewer walks than
-`DppszResult.modify_calls`.
+cutoff. The orders are read in place as rank orders, each rank through
+its cell (`PpszEngine._check_order`); only the hit's order is replayed as
+a physical walk, so an engine's own `modify_calls` counts far fewer walks
+than `DppszResult.modify_calls`.
 
 The search visits only the branches that some solution extends: only they
 can hold a successful walk, so the first hit, and every counter derived
@@ -58,16 +58,18 @@ def dppsz(
     found, scanning bit vectors in lexicographic order and permutations in
     index order.
 
-    `start` is an (amask, avals) state of the engine: the walks extend it,
-    perms orders exactly the variables it leaves free (else ValueError),
-    and n is their number. Implications are looked up at `engine.index.tau`.
-    max_modify_calls cuts the search off mid-round (the caller treats a
-    cutoff as "nothing found here, move on"), so the full run is only
-    attempted when the budget allows. The counters are those of the scan;
-    the search behind them is `_first_hit`'s, and none is run when no
-    solution extends the start state.
+    `start` is an (amask, avals) state of the engine, values only inside
+    amask: the walks extend it, perms orders exactly the variables it
+    leaves free (each else ValueError), and n is their number.
+    Implications are looked up at `engine.index.tau`. max_modify_calls
+    cuts the search off mid-round (the caller treats a cutoff as "nothing
+    found here, move on"), so the full run is only attempted when the
+    budget allows. The counters are those of the scan; the search behind
+    them is `_first_hit`'s, and none runs if no solution extends start.
     """
     amask, avals = start
+    if avals & ~amask or amask >> engine.formula.n:
+        raise ValueError("start must be a state of the engine's formula")
     n = engine.formula.n - amask.bit_count()
     live = engine.index.live(amask, avals)
     if n == 0:
@@ -86,8 +88,7 @@ def dppsz(
         hit = _first_hit(engine, orders, cells, size, round_no, base, budget, start, live)
         if hit is not None:
             position, ranks, value = hit
-            sigma = tuple(cells[r][0] for r in ranks)
-            _, profile = engine._walk(sigma, value, round_no, None, amask, avals)
+            _, profile = engine._walk([cells[r] for r in ranks], value, round_no, None, amask, avals)
             solution = Assignment(profile.entries)
             counts = _round_counts(size, position + 1, round_no)
             return DppszResult(solution, round_no, counts, position + 1, False, size)
@@ -158,7 +159,6 @@ def _first_hit(
     from heapq import heappop, heapreplace
 
     implied = engine.index.implied_literal
-    halves = engine.index.halves
     live_of = engine.index.live
     length = len(cells)
     stacks: dict[int, list] = {}
@@ -178,7 +178,7 @@ def _first_hit(
             position, amask, avals, used, prefix = stack.pop()
             node_live = live_of(amask, avals)
         for position in range(position, length):
-            var, bit = cells[ranks[position]]
+            var, bit, ones = cells[ranks[position]]
             lit = implied(amask, avals, var)
             amask |= bit
             if lit:
@@ -189,10 +189,10 @@ def _first_hit(
             else:
                 used += 1
                 prefix <<= 1
-                ones, zeros = halves[var]
-                if node_live & ones:
+                ones &= node_live
+                if ones:
                     stack.append((position + 1, amask, avals | bit, used, prefix | 1))
-                node_live &= zeros
+                node_live ^= ones
                 if not node_live:
                     break  # no solution sets var to 0 here
         else:

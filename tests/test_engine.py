@@ -209,8 +209,12 @@ def test_walk_matches_the_reference_walk(start_state):
                 kinds["live start" if eng.index.live(*start) else "dead start"] += 1
                 cases.append((tuple(sigma), rng.getrandbits(len(sigma)), len(sigma), None, *start))
             for case in cases:
+                sigma, value, length, alpha, *start = case
+                # _walk reads the order as cells and alpha as a state
+                cells = eng._check_order(sigma, *start[:1])
+                target = None if alpha is None else sum(eng.index.bit_of[v] for v in alpha if alpha[v])
                 lookups.clear()
-                got = eng._walk(*case)
+                got = eng._walk(cells, value, length, target, *start)
                 assert got == _reference_walk(ref, *case), (formula.clauses, case)
                 avals, profile = got
                 kinds["both-live steps"] += len(profile.entries) - len(lookups)
@@ -239,11 +243,11 @@ def _reference_count(eng, sigma, depth=0, amask=0, avals=0, live=None):
         return 1
     var = sigma[depth]
     bit = index.bit_of[var]
-    ones, zeros = index.halves[var]
+    one = live & index.ones_of[var]
     lit = index.implied_literal(amask, avals, var)
     f = 0
     for positive in (lit > 0,) if lit else (True, False):
-        child = live & (ones if positive else zeros)
+        child = one if positive else live ^ one
         if child:
             values = avals | bit if positive else avals
             f += _reference_count(eng, sigma, depth + 1, amask | bit, values, child)
@@ -490,9 +494,19 @@ def test_replay_profiles_a_reference_solution():
 
 
 def test_replay_rejects_a_non_solution():
-    eng = engine(F((1, 2), (1, -2)))
-    with pytest.raises(ValueError):
-        eng.replay({1: False, 2: True}, (1, 2))
+    # unchecked, the unit (1) walked {1: False, 2: True} to the solution
+    # (1, 2) and profiled that, {1: True} raised KeyError, and a reference
+    # with a third variable, or a variable twice, was accepted
+    cases = [
+        (F((1, 2), (1, -2)), {1: False, 2: True}),
+        (F((1,), variables=(1, 2)), {1: False, 2: True}),
+        (F((1, 2), (1, -2)), {1: True}),
+        (F((1, 2), (1, -2)), {1: True, 2: True, 3: True}),
+        (F((1, 2), (1, -2)), (1, -1, 2)),
+    ]
+    for formula, alpha in cases:
+        with pytest.raises(ValueError, match="replay reference"):
+            engine(formula).replay(alpha, (1, 2))
 
 
 @pytest.mark.parametrize("sigma", [(1, 1, 2, 3), (1, 2, 4), (1, 2)])

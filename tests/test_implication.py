@@ -370,8 +370,8 @@ def test_live_screen_matches_the_reference():
                 index.tau = tau
                 for var in residual.variables:
                     xbit = 1 << formula.variables.index(var)
-                    ones = live & index.halves[var][0]
-                    kind = "dead" if not live else "both" if ones and ones != live else "one"
+                    one = live & index.ones_of[var]
+                    kind = "dead" if not live else "both" if one and live ^ one else "one"
                     want = tau_implied(residual, var, tau) or 0
                     assert index.implied_literal(amask, avals, var) == want, (literals, var, tau)
                     seen[kind] += 1

@@ -145,7 +145,7 @@ def attribute_reads(sources: dict[str, str], names: set[str]) -> list[str]:
 
 
 def test_only_the_index_reads_its_tables():
-    # the tests too: each reads the index through `live`, `halves` and `bit_of`
+    # the tests too: each reads the index through `live`, `ones_of` and `bit_of`
     paths = sorted({*PACKAGE, *MODULES})
     sources = {f"{p.parent.name}/{p.name}": p.read_text() for p in paths if p.name != "implication.py"}
     assert attribute_reads(sources, INDEX_TABLES) == []

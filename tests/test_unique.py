@@ -126,7 +126,7 @@ def _scan_results(engine, perms, start):
     (a larger budget ends like total) and the position of the first hit."""
     amask, avals = start
     n = engine.formula.n - amask.bit_count()
-    orders = [tuple(sigma) for sigma in perms]
+    orders = [engine._check_order(tuple(sigma), amask) for sigma in perms]
     results = []
     per_round = []
     calls = 0
@@ -249,6 +249,19 @@ def test_dppsz_rejects_orders_of_other_variables_than_the_free_ones(orders):
         dppsz(engine, orders, start=start)
     result = dppsz(engine, [(3, 2)], start=start)
     assert result.solution.sorted_literals() in ((2, 3), (-2, 3))
+
+
+@pytest.mark.parametrize("start", [(0b001, 0b011), (0b1001, 0b0001)])
+def test_dppsz_rejects_a_start_that_is_not_a_state(start):
+    # unchecked, a value outside amask ran to round 2 and 9 walks where the
+    # state (0b001, 0b001) takes round 1 and 1 walk, and a bit past the
+    # formula's variables raised IndexError
+    engine = PpszEngine(F((1, 2), (-1, 2), (2, 3)))
+    perms = construct_sigma((2, 3))
+    with pytest.raises(ValueError, match="start must be a state"):
+        dppsz(engine, perms, start=start)
+    result = dppsz(engine, perms, start=(0b001, 0b001))
+    assert (result.round_found, result.modify_calls) == (1, 1)
 
 
 def test_engine_counts_only_the_replayed_walk():
