@@ -52,7 +52,7 @@ from .oracle import (
 )
 from .permutations import construct_sigma
 from .suites import run_quick, solver_corpus
-from .tree import certificate_depth, construct_tree, verify_tree
+from .tree import PROPERTIES, certificate_depth, construct_tree, verify_tree
 from .unique import solve_unique
 
 EXIT_SAT = 10
@@ -85,66 +85,62 @@ def _checked_literals(formula: Formula, assignment: Assignment) -> list[int]:
     return list(assignment.sorted_literals())
 
 
-def cmd_solve(args) -> int:
-    formula = _load_formula(args.file)
-    if args.mode == "general":
+def _solve(formula, mode, tau, kwise, slack, slice_budget, seed) -> tuple[dict, int]:
+    """Run one solve and return its canonical payload and exit code: the one
+    path behind both `solve` and `bench`. Every returned solution has been
+    checked against the formula."""
+    if mode == "randomized":
+        # with no variables the one order is the empty one
+        perms = construct_sigma(formula.variables, kwise) if formula.n else [()]
+        record = ppsz_randomized(formula, perms, tau, seed=seed)
+        found = record.result is not None
+        payload = {
+            "mode": mode,
+            "found": found,
+            "solution": _checked_literals(formula, Assignment.from_literals(record.result))
+            if found
+            else None,
+            "seed": seed,
+            "trial": record.to_dict(),
+        }
+        return payload, EXIT_SAT if found else 0
+    if mode == "general":
         result = solve_general(
-            formula,
-            args.tau,
-            independence=args.kwise,
-            slack=args.slack,
-            slice_budget=args.slice,
+            formula, tau, independence=kwise, slack=slack, slice_budget=slice_budget
         )
         exponent = None
         if result.instance_found is not None:
             free = formula.n - result.instance_found
             exponent = (1.0 - result.metadata["lambda"]) * free + result.metadata["slack"]
         payload = {
-            "mode": "general",
-            "satisfiable": result.satisfiable,
-            "solution": _checked_literals(formula, result.solution)
-            if result.satisfiable
-            else None,
             "instance": result.instance_found,
             "cutoff_exponent": exponent,
             "restrictions_tried": result.restrictions_tried,
             "restrictions_skipped": result.restrictions_skipped,
             "dppsz_calls": result.dppsz_calls,
-            "modify_calls": result.modify_calls,
             "cutoff_hits": result.cutoff_hits,
-            "metadata": result.metadata,
         }
-        _emit(canonical_json(payload), args.out)
-        return EXIT_SAT if result.satisfiable else EXIT_UNSAT
-    if args.mode == "unique":
-        report = solve_unique(formula, args.tau, independence=args.kwise)
-        payload = {
-            "mode": "unique",
-            "satisfiable": report.satisfiable,
-            "solution": _checked_literals(formula, report.solution)
-            if report.satisfiable
-            else None,
-            "round": report.round_found,
-            "modify_calls": report.modify_calls,
-            "metadata": report.metadata,
-        }
-        _emit(canonical_json(payload), args.out)
-        return EXIT_SAT if report.satisfiable else EXIT_UNSAT
-    # with no variables the one order is the empty one
-    perms = construct_sigma(formula.variables, args.kwise) if formula.n else [()]
-    record = ppsz_randomized(formula, perms, args.tau, seed=args.seed)
-    found = record.result is not None
-    payload = {
-        "mode": "randomized",
-        "found": found,
-        "solution": _checked_literals(formula, Assignment.from_literals(record.result))
-        if found
-        else None,
-        "seed": args.seed,
-        "trial": record.to_dict(),
-    }
+    else:
+        result = solve_unique(formula, tau, independence=kwise)
+        payload = {"round": result.round_found}
+    # the fields both deterministic modes report
+    payload.update(
+        mode=mode,
+        satisfiable=result.satisfiable,
+        solution=_checked_literals(formula, result.solution) if result.satisfiable else None,
+        modify_calls=result.modify_calls,
+        metadata=result.metadata,
+    )
+    return payload, EXIT_SAT if result.satisfiable else EXIT_UNSAT
+
+
+def cmd_solve(args) -> int:
+    formula = _load_formula(args.file)
+    payload, code = _solve(
+        formula, args.mode, args.tau, args.kwise, args.slack, args.slice, args.seed
+    )
     _emit(canonical_json(payload), args.out)
-    return EXIT_SAT if found else 0
+    return code
 
 
 def cmd_oracle(args) -> int:
@@ -242,14 +238,7 @@ def cmd_tree(args) -> int:
         "tree": as_dict(tree),
         "vertices": outcome.vertices,
         "cuts_checked": outcome.cuts_checked,
-        "properties": {
-            "root_in_variables": outcome.root_in_variables,
-            "branching_within_width": outcome.branching_within_width,
-            "path_labels_distinct": outcome.path_labels_distinct,
-            "uniform_leaf_depth": outcome.uniform_leaf_depth,
-            "label_count_within_k": outcome.label_count_within_k,
-            "cuts_imply_root": outcome.cuts_imply_root,
-        },
+        "properties": {name: getattr(outcome, name) for name in PROPERTIES},
         "all_passed": outcome.all_passed,
     }
     _emit(canonical_json(payload), args.out)
@@ -321,12 +310,8 @@ def cmd_bench(args) -> int:
         raise ValueError("count must be nonnegative")
     rng = random.Random(args.seed)
     buffer = io.StringIO()
-    columns = [
-        "index",
-        "n",
-        "clauses",
-        "k",
-        "mode",
+    # solve's payload fields, one column each; a field the mode lacks is blank
+    fields = (
         "satisfiable",
         "instance",
         "round",
@@ -335,7 +320,8 @@ def cmd_bench(args) -> int:
         "dppsz_calls",
         "modify_calls",
         "cutoff_hits",
-    ]
+    )
+    columns = ["index", "n", "clauses", "k", "mode", *fields]
     if not args.no_timing:
         columns.append("seconds")
     writer = csv.writer(buffer, lineterminator="\n")
@@ -347,32 +333,12 @@ def cmd_bench(args) -> int:
         jobs = solver_corpus(rng, args.count)
     for index, formula in enumerate(jobs):
         start = time.perf_counter()
-        if args.mode == "unique":
-            report = solve_unique(formula, args.tau)
-            stats = [
-                int(report.satisfiable),
-                "",
-                report.round_found,
-                "",
-                "",
-                1,
-                report.modify_calls,
-                "",
-            ]
-        else:
-            result = solve_general(formula, args.tau, slack=args.slack)
-            stats = [
-                int(result.satisfiable),
-                result.instance_found if result.instance_found is not None else "",
-                "",
-                result.restrictions_tried,
-                result.restrictions_skipped,
-                result.dppsz_calls,
-                result.modify_calls,
-                result.cutoff_hits,
-            ]
+        payload, _ = _solve(formula, args.mode, args.tau, None, args.slack, None, 0)
         elapsed = time.perf_counter() - start
-        row = [index, formula.n, formula.num_clauses, formula.k, args.mode] + stats
+        # a unique solve is one dppsz call
+        cells = {"dppsz_calls": 1, **payload, "satisfiable": int(payload["satisfiable"])}
+        row = [index, formula.n, formula.num_clauses, formula.k, args.mode]
+        row += ["" if cells.get(name) is None else cells[name] for name in fields]
         if not args.no_timing:
             row.append(f"{elapsed:.6f}")
         writer.writerow(row)
@@ -436,7 +402,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_perm.add_argument("--kwise", type=int, default=None)
     p_perm.add_argument("--member", type=int, default=None, help="describe one family member")
     p_perm.add_argument("--all", action="store_true", help="list every permutation")
-    p_perm.add_argument("--out", default=None)
+    add_common(p_perm, formula_input=False)
     p_perm.set_defaults(func=cmd_perm)
 
     p_tree = sub.add_parser("tree", help="build and check one certificate tree")
@@ -454,13 +420,13 @@ def build_parser() -> argparse.ArgumentParser:
     p_const.add_argument("--grid", type=int, default=10_000)
     p_const.add_argument("--iterations", type=int, default=30)
     p_const.add_argument("--format", choices=("json", "csv"), default="json")
-    p_const.add_argument("--out", default=None)
+    add_common(p_const, formula_input=False)
     p_const.set_defaults(func=cmd_constants)
 
     p_verify = sub.add_parser("verify", help="run the quick self-check suites")
     p_verify.add_argument("--seed", type=int, default=0)
     p_verify.add_argument("--format", choices=("text", "json"), default="text")
-    p_verify.add_argument("--out", default=None)
+    add_common(p_verify, formula_input=False)
     p_verify.set_defaults(func=cmd_verify)
 
     p_bench = sub.add_parser("bench", help="solve a seeded corpus, emit CSV")
@@ -471,7 +437,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_bench.add_argument("--tau", type=int, default=None)
     p_bench.add_argument("--slack", type=float, default=None)
     p_bench.add_argument("--no-timing", action="store_true", help="omit wall time for stable bytes")
-    p_bench.add_argument("--out", default=None)
+    add_common(p_bench, formula_input=False)
     p_bench.set_defaults(func=cmd_bench)
 
     p_gen = sub.add_parser("gen", help="generate an instance as DIMACS")
@@ -481,7 +447,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_gen.add_argument("--k", type=int, default=3)
     p_gen.add_argument("--seed", type=int, default=0)
     p_gen.add_argument("--free", type=int, default=0, help="append untouched variables")
-    p_gen.add_argument("--out", default=None)
+    add_common(p_gen, formula_input=False)
     p_gen.set_defaults(func=cmd_gen)
 
     return parser

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Iterable, Iterator
+from typing import Iterable
 
 Clause = tuple[int, ...]
 
@@ -77,9 +77,6 @@ class Assignment:
     def sorted_literals(self) -> tuple[int, ...]:
         """Canonical form: literals ordered by variable index."""
         return tuple(self._values[v] for v in sorted(self._values))
-
-    def __iter__(self) -> Iterator[int]:
-        return iter(self.literals())
 
     def __len__(self) -> int:
         return len(self.entries)

@@ -16,6 +16,7 @@ and the verifier share no state beyond the tree itself.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from math import prod
 from typing import Iterator, Mapping
 
 from .cnf import Clause, Formula, restrict
@@ -23,6 +24,15 @@ from .implication import tau_implied
 
 DUMMY = 0  # vertex label for "nothing new to flip"
 DEFAULT_CUT_BUDGET = 10**6
+# the six TreeReport checks, in the order verify_tree states them
+PROPERTIES = (
+    "root_in_variables",
+    "branching_within_width",
+    "path_labels_distinct",
+    "uniform_leaf_depth",
+    "label_count_within_k",
+    "cuts_imply_root",
+)
 
 
 class TreeConstructionError(ValueError):
@@ -124,11 +134,22 @@ def construct_tree(
     return build(x, depth, set(), 0)
 
 
+def _count_cuts(root: TreeVertex) -> int:
+    """How many cuts enumerate_cuts yields, in one pass over the tree: a
+    vertex's own cut plus the product of its children's counts."""
+
+    def below(vertex: TreeVertex) -> int:
+        return 1 + prod(map(below, vertex.children)) if vertex.children else 1
+
+    return prod(map(below, root.children)) if root.children else 0
+
+
 def enumerate_cuts(root: TreeVertex) -> Iterator[tuple[TreeVertex, ...]]:
     """All vertex sets that meet every root-to-leaf path exactly once,
     excluding the trivial cut through the root itself. Streams results;
-    raises once the count would exceed DEFAULT_CUT_BUDGET."""
-    produced = 0
+    raises before the first one if their count exceeds DEFAULT_CUT_BUDGET."""
+    if _count_cuts(root) > DEFAULT_CUT_BUDGET:
+        raise CutBudgetError(f"cut enumeration exceeded the budget of {DEFAULT_CUT_BUDGET}")
 
     def cuts_below(vertex: TreeVertex) -> Iterator[tuple[TreeVertex, ...]]:
         yield (vertex,)
@@ -144,13 +165,8 @@ def enumerate_cuts(root: TreeVertex) -> Iterator[tuple[TreeVertex, ...]]:
             for right in child_products(rest):
                 yield left + right
 
-    if root.is_leaf:
-        return
-    for cut in child_products(root.children):
-        produced += 1
-        if produced > DEFAULT_CUT_BUDGET:
-            raise CutBudgetError(f"cut enumeration exceeded the budget of {DEFAULT_CUT_BUDGET}")
-        yield cut
+    if root.children:
+        yield from child_products(root.children)
 
 
 @dataclass
@@ -171,14 +187,7 @@ class TreeReport:
 
     @property
     def all_passed(self) -> bool:
-        return (
-            self.root_in_variables
-            and self.branching_within_width
-            and self.path_labels_distinct
-            and self.uniform_leaf_depth
-            and self.label_count_within_k
-            and self.cuts_imply_root
-        )
+        return all(getattr(self, name) for name in PROPERTIES)
 
 
 def verify_tree(

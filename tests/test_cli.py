@@ -1,12 +1,15 @@
 import io
 import json
+import random
 
 import pytest
 
 from ppszlab.cli import main
-from ppszlab.cnf import parse_dimacs
+from ppszlab.cnf import parse_dimacs, serialize_dimacs
+from ppszlab.instances import unique_kcnf
 from ppszlab.oracle import count_solutions
 from ppszlab.permutations import PermutationBudgetError, construct_sigma
+from ppszlab.suites import solver_corpus
 
 CHAIN = "p cnf 3 3\n1 0\n-1 2 0\n-2 3 0\n"
 UNSAT = "p cnf 2 4\n1 2 0\n1 -2 0\n-1 2 0\n-1 -2 0\n"
@@ -379,6 +382,52 @@ def test_bench_runs_are_byte_identical(capsys):
     first = run(capsys, "bench", "--count", "2", "--no-timing", "--seed", "5")
     second = run(capsys, "bench", "--count", "2", "--no-timing", "--seed", "5")
     assert first == second
+
+
+@pytest.mark.parametrize(
+    "mode, seed, lacks",
+    [
+        ("general", 1, {"round"}),
+        # the third formula is unsatisfiable, so its instance cell is blank
+        ("general", 4, {"round"}),
+        (
+            "unique",
+            0,
+            {"instance", "restrictions_tried", "restrictions_skipped", "dppsz_calls",
+             "cutoff_hits"},
+        ),
+    ],
+)
+def test_bench_rows_agree_with_solve(capsys, tmp_path, mode, seed, lacks):
+    # each bench row is solve's payload: re-solve the row's formula through
+    # the solve command and compare every cell
+    code, out, _ = run(capsys, "bench", "--mode", mode, "--ns", "4,5", "--count", "3",
+                       "--seed", str(seed), "--no-timing")
+    assert code == 0
+    header, *rows = [line.split(",") for line in out.splitlines()]
+    rng = random.Random(seed)
+    if mode == "unique":
+        jobs = [unique_kcnf(rng, n, 3)[0] for n in (4, 5) for _ in range(3)]
+    else:
+        jobs = solver_corpus(rng, 3)
+    assert len(rows) == len(jobs)
+    path = tmp_path / "job.cnf"
+    for row, formula in zip(rows, jobs):
+        cells = dict(zip(header, row))
+        assert [cells["n"], cells["clauses"], cells["k"], cells["mode"]] == [
+            str(formula.n), str(formula.num_clauses), str(formula.k), mode
+        ]
+        path.write_text(serialize_dimacs(formula))
+        solved, text, _ = run(capsys, "solve", str(path), "--mode", mode)
+        payload = assert_canonical(text)
+        assert solved == (10 if payload["satisfiable"] else 20)
+        assert {name for name in header[5:] if name not in payload} == lacks
+        for name in header[5:]:
+            value = payload.get(name)
+            if name == "dppsz_calls" and mode == "unique":
+                value = 1  # a unique solve is one dppsz call
+            expected = "" if value is None else str(int(value) if name == "satisfiable" else value)
+            assert cells[name] == expected, name
 
 
 def test_gen_requires_a_clause_count(capsys):

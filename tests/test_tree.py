@@ -128,6 +128,39 @@ def test_cut_budget_is_enforced(monkeypatch):
         list(enumerate_cuts(root))
 
 
+def test_cut_count_matches_the_enumeration():
+    formula, alpha = unique_kcnf(random.Random(1), 8, 3)
+    values = {abs(lit): lit > 0 for lit in alpha}
+    roots = [
+        construct_tree(F((1,)), {1: True}, 1, 0),
+        construct_tree(F((1,), (1, 2)), {1: True, 2: True}, 1, 1),
+        construct_tree(F((1, -2), (2, -3)), {1: True, 2: True, 3: True}, 1, 2),
+        construct_tree(F((1, 2, 3)), {1: True, 2: False, 3: False}, 1, 1),
+        TreeVertex(1, (1, 2, 5), (TreeVertex(2, (2, 3, 4), (leaf(3, 2), leaf(4, 2)), 1),
+                                  TreeVertex(5, (5, 6), (leaf(6, 2),), 1)), 0),
+    ] + [construct_tree(formula, values, 1, depth) for depth in range(5)]
+    counts = [tree._count_cuts(root) for root in roots]
+    assert counts == [len(list(enumerate_cuts(root))) for root in roots]
+    assert counts[:5] == [0, 1, 2, 1, 4]
+    assert counts[-1] == 416
+
+
+def test_cut_budget_is_checked_before_any_cut(monkeypatch):
+    # the tree of `gen --kind unique --n 8 --seed 1` at depth 6 has
+    # 7,305,268 cuts; checking them would take hours
+    formula, alpha = unique_kcnf(random.Random(1), 8, 3)
+    values = {abs(lit): lit > 0 for lit in alpha}
+    root = construct_tree(formula, values, 1, 6)
+    assert tree._count_cuts(root) == 7_305_268
+
+    def refuse(*args):
+        raise AssertionError("a cut was checked")
+
+    monkeypatch.setattr(tree, "tau_implied", refuse)
+    with pytest.raises(CutBudgetError):
+        verify_tree(root, formula, values, 9)
+
+
 def test_verifier_flags_a_dummy_root():
     report = verify_tree(leaf(DUMMY, 0), F((1, 2)), {1: True, 2: True}, 1)
     assert not report.root_in_variables
