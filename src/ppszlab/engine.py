@@ -2,15 +2,17 @@
 
 Modify walks the variables in a given order. At each variable it first asks
 the bounded-subset implication engine for a pinned literal; a hit is
-appended as "forced" and consumes nothing. Otherwise the next bit of the
-supplied bit sequence decides the value ("guessed"); running out of bits
-before a guess is needed aborts the run. `PpszEngine.modify` returns a pair:
-the finished assignment if it satisfies the formula (None otherwise), and
-the walk's guess profile. The profile's entries are the walk's
-(literal, provenance) pairs, the layout of `Assignment.entries`, and its
-`guessed` is counted by the walk. The randomized trial is one `modify`
-call. Every order handed to `modify` or to either probability route must
-list each variable exactly once.
+"forced" and consumes nothing. Otherwise the next bit of the supplied bit
+sequence decides the value ("guessed"); running out of bits before a guess
+is needed aborts the run. `PpszEngine.modify` returns a pair: the finished
+assignment if it satisfies the formula (None otherwise), and the walk's
+guess profile. The walk keeps its path as ints: its state, the bits of its
+forced steps and its guess count. The profile's `entries`, the walk's
+(literal, provenance) pairs in the layout of `Assignment.entries`, are
+built from those when first read; the identity route reads only
+`guessed`. The randomized trial is one `modify` call. Every order handed
+to `modify` or to either probability route must list each variable
+exactly once.
 
 Guess profiles come out of the same walk: a replay against a known solution
 feeds the guesses from that solution instead of a bit vector, so the count
@@ -20,8 +22,8 @@ itself runs.
 The exact success probability does not replay every (order, bit vector)
 pair. A walk reads only the bits its guesses consume, so for one order the
 2^n bit vectors form a binary guess tree: a forced step has one child, a
-guessed step one child per bit value, and a leaf reached after `used`
-guesses stands for the 2^(n - used) vectors that share its prefix.
+guessed step one child per bit value, and a leaf reached after g guesses
+stands for the 2^(n - g) vectors that share its prefix.
 
 A guess-tree search visits only the branches that some solution extends.
 A node's live set, the solutions that extend its state, is the only place
@@ -84,15 +86,49 @@ class EnumerationBudgetError(RuntimeError):
     """An exhaustive probability computation would be too large."""
 
 
-@dataclass(frozen=True)
 class GuessProfile:
     """Per-variable record of one Modify walk, in processing order: the
     (literal, provenance) pairs of an `Assignment`, and how many of them
     were guessed. A walk on bits reads one bit per guess, so `guessed` also
-    counts the bits it consumed; a replay reads none."""
+    counts the bits it consumed; a replay reads none.
 
-    entries: tuple[tuple[int, str], ...]
-    guessed: int
+    The walk hands over ints, not pairs: its cells, its end avals, the
+    bits of its forced steps and `guessed`. Its steps are the first
+    `guessed` + |forced| cells, and `entries` is built from them when
+    first read. Two profiles are equal when their entries and guess counts
+    are."""
+
+    __slots__ = ("_cells", "_avals", "_forced", "guessed", "_entries")
+
+    def __init__(self, cells: Sequence[tuple[int, int, int]], avals: int, forced: int, guessed: int):
+        self._cells = cells
+        self._avals = avals
+        self._forced = forced
+        self.guessed = guessed
+        self._entries: tuple[tuple[int, str], ...] | None = None
+
+    @property
+    def entries(self) -> tuple[tuple[int, str], ...]:
+        entries = self._entries
+        if entries is None:
+            avals, forced = self._avals, self._forced
+            steps = self.guessed + forced.bit_count()
+            self._entries = entries = tuple(
+                (var if avals & bit else -var, FORCED if forced & bit else GUESSED)
+                for var, bit, _ in self._cells[:steps]
+            )
+        return entries
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, GuessProfile):
+            return NotImplemented
+        return self.guessed == other.guessed and self.entries == other.entries
+
+    def __hash__(self) -> int:
+        return hash((self.entries, self.guessed))
+
+    def __repr__(self) -> str:
+        return f"GuessProfile(entries={self.entries!r}, guessed={self.guessed!r})"
 
 
 class PpszEngine:
@@ -122,36 +158,36 @@ class PpszEngine:
     ) -> tuple[int | None, GuessProfile]:
         """The walk over cells from (amask, avals): its final avals (None
         unless a solution) and profile. A guess reads beta's next bit, or
-        alpha's bit when alpha, a reference solution's state, is given."""
+        alpha's bit when alpha, a reference solution's state, is given.
+        The loop holds only ints: the state, the live set, the bits of the
+        forced steps and the guess count, from which the profile rebuilds
+        the steps when read."""
         self.modify_calls += 1
         implied = self.index.implied_literal
         live = self.index.live(amask, avals)
-        entries: list[tuple[int, str]] = []
-        guessed = 0
+        forced = guessed = 0
         for var, bit, ones in cells:
             one = live & ones
             # live solutions on both sides: no clause subset implies var
             lit = 0 if one and one != live else implied(amask, avals, var)
             if lit:
-                prov = FORCED
+                forced |= bit
+                positive = lit > 0
             else:
                 if alpha is not None:
                     positive = alpha & bit
                 elif guessed == beta_length:
-                    return None, GuessProfile(tuple(entries), guessed)
+                    return None, GuessProfile(cells, avals, forced, guessed)
                 else:
                     positive = (beta_value >> (beta_length - 1 - guessed)) & 1
-                lit = var if positive else -var
-                prov = GUESSED
                 guessed += 1
             amask |= bit
-            if lit > 0:
+            if positive:
                 avals |= bit
                 live = one
             else:
                 live ^= one
-            entries.append((lit, prov))
-        profile = GuessProfile(tuple(entries), guessed)
+        profile = GuessProfile(cells, avals, forced, guessed)
         # the order covers every variable the start state leaves free, so
         # the state is total, and a live solution extends it: it is that one
         if live:

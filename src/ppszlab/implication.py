@@ -206,7 +206,12 @@ class ImplicationIndex:
 
     Sizes 1 and 2 are decided by clause shape; only the clauses of at
     most two literals matter:
-    - Size 1: the first unit clause over x decides x.
+    - Size 1: the first unit clause over x decides x, and (-x) sorts
+      before (x). A state that is already built reads its units. One that
+      is not is built only if size 1 misses: its units over x are the
+      clauses over x whose other literals the state makes false, read off
+      the clauses kept per variable (`_clauses_of`). So a lookup that a
+      unit decides never builds its state.
     - A dead state, one whose residual holds the empty clause (), has
       (), b as its first deciding pair, with b the first clause that
       mentions x. So after a miss at size 1, x is positive at size 2 if
@@ -263,8 +268,12 @@ class ImplicationIndex:
         self.ones_of = {v: true_masks[j] for j, v in enumerate(variables)}
         # per clause: each literal with its variable's bit, the bits of its
         # positive and of its negative literals, and its bits as a state
-        # keeps them (_State); and the assignments that satisfy every clause
+        # keeps them (_State); per variable bit, each clause over it as (its
+        # literal over the variable, its positive and negative bits, the
+        # bits of its other variables); and the assignments that satisfy
+        # every clause
         clauses = []
+        clauses_of: dict[int, list[tuple[int, int, int, int]]] = {bit: [] for bit in bit_of.values()}
         solutions = space
         for clause in formula.clauses:
             lit_bits = []
@@ -279,7 +288,10 @@ class ImplicationIndex:
                 satisfying |= (true_masks if lit > 0 else false_masks)[bit.bit_length() - 1]
             clauses.append((clause, tuple(lit_bits), pos, vbits ^ pos, vbits | pos << n))
             solutions &= satisfying
+            for lit, bit in lit_bits:
+                clauses_of[bit].append((lit, pos, vbits ^ pos, vbits ^ bit))
         self._clauses = clauses
+        self._clauses_of = clauses_of
         self._solutions = solutions
         self._state_cache: dict[tuple[int, int], _State] = {}
         self._state_bytes = 0
@@ -356,12 +368,28 @@ class ImplicationIndex:
         clauses at this state, or 0.
 
         Sizes 1 and 2 are read off the unit and two-literal clauses (class
-        docstring); only sizes 3 and up search for cores."""
-        state = self._survivors(amask, avals)
+        docstring); only sizes 3 and up search for cores. Size 1 reads a
+        built state's units; at a state not yet built it scans the clauses
+        over var, and builds the state only when no unit decides var and
+        tau reaches size 2. A built state keeps its own test: the lists are
+        slower where sweeps mostly land on built states with many clauses
+        per variable."""
         # the first unit over var decides it; (-var,) sorts first
-        if -var in state.units:
+        state = self._state_cache.get((amask, avals))
+        if state is None:
+            falses = amask ^ avals
+            unit = 0
+            for lit, pos, neg, others in self._clauses_of[xbit]:
+                if pos & falses | neg & avals == others:  # its other literals are false
+                    if lit < 0:
+                        return lit
+                    unit = lit
+            if unit or tau < 2:
+                return unit
+            state = self._survivors(amask, avals)
+        elif -var in state.units:
             return -var
-        if var in state.units:
+        elif var in state.units:
             return var
         # past size 1, and only when some subset mentions var
         if tau < 2 or not state.reach & xbit:

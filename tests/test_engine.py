@@ -119,9 +119,9 @@ def test_exact_equals_identity_past_eight_variables():
 
 
 def _reference_walk(eng, sigma, beta_value, beta_length, alpha, amask=0, avals=0):
-    """Reference walk: `_walk` as it ran before it carried a live set.
-    Every step asks the index, and the success test reads the solution
-    bitmap."""
+    """Reference walk: `_walk` as it ran before it carried a live set,
+    as (final avals or None, entries, guessed). Every step asks the index,
+    and the success test reads the solution bitmap."""
     implied = eng.index.implied_literal
     entries = []
     guessed = 0
@@ -134,7 +134,7 @@ def _reference_walk(eng, sigma, beta_value, beta_length, alpha, amask=0, avals=0
                 positive = alpha[var]
             else:
                 if guessed == beta_length:
-                    return None, GuessProfile(tuple(entries), guessed)
+                    return None, tuple(entries), guessed
                 positive = (beta_value >> (beta_length - 1 - guessed)) & 1
             lit = var if positive else -var
             prov = GUESSED
@@ -144,10 +144,9 @@ def _reference_walk(eng, sigma, beta_value, beta_length, alpha, amask=0, avals=0
         if lit > 0:
             avals |= bit
         entries.append((lit, prov))
-    profile = GuessProfile(tuple(entries), guessed)
     if amask == (1 << eng.formula.n) - 1 and eng.index.live(amask, avals):
-        return avals, profile
-    return None, profile
+        return avals, tuple(entries), guessed
+    return None, tuple(entries), guessed
 
 
 def _exhaustive_probability(formula, orders, tau=None):
@@ -158,7 +157,7 @@ def _exhaustive_probability(formula, orders, tau=None):
     successes = 0
     for sigma in orders:
         for value in range(1 << n):
-            avals, _ = _reference_walk(eng, tuple(sigma), value, n, None)
+            avals, _, _ = _reference_walk(eng, tuple(sigma), value, n, None)
             if avals is not None:
                 successes += 1
     return Fraction(successes, len(orders) << n)
@@ -214,9 +213,9 @@ def test_walk_matches_the_reference_walk(start_state):
                 cells = eng._check_order(sigma, *start[:1])
                 target = None if alpha is None else sum(eng.index.bit_of[v] for v in alpha if alpha[v])
                 lookups.clear()
-                got = eng._walk(cells, value, length, target, *start)
+                avals, profile = eng._walk(cells, value, length, target, *start)
+                got = (avals, profile.entries, profile.guessed)
                 assert got == _reference_walk(ref, *case), (formula.clauses, case)
-                avals, profile = got
                 kinds["both-live steps"] += len(profile.entries) - len(lookups)
                 if case[3] is not None:
                     kinds["replay"] += 1
@@ -558,6 +557,58 @@ def test_profiles_count_their_guesses():
             for profile in profiles:
                 assert profile.guessed == sum(prov == GUESSED for _, prov in profile.entries)
     assert kinds == {"solved", "exhausted", "finished"}
+
+
+def test_profiles_build_their_entries_only_when_read(monkeypatch):
+    # the identity route reads each replay's guess count and never its
+    # entries; modify, replay and a trial's record read entries equal to
+    # the reference walk's, exhausted walks included
+    reads = []
+    entries = GuessProfile.entries
+    monkeypatch.setattr(GuessProfile, "entries", property(lambda p: reads.append(p) or entries.fget(p)))
+    rng = random.Random(919)
+    kinds = Counter()
+    for n in (5, 6, 7, 8):
+        formula = _many_solutions(rng, n)
+        solutions = enumerate_solutions(formula)
+        assert len(solutions) > 1
+        perms = construct_sigma(formula.variables)
+        exact = success_probability_exact(formula, perms)
+        reads.clear()
+        assert success_probability_via_identity(formula, perms) == exact
+        assert reads == []
+        eng, ref = PpszEngine(formula), PpszEngine(formula)
+        for length in (n, n // 2) * 4:
+            sigma = perms.permutation(rng.randrange(len(perms)))
+            value = rng.getrandbits(length)
+            bits = tuple((value >> (length - 1 - i)) & 1 for i in range(length))
+            assignment, profile = eng.modify(sigma, bits)
+            avals, want, guessed = _reference_walk(ref, sigma, value, length, None)
+            assert (profile.entries, profile.guessed) == (want, guessed)
+            result = None
+            if assignment is not None:
+                assert avals is not None and assignment.entries == want
+                result = assignment.sorted_literals()
+            assert TrialRecord(3, bits, result, profile).to_dict() == {
+                "sigma_index": 3,
+                "beta": list(bits),
+                "result": None if result is None else list(result),
+                "guess_profile": {
+                    "entries": [{"variable": abs(lit), "literal": lit, "provenance": prov} for lit, prov in want],
+                    "guessed": guessed,
+                    "bits_consumed": guessed,
+                    "exhausted": len(want) < length,
+                },
+            }
+            kinds["exhausted" if len(want) < n else "solved" if avals is not None else "dead"] += 1
+        for solution in solutions[:4]:
+            sigma = perms.permutation(rng.randrange(len(perms)))
+            profile = eng.replay(solution, sigma)
+            alpha = {abs(lit): lit > 0 for lit in solution}
+            assert (profile.entries, profile.guessed) == _reference_walk(ref, sigma, None, 0, alpha)[1:]
+            kinds["replay"] += 1
+    assert all(kinds[key] for key in ("exhausted", "solved", "replay")), kinds
+    assert reads
 
 
 def test_replay_accepts_literal_iterables():

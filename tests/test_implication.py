@@ -856,3 +856,62 @@ def test_solution_bitmap_matches_the_clause_loop():
             ]
             assert index.short_clauses(width) == want, (formula.clauses, width)
     assert verdicts == {False, True}
+
+
+def _unit_path_formula(rng, n):
+    """Random clauses of width 1 to 5 over variables 1..n, plus clauses
+    that the state 1 = true, 2 = false leaves as the units (n) and (-n),
+    with (n) sorting first in the formula, as a duplicate (n), and as the
+    duplicate pair (3, 4)."""
+    clauses = [(-1, n), (2, -n), (-1, 2, n), (-1, 3, 4), (2, 3, 4)]
+    for _ in range(rng.randrange(n - 2, n + 2)):
+        chosen = rng.sample(range(1, n + 1), rng.randint(1, 5))
+        clauses.append(tuple(v if rng.getrandbits(1) else -v for v in chosen))
+    return F(*clauses, variables=range(1, n + 1))
+
+
+def test_units_on_unbuilt_states_match_the_built_states_and_the_reference():
+    # a size-1 lookup on a state not yet built reads the units off the
+    # clause lists per variable; on a built state, off state.units. Both
+    # must answer like tau_implied on the restriction at every depth, and
+    # a unit found on an unbuilt state must not build it
+    rng = random.Random(71)
+    seen = Counter()
+    for case in range(30):
+        n = 5 + case % 3
+        formula = _unit_path_formula(rng, n)
+        built = ImplicationIndex(formula)
+        for draw in range(4):
+            amask, avals, literals = _restriction_state(formula, rng, rng.randrange(2, n - 1))
+            if draw == 0:
+                # the designed state, where (n) and (-n) are both units
+                literals = [1, -2] + [lit for lit in literals if abs(lit) > 2 and abs(lit) != n]
+                amask = sum(1 << (abs(lit) - 1) for lit in literals)
+                avals = sum(1 << (lit - 1) for lit in literals if lit > 0)
+            residual = restrict(formula, literals)
+            units = {clause[0] for clause in residual.clauses if len(clause) == 1}
+            seen["dead"] += () in residual.clauses
+            seen["duplicates"] += len(residual.clauses) < sum(
+                not any(lit in literals for lit in clause) for clause in formula.clauses
+            )
+            built._survivors(amask, avals)
+            for var in residual.variables:
+                fresh = ImplicationIndex(formula)
+                for tau in (1, 2, 3, 4):
+                    want = tau_implied(residual, var, tau) or 0
+                    fresh.tau = built.tau = tau
+                    unbuilt = (amask, avals) not in fresh._state_cache
+                    assert fresh.implied_literal(amask, avals, var) == want, (literals, var, tau)
+                    assert (amask, avals) in built._state_cache
+                    assert built.implied_literal(amask, avals, var) == want, (literals, var, tau)
+                    if want and (var in units or -var in units):
+                        # the lists answered on the fresh index, and
+                        # state.units on the built one
+                        assert unbuilt
+                        seen["unit"] += 1
+                        seen["both units"] += var in units and -var in units
+                if var in units or -var in units:
+                    # the lists decided it at every depth, so nothing was built
+                    assert fresh._state_cache == {} and fresh._state_bytes == 0
+    keys = ("dead", "duplicates", "unit", "both units")
+    assert all(seen[key] for key in keys), seen

@@ -132,7 +132,7 @@ def test_the_check_sees_unreferenced_private_definitions():
     ]
 
 
-INDEX_TABLES = {"_true_masks", "_false_masks", "_solutions", "_clauses"}
+INDEX_TABLES = {"_true_masks", "_false_masks", "_solutions", "_clauses", "_clauses_of"}
 
 
 def attribute_reads(sources: dict[str, str], names: set[str]) -> list[str]:
