@@ -210,6 +210,16 @@ def cmd_tree(args) -> int:
     formula = _load_formula(args.file)
     if args.alpha is not None:
         literals = tuple(int(tok) for tok in args.alpha.split(","))
+        listed: set[int] = set()
+        for lit in literals:
+            var = abs(lit)
+            if lit == 0:
+                raise ValueError("alpha holds the literal 0")
+            if var not in formula.variables:
+                raise ValueError(f"alpha variable {var} is not in the formula")
+            if var in listed:
+                raise ValueError(f"alpha lists variable {var} twice")
+            listed.add(var)
     else:
         witness = first_solution(formula, args.oracle_limit)
         if witness is None:
@@ -219,6 +229,8 @@ def cmd_tree(args) -> int:
     missing = [v for v in formula.variables if v not in amap]
     if missing:
         raise ValueError(f"alpha leaves variables unassigned: {missing}")
+    if evaluate(formula, literals) is not Evaluation.SATISFIED:
+        raise ValueError("alpha does not satisfy the formula")
     size = resolve_tau(args.kwise, formula.n)
     depth = args.depth if args.depth is not None else certificate_depth(formula.k, size)
     tree = construct_tree(formula, amap, args.var, depth)

@@ -11,6 +11,11 @@ vertices that meets every root-to-leaf path once, and the root's correct
 literal becomes implied by a small sub-CNF, namely the witness clauses
 above the cut. verify_tree checks all of that explicitly; the construction
 and the verifier share no state beyond the tree itself.
+
+The verifier asks the formula's one ImplicationIndex about every cut: a
+cut's fixings are a restriction state, so cuts that share upper vertices
+share states and memoized answers. Past the index's variable limit it
+restricts the formula and runs the reference tau_implied per cut instead.
 """
 
 from __future__ import annotations
@@ -20,7 +25,7 @@ from math import prod
 from typing import Iterator, Mapping
 
 from .cnf import Clause, Formula, restrict
-from .implication import tau_implied
+from .implication import ImplicationIndex, tau_implied
 
 DUMMY = 0  # vertex label for "nothing new to flip"
 DEFAULT_CUT_BUDGET = 10**6
@@ -222,43 +227,43 @@ def verify_tree(
             report.failures.append(
                 f"vertex {vertex.label} has {len(vertex.children)} children"
             )
-        if vertex.is_leaf and vertex.depth != expected_depth:
-            report.uniform_leaf_depth = False
-            report.failures.append(
-                f"leaf {vertex.label} at depth {vertex.depth}, expected {expected_depth}"
-            )
     report.distinct_labels = len(labels)
     if len(labels) > implication_size:
         report.label_count_within_k = False
         report.failures.append(f"{len(labels)} distinct labels exceed {implication_size}")
 
-    def check_paths(vertex: TreeVertex, seen: set[int]) -> None:
+    # depths are measured from the root, not read off TreeVertex.depth
+    def check_paths(vertex: TreeVertex, seen: set[int], depth: int) -> None:
         label = vertex.label
-        if label != DUMMY:
-            if label in seen:
-                report.path_labels_distinct = False
-                report.failures.append(f"variable {label} repeats on a path")
-                return
+        fresh = label != DUMMY and label not in seen
+        if label != DUMMY and not fresh:
+            report.path_labels_distinct = False
+            report.failures.append(f"variable {label} repeats on a path")
+        if vertex.is_leaf and depth != expected_depth:
+            report.uniform_leaf_depth = False
+            report.failures.append(f"leaf {label} at depth {depth}, expected {expected_depth}")
+        if fresh:
             seen.add(label)
         for child in vertex.children:
-            check_paths(child, seen)
-        if label != DUMMY:
+            check_paths(child, seen, depth + 1)
+        if fresh:
             seen.discard(label)
 
-    check_paths(root, set())
+    check_paths(root, set(), 0)
+    if not report.root_in_variables:
+        return report  # a cut through a label outside the formula cannot be checked
 
-    # the cut property, checked through the ordinary implication engine
+    # the cut property, checked on the formula's implication index; its
+    # answers equal tau_implied on the restricted formula, the only route
+    # past the index's variable limit
     root_literal = root.label if alpha.get(root.label) else -root.label
+    index = None
+    if formula.n <= ImplicationIndex.VARIABLE_LIMIT:
+        index = ImplicationIndex(formula, implication_size)
     for cut in enumerate_cuts(root):
         report.cuts_checked += 1
-        fixings = []
-        seen_vars = set()
-        for vertex in cut:
-            if vertex.label == DUMMY or vertex.label in seen_vars:
-                continue
-            seen_vars.add(vertex.label)
-            fixings.append(vertex.label if alpha[vertex.label] else -vertex.label)
-        if root.label in seen_vars:
+        fixed = {v.label for v in cut} - {DUMMY}
+        if root.label in fixed:
             # only possible for malformed trees; a valid path never
             # repeats the root variable below the root
             report.cuts_imply_root = False
@@ -266,8 +271,13 @@ def verify_tree(
                 f"cut {[v.label for v in cut]} fixes the root variable itself"
             )
             continue
-        restricted = restrict(formula, fixings)
-        got = tau_implied(restricted, root.label, implication_size)
+        if index is None:
+            fixings = [v if alpha[v] else -v for v in fixed]
+            got = tau_implied(restrict(formula, fixings), root.label, implication_size)
+        else:
+            amask = sum(index.bit_of[v] for v in fixed)
+            avals = sum(index.bit_of[v] for v in fixed if alpha[v])
+            got = index.implied_literal(amask, avals, root.label) or None
         if got != root_literal:
             report.cuts_imply_root = False
             report.failures.append(

@@ -145,6 +145,12 @@ def test_solve_rejects_malformed_input(capsys, tmp_path):
         (("gen", "--kind", "planted", "--n", "3", "--m", "-1"), "m must be nonnegative"),
         (("bench", "--count", "-1"), "count must be nonnegative"),
         (("tree", "EMPTY", "--var", "1"), "formula is unsatisfiable"),
+        # alpha falsifies the unit clause (1)
+        (("tree", "CHAIN", "--var", "2", "--kwise", "2", "--alpha=-1,2,3"),
+         "alpha does not satisfy the formula"),
+        (("tree", "CHAIN", "--var", "2", "--alpha=-1,1,2,3"), "alpha lists variable 1 twice"),
+        (("tree", "CHAIN", "--var", "2", "--alpha=1,2,3,9"), "alpha variable 9 is not in the formula"),
+        (("tree", "CHAIN", "--var", "2", "--alpha=1,2,3,0"), "alpha holds the literal 0"),
     ],
 )
 def test_bad_numbers_fail_with_a_message(capsys, tmp_path, chain_file, argv, message):

@@ -3,8 +3,10 @@ import random
 import pytest
 
 from ppszlab import tree
-from ppszlab.cnf import Formula
+from ppszlab.cnf import Formula, restrict
+from ppszlab.implication import ImplicationIndex, tau_implied
 from ppszlab.instances import unique_kcnf
+from ppszlab.suites import tree_corpus
 from ppszlab.tree import (
     DUMMY,
     CutBudgetError,
@@ -157,6 +159,7 @@ def test_cut_budget_is_checked_before_any_cut(monkeypatch):
         raise AssertionError("a cut was checked")
 
     monkeypatch.setattr(tree, "tau_implied", refuse)
+    monkeypatch.setattr(ImplicationIndex, "implied_literal", refuse)
     with pytest.raises(CutBudgetError):
         verify_tree(root, formula, values, 9)
 
@@ -167,6 +170,19 @@ def test_verifier_flags_a_dummy_root():
     assert report.branching_within_width
     assert report.uniform_leaf_depth
     assert not report.all_passed
+
+
+def test_verifier_reports_labels_outside_the_formula():
+    # a dummy root above a real child, and a child outside the formula:
+    # property 1 fails and no cut is checked
+    formula = F((1, 2))
+    alpha = {1: True, 2: False, 7: True}
+    for root in (TreeVertex(DUMMY, (1, 2), (leaf(2, 1),), 0),
+                 TreeVertex(1, (1, 2), (leaf(7, 1),), 0)):
+        report = verify_tree(root, formula, alpha, 2)
+        assert not report.root_in_variables
+        assert report.cuts_checked == 0
+        assert not report.all_passed
 
 
 def test_verifier_flags_overwide_branching():
@@ -201,6 +217,17 @@ def test_verifier_flags_uneven_leaf_depth():
     assert not report.uniform_leaf_depth
     assert report.path_labels_distinct
     assert report.label_count_within_k
+    assert report.cuts_imply_root
+    assert not report.all_passed
+
+
+def test_verifier_measures_leaf_depth_from_the_root():
+    # the leaf claims the required depth 2 but sits one edge below the root
+    formula = F((1, -2), (2, -3))
+    root = TreeVertex(1, (1, -2), (TreeVertex(2, None, (), 2),), 0)
+    report = verify_tree(root, formula, {1: True, 2: True, 3: True}, 4)
+    assert not report.uniform_leaf_depth
+    assert "leaf 2 at depth 1, expected 2" in report.failures
     assert report.cuts_imply_root
     assert not report.all_passed
 
@@ -240,3 +267,69 @@ def test_every_frozen_variable_certifies_on_a_unique_instance():
         report = verify_tree(root, formula, values, 9)
         assert report.all_passed, (var, report.failures)
         assert report.cuts_checked >= 1
+
+
+def cut_cases():
+    """(root, formula, alpha, K) for the formulas above, a hand-built tree
+    whose cut leaves the root open, and seeded unique instances at
+    K = 2..4 and depths 1-3; some of those cuts do not imply the root."""
+    chain = F((1, -2), (2, -3))
+    everything_true = {1: True, 2: True, 3: True}
+    cases = [
+        (construct_tree(F((1,), (1, 2)), {1: True, 2: True}, 1, 1), F((1,), (1, 2)),
+         {1: True, 2: True}, 2),
+        (construct_tree(F((1, -2), (1, 2)), {1: True, 2: True}, 1, 1), F((1, -2), (1, 2)),
+         {1: True, 2: True}, 2),
+        (construct_tree(chain, everything_true, 1, 2), chain, everything_true, 4),
+        (construct_tree(F((1, 2, 3)), {1: True, 2: False, 3: False}, 1, 1), F((1, 2, 3)),
+         {1: True, 2: False, 3: False}, 3),
+        (TreeVertex(1, (1, 2), (leaf(3, 1),), 0), F((1, 2), variables=(1, 2, 3)),
+         {1: True, 2: False, 3: True}, 2),
+    ]
+    formula, alpha = unique_kcnf(random.Random(61), 5, 3)
+    values = {abs(lit): lit > 0 for lit in alpha}
+    cases += [(construct_tree(formula, values, var, 2), formula, values, 9)
+              for var in formula.variables]
+    # the first variable of each: the reference takes seconds per tree
+    # on the larger draws at depth 3
+    for formula, alpha in tree_corpus(random.Random(105), 9):
+        values = {abs(lit): lit > 0 for lit in alpha}
+        var = formula.variables[0]
+        for depth in (1, 2, 3):
+            root = construct_tree(formula, values, var, depth)
+            cases += [(root, formula, values, size) for size in (2, 3, 4)]
+    return cases
+
+
+def test_cut_answers_match_the_reference():
+    # every cut's answer, read back from the report (a cut that implies the
+    # root leaves no message), equals tau_implied on the restricted formula
+    open_trees = 0
+    for root, formula, alpha, size in cut_cases():
+        root_literal = root.label if alpha[root.label] else -root.label
+        expected = []
+        for cut in enumerate_cuts(root):
+            labels = [v.label for v in cut]
+            fixings = [v if alpha[v] else -v for v in labels if v != DUMMY]
+            got = tau_implied(restrict(formula, fixings), root.label, size)
+            if got != root_literal:
+                expected.append(f"cut {labels} yields {got}, expected {root_literal}")
+        report = verify_tree(root, formula, alpha, size)
+        assert [msg for msg in report.failures if msg.startswith("cut ")] == expected
+        assert report.cuts_checked == tree._count_cuts(root)
+        open_trees += bool(expected)
+    assert open_trees >= 4
+
+
+def test_reference_route_gives_equal_reports(monkeypatch):
+    # past the index's variable limit the verifier restricts the formula
+    # and asks tau_implied; forcing that route must not change a report
+    cases = cut_cases()
+    reports = [verify_tree(*case) for case in cases]
+
+    def refuse(*args):
+        raise AssertionError("the index was asked")
+
+    monkeypatch.setattr(ImplicationIndex, "VARIABLE_LIMIT", 0)
+    monkeypatch.setattr(ImplicationIndex, "implied_literal", refuse)
+    assert [verify_tree(*case) for case in cases] == reports
